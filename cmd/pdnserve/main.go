@@ -32,6 +32,9 @@ import (
 	"pdn3d/internal/solve"
 )
 
+// idleTimeout closes a keep-alive connection idle this long.
+const idleTimeout = 2 * time.Minute
+
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address")
 	workers := flag.Int("workers", 0, "solver/batch worker pool size (<= 0: GOMAXPROCS)")
@@ -41,8 +44,7 @@ func main() {
 	maxInflight := flag.Int("max-inflight", 0, "max concurrently admitted requests (<= 0: 2 x GOMAXPROCS)")
 	queueWait := flag.Duration("queue-wait", time.Second, "max wait for an admission slot before 429")
 	cacheSize := flag.Int("cache", 1024, "analyze result cache entries")
-	topoCache := flag.Int("topo-cache", 0, "frozen mesh-topology cache entries (<= 0: design cache size)")
-	warmStart := flag.Bool("warm-start", false, "seed solves with the last solution for the same topology (faster sweeps; results converge to tolerance instead of being byte-identical)")
+	warmStart := flag.Bool("warm-start", false, "seed solves with the last solution for the same design (faster sweeps; results converge to tolerance instead of being byte-identical)")
 	maxBatch := flag.Int("max-batch", 256, "max queries per /v1/batch request")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight work on shutdown")
 	logFormat := flag.String("log-format", obs.LogText, "log output format: text or json")
@@ -73,7 +75,6 @@ func main() {
 		MaxInFlight:         *maxInflight,
 		QueueWait:           *queueWait,
 		CacheSize:           *cacheSize,
-		TopoCacheSize:       *topoCache,
 		WarmStart:           *warmStart,
 		MaxBatch:            *maxBatch,
 		TraceBufSize:        *traceBuf,
@@ -89,7 +90,11 @@ func main() {
 		stopHealth := s.Registry().StartHealthSampler(*healthInterval)
 		defer stopHealth()
 	}
-	httpSrv := &http.Server{Addr: *addr, Handler: s, ReadHeaderTimeout: 5 * time.Second}
+	// No ReadTimeout: its deadline outlives the body read, and net/http
+	// then cancels the context of a handler still running (a long LUT
+	// build would turn into a 503). The server bounds each body read with
+	// its own deadline instead.
+	httpSrv := &http.Server{Addr: *addr, Handler: s, ReadHeaderTimeout: 5 * time.Second, IdleTimeout: idleTimeout}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

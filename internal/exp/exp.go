@@ -7,6 +7,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 
 	"pdn3d/internal/bench3d"
@@ -53,9 +54,9 @@ type Config struct {
 type Runner struct {
 	Cfg Config
 
-	topos     par.Group[*rmesh.Topology]
-	analyzers par.Group[*irdrop.Analyzer]
-	luts      par.Group[*lut.Table]
+	topos     par.Cache[*rmesh.Topology]
+	analyzers par.Cache[*irdrop.Analyzer]
+	luts      par.Cache[*lut.Table]
 	sweeps    *obs.SweepMetrics
 }
 
@@ -159,7 +160,7 @@ func specKey(s *pdn.Spec, withLogic bool) string {
 // building it exactly once even under concurrent misses. Specs differing
 // only in metal-usage magnitudes share one entry.
 func (r *Runner) topology(spec *pdn.Spec) (*rmesh.Topology, error) {
-	return r.topos.Do(speckey.Topology(spec), func() (*rmesh.Topology, error) {
+	return r.topos.Do(context.TODO(), speckey.Topology(spec), nil, func() (*rmesh.Topology, error) {
 		return rmesh.BuildTopologyObs(spec, r.Cfg.Obs)
 	})
 }
@@ -169,7 +170,7 @@ func (r *Runner) topology(spec *pdn.Spec) (*rmesh.Topology, error) {
 // the shared topology cache — bit-identical to a full build, but value
 // sweeps over one design shape skip the geometry and symbolic work.
 func (r *Runner) analyzer(spec *pdn.Spec, dram *powermap.DRAMModel, logic *powermap.LogicModel) (*irdrop.Analyzer, error) {
-	return r.analyzers.Do(specKey(spec, logic != nil), func() (*irdrop.Analyzer, error) {
+	return r.analyzers.Do(context.TODO(), specKey(spec, logic != nil), nil, func() (*irdrop.Analyzer, error) {
 		t, err := r.topology(spec)
 		if err != nil {
 			return nil, err
@@ -187,7 +188,7 @@ func (r *Runner) analyzer(spec *pdn.Spec, dram *powermap.DRAMModel, logic *power
 // lutFor returns a cached IR-drop look-up table for the prepared spec,
 // building it exactly once even under concurrent misses.
 func (r *Runner) lutFor(spec *pdn.Spec, dram *powermap.DRAMModel, logic *powermap.LogicModel) (*lut.Table, error) {
-	return r.luts.Do(specKey(spec, logic != nil), func() (*lut.Table, error) {
+	return r.luts.Do(context.TODO(), specKey(spec, logic != nil), nil, func() (*lut.Table, error) {
 		a, err := r.analyzer(spec, dram, logic)
 		if err != nil {
 			return nil, err

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pdn3d/internal/bench3d"
+	"pdn3d/internal/obs"
 	"pdn3d/internal/pdn"
 )
 
@@ -81,7 +82,8 @@ func TestRunnerConcurrentExactlyOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewRunner(Config{MeshPitch: 0.5})
+	reg := obs.NewRegistry()
+	r := NewRunner(Config{MeshPitch: 0.5, Obs: reg})
 	specs := make([]*pdn.Spec, 3)
 	for i, tc := range []int{15, 33, 120} {
 		s := r.prepare(b.Spec)
@@ -124,7 +126,7 @@ func TestRunnerConcurrentExactlyOnce(t *testing.T) {
 			}
 		}
 	}
-	if n := r.analyzers.Len(); n != len(specs) {
+	if n := reg.Snapshot().Counters["exp.analyzer_cache.misses"]; n != int64(len(specs)) {
 		t.Errorf("runner built %d analyzers for %d distinct designs", n, len(specs))
 	}
 	// Each design's (state, io) point must have been solved exactly once in

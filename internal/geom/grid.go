@@ -1,6 +1,9 @@
 package geom
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Grid is a uniform 2-D grid of nodes covering a rectangular outline.
 // Node (i, j) with 0 <= i < NX, 0 <= j < NY sits at
@@ -26,15 +29,16 @@ func NewGrid(outline Rect, pitch float64) (Grid, error) {
 	if pitch <= 0 {
 		return Grid{}, fmt.Errorf("geom: grid pitch %g must be positive", pitch)
 	}
-	nx := int(outline.W()/pitch+0.5) + 1
-	ny := int(outline.H()/pitch+0.5) + 1
-	if nx < 2 {
-		nx = 2
-	}
-	if ny < 2 {
-		ny = 2
-	}
-	return Grid{Outline: outline, Pitch: pitch, NX: nx, NY: ny}, nil
+	nx, ny := Dims(outline, pitch)
+	return Grid{Outline: outline, Pitch: pitch, NX: int(nx), NY: int(ny)}, nil
+}
+
+// Dims returns the node counts along x and y of the grid NewGrid builds
+// over outline at pitch (at least 2 each). They are floats so a caller can
+// bound a grid's size before building it: at a tiny pitch the counts
+// overflow an int.
+func Dims(outline Rect, pitch float64) (nx, ny float64) {
+	return math.Max(2, math.Floor(outline.W()/pitch+0.5)+1), math.Max(2, math.Floor(outline.H()/pitch+0.5)+1)
 }
 
 // MustGrid is NewGrid for statically-valid arguments; it panics on error.

@@ -52,7 +52,7 @@ type Analyzer struct {
 	// first Analyze call.
 	SolveRecords *obs.SolveBuffer
 
-	results par.Group[*Result]
+	results par.Cache[*Result]
 	solves  atomic.Int64
 	obs     *obs.Registry
 }
@@ -190,7 +190,7 @@ func (a *Analyzer) Spec() *pdn.Spec { return a.Model.Spec }
 // every (state, io) pair is solved exactly once.
 func (a *Analyzer) Analyze(state memstate.State, io float64) (*Result, error) {
 	key := state.Key() + "@" + strconv.FormatFloat(io, 'g', -1, 64)
-	return a.results.Do(key, func() (*Result, error) {
+	return a.results.Do(context.TODO(), key, nil, func() (*Result, error) {
 		a.solves.Add(1)
 		return a.analyze(state, io)
 	})
@@ -204,9 +204,9 @@ func (a *Analyzer) Solves() int { return int(a.solves.Load()) }
 // AnalyzeCtx is Analyze with cooperative cancellation and WITHOUT the
 // analyzer's unbounded memoization: ctx is polled at every solver
 // iteration, so an abandoned request stops at the next iteration boundary.
-// The serving layer uses this — it brings its own bounded LRU and
-// singleflight, and per-request cancellation must not poison a shared
-// memo entry that other callers would then retry. When ctx carries a
+// The serving layer uses this — it brings its own bounded cache, and
+// per-request cancellation must not poison a shared memo entry that
+// other callers would then retry. When ctx carries a
 // request-trace span (obs.WithSpan), the analysis records "stamp" and
 // "solve" child spans under it, the latter annotated with the solver's
 // iteration count; with no span in ctx tracing is a no-op. A completed

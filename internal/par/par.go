@@ -1,8 +1,9 @@
 // Package par provides the small concurrency primitives shared by the
 // analysis stack: a bounded worker-pool sweep with first-error
 // cancellation (design-space fan-out), deterministic block partitioning
-// (kernel sharding), and a singleflight-style call deduplicator (analyzer
-// and LUT caches).
+// (kernel sharding), and Cache, the one bounded, panic-safe singleflight
+// cache behind every memoizing layer (served results, analyzers, LUTs,
+// topologies, per-state results, and per-matrix solvers).
 package par
 
 import (
@@ -158,105 +159,4 @@ func Blocks(workers, n, block int, fn func(b, lo, hi int)) {
 	}
 	worker()
 	wg.Wait()
-}
-
-// Group deduplicates concurrent calls by key, singleflight-style: the
-// first caller for a key runs fn, every caller arriving while that call is
-// in flight waits for and shares its outcome, and successful results are
-// cached for all later callers. A failed call is not cached, so the next
-// caller retries. The zero value is ready to use.
-//
-// Hits/Misses, when set, count calls served without executing fn (cache
-// hit or shared in-flight result) versus fn executions. For error-free
-// workloads both are functions of the call multiset alone, independent of
-// worker count; failed calls retry, so error paths may add misses.
-type Group[V any] struct {
-	mu       sync.Mutex
-	done     map[string]V
-	inflight map[string]*flight[V]
-
-	Hits, Misses *obs.Counter
-}
-
-type flight[V any] struct {
-	wg  sync.WaitGroup
-	val V
-	err error
-}
-
-// Do returns the cached value for key, or runs fn to produce it. Among
-// concurrent callers for one key, exactly one executes fn.
-func (g *Group[V]) Do(key string, fn func() (V, error)) (V, error) {
-	g.mu.Lock()
-	if v, ok := g.done[key]; ok {
-		g.mu.Unlock()
-		g.Hits.Add(1)
-		return v, nil
-	}
-	if f, ok := g.inflight[key]; ok {
-		g.mu.Unlock()
-		g.Hits.Add(1)
-		f.wg.Wait()
-		return f.val, f.err
-	}
-	if g.inflight == nil {
-		g.inflight = map[string]*flight[V]{}
-	}
-	f := &flight[V]{}
-	f.wg.Add(1)
-	g.inflight[key] = f
-	g.mu.Unlock()
-	g.Misses.Add(1)
-
-	f.val, f.err = fn()
-
-	g.mu.Lock()
-	delete(g.inflight, key)
-	if f.err == nil {
-		if g.done == nil {
-			g.done = map[string]V{}
-		}
-		g.done[key] = f.val
-	}
-	g.mu.Unlock()
-	f.wg.Done()
-	return f.val, f.err
-}
-
-// Forget drops the completed value for key, so the next Do runs fn again.
-// An in-flight call for the key is unaffected: it still completes and
-// caches its own result. Layering a bounded cache on top of a Group —
-// check the cache, Do on miss, then move the value into the cache and
-// Forget — keeps the Group holding only in-flight work while the external
-// cache enforces the size bound.
-func (g *Group[V]) Forget(key string) {
-	g.mu.Lock()
-	delete(g.done, key)
-	g.mu.Unlock()
-}
-
-// Reset drops every completed value, so each key's next Do runs fn again.
-// In-flight calls are unaffected (they complete and cache their own
-// results). Callers that invalidate the inputs a Group's values were
-// derived from — e.g. restamping the matrix a solver cache factorized —
-// use Reset to flush the stale values in one step.
-func (g *Group[V]) Reset() {
-	g.mu.Lock()
-	g.done = nil
-	g.mu.Unlock()
-}
-
-// Cached returns the completed value for key, if any.
-func (g *Group[V]) Cached(key string) (V, bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	v, ok := g.done[key]
-	return v, ok
-}
-
-// Len reports the number of completed (cached) keys.
-func (g *Group[V]) Len() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return len(g.done)
 }

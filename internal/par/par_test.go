@@ -113,73 +113,3 @@ func TestBlocksDeterministicPartition(t *testing.T) {
 		t.Error("partitioning depends on worker count")
 	}
 }
-
-func TestGroupExactlyOncePerKey(t *testing.T) {
-	var g Group[int]
-	var calls [8]atomic.Int64
-	var wg sync.WaitGroup
-	for r := 0; r < 64; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			k := r % len(calls)
-			v, err := g.Do(fmt.Sprintf("k%d", k), func() (int, error) {
-				calls[k].Add(1)
-				return 100 + k, nil
-			})
-			if err != nil || v != 100+k {
-				t.Errorf("Do(k%d) = %d, %v", k, v, err)
-			}
-		}(r)
-	}
-	wg.Wait()
-	for k := range calls {
-		if n := calls[k].Load(); n != 1 {
-			t.Errorf("key k%d built %d times, want exactly once", k, n)
-		}
-	}
-	if g.Len() != len(calls) {
-		t.Errorf("Len = %d, want %d", g.Len(), len(calls))
-	}
-}
-
-func TestGroupDoesNotCacheErrors(t *testing.T) {
-	var g Group[int]
-	n := 0
-	if _, err := g.Do("k", func() (int, error) { n++; return 0, errors.New("x") }); err == nil {
-		t.Fatal("want error")
-	}
-	v, err := g.Do("k", func() (int, error) { n++; return 7, nil })
-	if err != nil || v != 7 {
-		t.Fatalf("retry: %d, %v", v, err)
-	}
-	if n != 2 {
-		t.Fatalf("fn ran %d times, want 2 (error not cached)", n)
-	}
-	if v, ok := g.Cached("k"); !ok || v != 7 {
-		t.Fatalf("Cached = %d, %v", v, ok)
-	}
-}
-
-func TestGroupForget(t *testing.T) {
-	var g Group[int]
-	runs := 0
-	fn := func() (int, error) { runs++; return runs, nil }
-	if v, _ := g.Do("k", fn); v != 1 {
-		t.Fatalf("first Do = %d", v)
-	}
-	if v, _ := g.Do("k", fn); v != 1 {
-		t.Fatalf("cached Do = %d, want 1", v)
-	}
-	g.Forget("k")
-	if _, ok := g.Cached("k"); ok {
-		t.Fatal("Forget left the key cached")
-	}
-	if v, _ := g.Do("k", fn); v != 2 {
-		t.Fatalf("Do after Forget = %d, want 2 (fn re-run)", v)
-	}
-	g.Forget("never-stored") // no-op, must not panic
-	if g.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", g.Len())
-	}
-}

@@ -12,6 +12,7 @@ import (
 	"pdn3d/internal/memstate"
 	"pdn3d/internal/pdn"
 	"pdn3d/internal/powermap"
+	"pdn3d/internal/rmesh"
 	"pdn3d/internal/speckey"
 )
 
@@ -162,6 +163,16 @@ func (q Query) ResolveDesign() (*Resolved, error) {
 	if q.Pitch > 0 {
 		spec.MeshPitch = q.Pitch
 	}
+	// The fields are range-checked above; what is left are combinations
+	// this benchmark cannot build. Dedicated TSVs need an on-chip design,
+	// and after that check the spec can only fail validation on a pitch
+	// too coarse for the die, or exceed the mesh node budget.
+	if q.Dedicated && !spec.OnLogic {
+		return nil, fieldErr("dedicated", "dedicated TSVs need an on-chip design; %s is off-chip", q.Bench)
+	}
+	if err := rmesh.CheckSize(spec); err != nil {
+		return nil, fieldErr("pitch", "%v", err)
+	}
 	r := &Resolved{Query: q, Bench: b, Spec: spec}
 	if spec.OnLogic {
 		r.Logic = b.LogicPower
@@ -197,14 +208,6 @@ func (q Query) Resolve() (*Resolved, error) {
 // contract): two queries whose overrides produce the same design share it.
 func (r *Resolved) SpecKey() string {
 	return speckey.Spec(r.Spec, r.Logic != nil)
-}
-
-// TopoKey fingerprints only the resolved design's mesh shape
-// (speckey.Topology): queries that differ in metal-usage magnitudes alone
-// share it, which is what lets the serving layer reuse a frozen
-// rmesh.Topology across near-identical designs.
-func (r *Resolved) TopoKey() string {
-	return speckey.Topology(r.Spec)
 }
 
 // CacheKey canonically identifies the full analysis (design, explicit

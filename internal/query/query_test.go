@@ -72,6 +72,9 @@ func TestResolveRejects(t *testing.T) {
 		{"unknown bench", func(q *Query) { q.Bench = "lpddr5" }, "bench"},
 		{"wrong die count", func(q *Query) { q.State = "0-0-2" }, "state"},
 		{"count over banks", func(q *Query) { q.State = "0-0-0-99" }, "state"},
+		{"mesh above the node budget", func(q *Query) { q.Pitch = 1e-6 }, "pitch"},
+		{"pitch too coarse for the die", func(q *Query) { q.Pitch = 100 }, "pitch"},
+		{"dedicated TSVs off-chip", func(q *Query) { q.Dedicated = true }, "dedicated"},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {

@@ -57,7 +57,7 @@ type Model struct {
 	// (IC(0) or dense factorization) happens exactly once per model, even
 	// when many goroutines request it concurrently. Restamp resets it: the
 	// cached factorizations describe the previous values.
-	solvers par.Group[solve.Solver]
+	solvers par.Cache[solve.Solver]
 
 	// obs, when non-nil, receives mesh and solver metrics (see BuildObs).
 	obs *obs.Registry
@@ -176,16 +176,39 @@ func BuildObs(spec *pdn.Spec, reg *obs.Registry) (*Model, error) {
 	return m, err
 }
 
-// buildBoth runs the full two-phase build in one pass: geometry (layer
-// grids and node numbering), the symbolic freeze (CSR pattern), and the
-// numeric stamp (conductance values), returning the frozen Topology and
-// the first Model over it. Compress and Freeze+Scatter merge duplicate
-// stamps in the same order, so the matrix is bit-identical to what the
-// one-shot pre-split Build produced.
-func buildBoth(spec *pdn.Spec, reg *obs.Registry) (*Topology, *Model, error) {
-	defer reg.Timer("rmesh.build_time").Start()()
+// MaxNodes bounds the node count of one mesh. A finer pitch asks for
+// quadratically more nodes (a 1 µm pitch on a DRAM die would be ~10¹³ per
+// layer), so the bound is checked from the grid dimensions before the
+// build allocates anything. It sits far above every design the paper
+// analyzes: the finest one benchmarked (ddr3-off at 0.07 mm) has 76,048.
+const MaxNodes = 2_000_000
+
+// SizeError reports a mesh whose node count exceeds MaxNodes.
+type SizeError struct {
+	// Pitch is the mesh pitch in mm.
+	Pitch float64
+	// Nodes is a lower bound on the nodes the mesh would need: the count
+	// up to the first layer that crosses MaxNodes.
+	Nodes float64
+}
+
+func (e *SizeError) Error() string {
+	return fmt.Sprintf("rmesh: a mesh at pitch %g mm needs at least %.3g nodes, above the limit of %d", e.Pitch, e.Nodes, MaxNodes)
+}
+
+// CheckSize returns spec's validation error, or a *SizeError when its mesh
+// would exceed MaxNodes, without building anything.
+func CheckSize(spec *pdn.Spec) error {
+	_, err := layout(spec, nil)
+	return err
+}
+
+// layout validates spec and lays out the model's layers — grids, node
+// numbering, load layers — allocating nothing that grows with the mesh,
+// so a mesh above MaxNodes fails here with a *SizeError.
+func layout(spec *pdn.Spec, reg *obs.Registry) (*Model, error) {
 	if err := spec.Validate(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	m := &Model{
 		Spec:  spec,
@@ -198,6 +221,10 @@ func buildBoth(spec *pdn.Spec, reg *obs.Registry) (*Topology, *Model, error) {
 	pitch := spec.EffMeshPitch()
 
 	addLayer := func(key string, die int, name string, outline geom.Rect, dir tech.Direction, rEff float64, isLoad bool) (*Layer, error) {
+		nx, ny := geom.Dims(outline, pitch)
+		if nodes := float64(m.n) + nx*ny; nodes > MaxNodes {
+			return nil, &SizeError{Pitch: pitch, Nodes: nodes}
+		}
 		grid, err := geom.NewGrid(outline, pitch)
 		if err != nil {
 			return nil, fmt.Errorf("rmesh: layer %s: %w", key, err)
@@ -221,18 +248,18 @@ func buildBoth(spec *pdn.Spec, reg *obs.Registry) (*Topology, *Model, error) {
 			}
 			ml, err := spec.LogicTech.Layer(name)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			l, err := addLayer("logic/"+name, DieLogic, name, spec.Logic.Outline, ml.Dir, ml.SheetR/u, i == 0)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			if i == 0 {
 				m.logicLoad = l
 			}
 		}
 		if m.logicLoad == nil {
-			return nil, nil, fmt.Errorf("rmesh: logic die has no load layer")
+			return nil, fmt.Errorf("rmesh: logic die has no load layer")
 		}
 	}
 
@@ -240,7 +267,7 @@ func buildBoth(spec *pdn.Spec, reg *obs.Registry) (*Topology, *Model, error) {
 	if spec.RDL == pdn.RDLInterface {
 		rdl := spec.DRAMTech.RDL
 		if _, err := addLayer("rdl/if", DieInterfaceRDL, rdl.Name, spec.DRAM.Outline, rdl.Dir, rdl.SheetR/rdl.MaxUsage, false); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
 
@@ -254,27 +281,42 @@ func buildBoth(spec *pdn.Spec, reg *obs.Registry) (*Topology, *Model, error) {
 			}
 			ml, err := spec.DRAMTech.Layer(name)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			key := fmt.Sprintf("dram%d/%s", d, name)
 			l, err := addLayer(key, d, name, spec.DRAM.Outline, ml.Dir, ml.SheetR/u, i == 0)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			if i == 0 {
 				m.dramLoad[d] = l
 			}
 		}
 		if m.dramLoad[d] == nil {
-			return nil, nil, fmt.Errorf("rmesh: DRAM die %d has no load layer", d)
+			return nil, fmt.Errorf("rmesh: DRAM die %d has no load layer", d)
 		}
 		if spec.RDL == pdn.RDLAll {
 			rdl := spec.DRAMTech.RDL
 			key := fmt.Sprintf("dram%d/RDL", d)
 			if _, err := addLayer(key, d, rdl.Name, spec.DRAM.Outline, rdl.Dir, rdl.SheetR/rdl.MaxUsage, false); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 		}
+	}
+	return m, nil
+}
+
+// buildBoth runs the full two-phase build in one pass: geometry (layer
+// grids and node numbering), the symbolic freeze (CSR pattern), and the
+// numeric stamp (conductance values), returning the frozen Topology and
+// the first Model over it. Compress and Freeze+Scatter merge duplicate
+// stamps in the same order, so the matrix is bit-identical to what the
+// one-shot pre-split Build produced.
+func buildBoth(spec *pdn.Spec, reg *obs.Registry) (*Topology, *Model, error) {
+	defer reg.Timer("rmesh.build_time").Start()()
+	m, err := layout(spec, reg)
+	if err != nil {
+		return nil, nil, err
 	}
 
 	// --- Stamp everything ---

@@ -1,6 +1,7 @@
 package rmesh
 
 import (
+	"context"
 	"fmt"
 	"strconv"
 
@@ -76,7 +77,7 @@ func (m *Model) Solver(opt solve.Options) (solve.Solver, error) {
 	if opt.Obs == nil {
 		opt.Obs = m.obs // an instrumented model instruments its solvers
 	}
-	return m.solvers.Do(method+"/"+strconv.Itoa(opt.Workers), func() (solve.Solver, error) {
+	return m.solvers.Do(context.TODO(), method+"/"+strconv.Itoa(opt.Workers), nil, func() (solve.Solver, error) {
 		if solve.UsesReordering(method) {
 			inner, err := solve.New(m.reorderedMatrix(), opt)
 			if err != nil {

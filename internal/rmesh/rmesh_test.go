@@ -1,6 +1,7 @@
 package rmesh
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -110,6 +111,29 @@ func TestBuildOffChip(t *testing.T) {
 	}
 	if len(m.Ties) != 33 {
 		t.Errorf("ties = %d, want 33 (one per landing)", len(m.Ties))
+	}
+}
+
+// TestMeshNodeBudget: a pitch whose mesh exceeds MaxNodes — including
+// one so fine that the grid dimensions overflow an int — fails with a
+// *SizeError from CheckSize and from Build alike, before any matrix is
+// allocated; the finest benchmarked pitch stays well inside the budget.
+func TestMeshNodeBudget(t *testing.T) {
+	for _, pitch := range []float64{1e-6, 1e-3, 1e-300} {
+		s := offChipSpec(t)
+		s.MeshPitch = pitch
+		var se *SizeError
+		if err := CheckSize(s); !errors.As(err, &se) || se.Nodes <= MaxNodes {
+			t.Fatalf("pitch %g: CheckSize = %v, want *SizeError above MaxNodes", pitch, err)
+		}
+		if _, err := Build(s); !errors.As(err, &se) {
+			t.Fatalf("pitch %g: Build = %v, want *SizeError", pitch, err)
+		}
+	}
+	s := offChipSpec(t)
+	s.MeshPitch = 0.07
+	if err := CheckSize(s); err != nil {
+		t.Fatalf("pitch 0.07: %v", err)
 	}
 }
 

@@ -30,7 +30,7 @@ func benchPost(b *testing.B, url, body string) {
 	resp.Body.Close()
 }
 
-// BenchmarkAnalyzeCacheHit is the fully-cached serving cost: result LRU
+// BenchmarkAnalyzeCacheHit is the fully-cached serving cost: result cache
 // hit, no solver work. The floor of the serving path.
 func BenchmarkAnalyzeCacheHit(b *testing.B) {
 	ts := newBenchServer(b, Config{})

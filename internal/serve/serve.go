@@ -10,23 +10,21 @@
 //     that cannot get a slot within the queue-wait budget is rejected
 //     with 429, and every request is rejected with 503 once draining
 //     starts.
-//   - Result cache: a bounded LRU keyed by the canonical speckey-framed
-//     cache key (design fingerprint, explicit state, I/O activity), so
-//     equivalent spellings of one query share a single entry and repeat
-//     queries never re-solve.
-//   - Singleflight: concurrent misses on one cache key collapse to a
-//     single solve via par.Group; the group is Forgotten after the value
-//     moves into the LRU, so only in-flight work lives in it.
-//   - Topology tier: analyzer builds go through a second bounded LRU
-//     keyed by the topology half of the spec key (the mesh shape). A
-//     full-key near-miss that shares a shape — a value-only variation of
-//     a cached design — skips geometry and symbolic work and restamps
-//     conductances over the frozen pattern, bit-identical to a cold
-//     build. With Config.WarmStart on, designs sharing a topology also
-//     seed each other's solves.
+//   - Edge limits: a request body is read, capped at maxBodyBytes and
+//     under a read deadline, before the request takes an admission slot;
+//     a LUT grid above maxLUTPoints is refused with 413, and a mesh above
+//     rmesh.MaxNodes with 400 on its pitch.
+//   - Result cache: a bounded par.Cache keyed by the canonical
+//     speckey-framed cache key (design fingerprint, explicit state, I/O
+//     activity), so equivalent spellings of one query share a single
+//     entry, repeat queries never re-solve, and concurrent misses on one
+//     key collapse to a single solve. Analyzers and LUTs sit in two more
+//     bounded caches keyed by design.
 //   - Cancellation: each solve runs under the request context through
 //     irdrop.AnalyzeCtx, so an abandoned connection stops burning CPU at
-//     the next solver-iteration boundary.
+//     the next solver-iteration boundary. A caller waiting on another
+//     request's solve waits on its own context, and a solve abandoned by
+//     its own caller is re-run for the callers still waiting.
 //
 // Responses carry only deterministic fields (no timings, no timestamps):
 // for a given request the body is byte-identical across runs and across
@@ -36,12 +34,17 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"math"
 	"net/http"
+	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -53,8 +56,23 @@ import (
 	"pdn3d/internal/obs"
 	"pdn3d/internal/par"
 	"pdn3d/internal/query"
-	"pdn3d/internal/rmesh"
 	"pdn3d/internal/speckey"
+)
+
+// Limits on what one request may ask of the server (the mesh node budget
+// is rmesh.MaxNodes, checked in query resolution). They are constants, not
+// Config fields: each sits far above any legitimate request — a full batch
+// of 256 queries is tens of kilobytes, the default LUT grid 243 points —
+// and exists only to keep one hostile input from exhausting the process.
+const (
+	// maxBodyBytes caps a request body; a larger one gets 413.
+	maxBodyBytes = 1 << 20
+	// bodyReadTimeout bounds reading a request body; a slower one gets 408.
+	bodyReadTimeout = 10 * time.Second
+	// maxLUTPoints caps the solves one /v1/lut grid may ask for
+	// (deduplicated I/O levels x (max_per_die+1)^dies); a larger grid
+	// gets 413, as an oversized batch does.
+	maxLUTPoints = 4096
 )
 
 // Config tunes a Server. The zero value selects sensible defaults.
@@ -75,17 +93,14 @@ type Config struct {
 	// QueueWait bounds how long a request may wait for an admission slot
 	// before a 429; <= 0 selects 1s.
 	QueueWait time.Duration
-	// CacheSize bounds the analyze result LRU (entries); <= 0 selects 1024.
+	// CacheSize bounds the analyze result cache (entries); <= 0 selects
+	// 1024.
 	CacheSize int
-	// DesignCacheSize bounds the analyzer and LUT LRUs (distinct designs
+	// DesignCacheSize bounds the analyzer and LUT caches (distinct designs
 	// held in memory); <= 0 selects 64.
 	DesignCacheSize int
-	// TopoCacheSize bounds the frozen mesh-topology LRU (distinct design
-	// shapes); <= 0 selects DesignCacheSize. A full-key near-miss that
-	// hits here skips geometry and symbolic work and only restamps values.
-	TopoCacheSize int
 	// WarmStart seeds each design's solves with the latest solution
-	// published for its topology. Warm solves converge to the same
+	// published for that design. Warm solves converge to the same
 	// tolerance but are NOT byte-identical to cold ones, so this breaks
 	// the byte-determinism contract on response bodies — off by default,
 	// opt in when throughput matters more than bit-stability.
@@ -129,31 +144,17 @@ type Server struct {
 	sem      chan struct{}
 	draining atomic.Bool
 
-	// Analyze results: bounded LRU of marshaled bodies over a
-	// singleflight group (see lru doc).
-	results *lru[[]byte]
-	flights par.Group[[]byte]
+	// Analyze results (marshaled bodies), and per design its analyzer
+	// (conductance matrix + solver) and built LUTs.
+	results   *par.Cache[[]byte]
+	analyzers *par.Cache[*irdrop.Analyzer]
+	luts      *par.Cache[*lut.Table]
 
-	// Per-design caches: analyzers (conductance matrix + solver) and
-	// built LUTs, same LRU-over-group layering.
-	analyzers *lru[*irdrop.Analyzer]
-	aflights  par.Group[*irdrop.Analyzer]
-	luts      *lru[*lut.Table]
-	lflights  par.Group[*lut.Table]
-
-	// Topology tier: frozen mesh shapes keyed by the topology half of the
-	// spec key. A query whose full spec key misses but whose topology key
-	// hits restamps values over the cached shape instead of rebuilding
-	// geometry and re-sorting the pattern; the entry also carries the
-	// per-topology warm-start cell.
-	topos    *lru[*topoEntry]
-	tflights par.Group[*topoEntry]
-
-	cacheHits, cacheMisses *obs.Counter
-	topoHits, topoMisses   *obs.Counter
-	admitted               *obs.Counter
-	rejectedBusy           *obs.Counter
-	rejectedDraining       *obs.Counter
+	cacheHits, cacheMisses   *obs.Counter
+	flightHits, flightMisses *obs.Counter
+	admitted                 *obs.Counter
+	rejectedBusy             *obs.Counter
+	rejectedDraining         *obs.Counter
 
 	// Request-scoped observability: per-endpoint telemetry, the bounded
 	// trace retention behind /debug/requests, the solve flight-record
@@ -184,25 +185,19 @@ func New(cfg Config) *Server {
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = 256
 	}
-	if cfg.TopoCacheSize <= 0 {
-		cfg.TopoCacheSize = cfg.DesignCacheSize
-	}
 	s := &Server{
 		cfg:       cfg,
 		reg:       cfg.Reg,
 		mux:       http.NewServeMux(),
 		sem:       make(chan struct{}, cfg.MaxInFlight),
-		results:   newLRU[[]byte](cfg.CacheSize),
-		analyzers: newLRU[*irdrop.Analyzer](cfg.DesignCacheSize),
-		luts:      newLRU[*lut.Table](cfg.DesignCacheSize),
-		topos:     newLRU[*topoEntry](cfg.TopoCacheSize),
+		results:   par.NewCache[[]byte](cfg.CacheSize),
+		analyzers: par.NewCache[*irdrop.Analyzer](cfg.DesignCacheSize),
+		luts:      par.NewCache[*lut.Table](cfg.DesignCacheSize),
 	}
-	s.flights.Hits = s.reg.Counter("serve.flight.hits")
-	s.flights.Misses = s.reg.Counter("serve.flight.misses")
 	s.cacheHits = s.reg.Counter("serve.cache.hits")
 	s.cacheMisses = s.reg.Counter("serve.cache.misses")
-	s.topoHits = s.reg.Counter("serve.topo_cache.hits")
-	s.topoMisses = s.reg.Counter("serve.topo_cache.misses")
+	s.flightHits = s.reg.Counter("serve.flight.hits")
+	s.flightMisses = s.reg.Counter("serve.flight.misses")
 	s.admitted = s.reg.Counter("serve.admission.admitted")
 	s.rejectedBusy = s.reg.Counter("serve.admission.rejected_busy")
 	s.rejectedDraining = s.reg.Counter("serve.admission.rejected_draining")
@@ -287,8 +282,8 @@ func (s *Server) acquire(ctx context.Context) (func(), int) {
 	}
 }
 
-// throttled wraps a POST handler with method check, admission control,
-// and request-scoped observability. A whole batch holds one slot:
+// throttled wraps a POST handler with method check, body read, admission
+// control, and request-scoped observability. A whole batch holds one slot:
 // MaxInFlight bounds admitted HTTP requests, Workers bounds solver
 // parallelism within them. Every request gets a Trace whose ID is
 // echoed in X-Trace-Id (a valid inbound header is honored for
@@ -311,6 +306,12 @@ func (s *Server) throttled(name string, h http.HandlerFunc) http.HandlerFunc {
 				writeErr(sw, http.StatusMethodNotAllowed, fmt.Errorf("serve: %s requires POST", req.URL.Path))
 				return
 			}
+			body, status, err := readBody(w, req)
+			if err != nil {
+				writeErr(sw, status, err)
+				return
+			}
+			req.Body = io.NopCloser(bytes.NewReader(body))
 			qs := root.Child("queue")
 			release, status := s.acquire(req.Context())
 			qs.End()
@@ -339,6 +340,32 @@ func (s *Server) throttled(name string, h http.HandlerFunc) http.HandlerFunc {
 		}
 		s.logRequest(name, req, sw, snap, queueWait)
 	}
+}
+
+// readBody reads the request body, capped at maxBodyBytes, under a read
+// deadline of bodyReadTimeout, so a client that trickles its body fails
+// here instead of holding an admission slot. The deadline is set on the
+// connection through http.ResponseController and cleared after the read:
+// a Server.ReadTimeout would outlive the read, and net/http would then
+// cancel the context of a handler still running.
+func readBody(w http.ResponseWriter, req *http.Request) ([]byte, int, error) {
+	rc := http.NewResponseController(w)
+	// A writer without a connection (httptest.ResponseRecorder) cannot take
+	// a deadline; the size cap still holds.
+	//pdnlint:ignore walltime a connection read deadline is absolute time; it bounds I/O and never reaches a response
+	_ = rc.SetReadDeadline(time.Now().Add(bodyReadTimeout))
+	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, maxBodyBytes))
+	_ = rc.SetReadDeadline(time.Time{})
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		return nil, http.StatusRequestEntityTooLarge, fmt.Errorf("serve: request body exceeds %d bytes", maxBodyBytes)
+	case errors.Is(err, os.ErrDeadlineExceeded):
+		return nil, http.StatusRequestTimeout, fmt.Errorf("serve: request body not read within %s", bodyReadTimeout)
+	case err != nil:
+		return nil, http.StatusBadRequest, fmt.Errorf("serve: reading request body: %w", err)
+	}
+	return body, 0, nil
 }
 
 // logRequest emits the per-request access record. The leading fields —
@@ -410,42 +437,37 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, req *http.Request) {
 	writeBody(w, http.StatusOK, body)
 }
 
-// analyzeOne runs one query through resolve -> LRU -> singleflight ->
-// solve and returns the marshaled response body. On error the returned
-// status is the HTTP status the error maps to.
+// analyzeOne runs one query through resolve -> result cache -> solve and
+// returns the marshaled response body. On error the returned status is
+// the HTTP status the error maps to.
 //
-// Trace phases: "cache" covers resolve plus the LRU lookup (outcome
-// hit|miss|invalid); on a miss, "flight" covers the singleflight call —
-// outcome "solve" when this request executed the work (with stamp,
+// Trace phases: "cache" covers resolve plus the cache lookup (outcome
+// hit|miss|invalid); on a miss, "flight" covers waiting for or running
+// the solve — outcome "solve" when this request ran it (with mesh, stamp,
 // solve, and serialize children recorded under it) or "shared" when it
 // waited on a concurrent caller's solve of the same key.
 func (s *Server) analyzeOne(ctx context.Context, q query.Query) ([]byte, int, error) {
 	parent := obs.SpanFrom(ctx)
 	cs := parent.Child("cache")
+	if s.cfg.MeshPitch > 0 && q.Pitch == 0 {
+		q.Pitch = s.cfg.MeshPitch
+	}
 	r, err := q.Resolve()
 	if err != nil {
 		cs.Annotate(obs.A("outcome", "invalid"))
 		cs.End()
 		return nil, statusFor(err), err
 	}
-	if s.cfg.MeshPitch > 0 && q.Pitch == 0 {
-		r.Spec.MeshPitch = s.cfg.MeshPitch
-	}
-	key := r.CacheKey()
-	if body, ok := s.results.get(key); ok {
-		s.cacheHits.Add(1)
-		cs.Annotate(obs.A("outcome", "hit"))
+	// missed, ran and fs are only touched on this goroutine: Do calls both
+	// hooks here or not at all.
+	var fs *obs.TraceSpan
+	missed, ran := false, false
+	body, err := s.results.Do(ctx, r.CacheKey(), func() {
+		missed = true
+		cs.Annotate(obs.A("outcome", "miss"))
 		cs.End()
-		return body, http.StatusOK, nil
-	}
-	s.cacheMisses.Add(1)
-	cs.Annotate(obs.A("outcome", "miss"))
-	cs.End()
-	fs := parent.Child("flight")
-	ran := false
-	body, err := s.flights.Do(key, func() ([]byte, error) {
-		// ran is only written here and read after Do: the Group runs fn
-		// in this goroutine or not at all.
+		fs = parent.Child("flight")
+	}, func() ([]byte, error) {
 		ran = true
 		fctx := obs.WithSpan(ctx, fs)
 		a, err := s.analyzerFor(fctx, r)
@@ -461,19 +483,24 @@ func (s *Server) analyzeOne(ctx context.Context, q query.Query) ([]byte, int, er
 		ss.End()
 		return b, err
 	})
-	if ran {
+	switch {
+	case !missed:
+		s.cacheHits.Add(1)
+		cs.Annotate(obs.A("outcome", "hit"))
+		cs.End()
+	case ran:
+		s.cacheMisses.Add(1)
+		s.flightMisses.Add(1)
 		fs.Annotate(obs.A("outcome", "solve"))
-	} else {
+	default:
+		s.cacheMisses.Add(1)
+		s.flightHits.Add(1)
 		fs.Annotate(obs.A("outcome", "shared"))
 	}
 	fs.End()
 	if err != nil {
-		// Not cached (Group drops failed calls), so a retry after a
-		// transient failure — e.g. a canceled first caller — re-solves.
 		return nil, statusFor(err), err
 	}
-	s.results.put(key, body)
-	s.flights.Forget(key)
 	return body, http.StatusOK, nil
 }
 
@@ -496,88 +523,27 @@ func marshalAnalyze(r *query.Resolved, res *irdrop.Result) ([]byte, error) {
 	})
 }
 
-// topoEntry is one cached mesh shape plus its warm-start cell: every
-// analyzer sharing the topology also shares the latest published solution
-// (when Config.WarmStart is on).
-type topoEntry struct {
-	topo *rmesh.Topology
-	warm *irdrop.WarmStart
-}
-
-// topologyFor returns the frozen topology for the resolved design's shape,
-// building at most one per topology key under singleflight. outcome is
-// "full" when this call executed the build and "restamp" when the shape
-// was already frozen (cache hit or shared flight) — the label the mesh
-// span and cache metrics carry.
-func (s *Server) topologyFor(r *query.Resolved) (te *topoEntry, outcome string, err error) {
-	key := r.TopoKey()
-	if te, ok := s.topos.get(key); ok {
-		s.topoHits.Add(1)
-		return te, "restamp", nil
-	}
-	s.topoMisses.Add(1)
-	built := false
-	te, err = s.tflights.Do(key, func() (*topoEntry, error) {
-		// built is only written here and read after Do: the Group runs fn
-		// in this goroutine or not at all.
-		built = true
-		t, err := rmesh.BuildTopologyObs(r.Spec, s.reg)
-		if err != nil {
-			return nil, err
-		}
-		return &topoEntry{topo: t, warm: &irdrop.WarmStart{}}, nil
-	})
-	if err != nil {
-		return nil, "", err
-	}
-	s.topos.put(key, te)
-	s.tflights.Forget(key)
-	if built {
-		return te, "full", nil
-	}
-	return te, "restamp", nil
-}
-
 // analyzerFor returns the analyzer for the resolved design, building at
-// most one per design key under singleflight. Builds go topology-first:
-// the mesh shape comes from the topology tier (frozen once per shape) and
-// the analyzer restamps its values over it — a full-key near-miss that
-// shares a shape skips geometry and symbolic work. The goroutine that
-// executes the build records a "mesh" child span of ctx's active span,
-// annotated outcome="full" (this call also froze the topology) or
-// "restamp" (the shape was already cached).
+// most one per design key. The goroutine that runs the build records a
+// "mesh" child span of ctx's active span (outcome="full").
 func (s *Server) analyzerFor(ctx context.Context, r *query.Resolved) (*irdrop.Analyzer, error) {
-	key := r.SpecKey()
-	if a, ok := s.analyzers.get(key); ok {
-		return a, nil
-	}
-	a, err := s.aflights.Do(key, func() (*irdrop.Analyzer, error) {
-		te, outcome, err := s.topologyFor(r)
-		if err != nil {
-			return nil, err
-		}
-		ms := obs.SpanFrom(ctx).Child("mesh", obs.A("outcome", outcome))
+	return s.analyzers.Do(ctx, r.SpecKey(), nil, func() (*irdrop.Analyzer, error) {
+		ms := obs.SpanFrom(ctx).Child("mesh", obs.A("outcome", "full"))
 		defer ms.End()
-		a, err := irdrop.NewFromTopologyObs(te.topo, r.Spec, r.Bench.DRAMPower, r.Logic, s.reg)
+		a, err := irdrop.NewObs(r.Spec, r.Bench.DRAMPower, r.Logic, s.reg)
 		if err != nil {
 			return nil, err
 		}
 		a.Opts.Method = s.cfg.Solver
 		a.Opts.Workers = s.cfg.Workers
 		if s.cfg.WarmStart {
-			a.Warm = te.warm
+			a.Warm = &irdrop.WarmStart{}
 		}
 		// All designs share the server's one solve buffer (nil when
 		// recording is disabled — the analyzer's no-op path).
 		a.SolveRecords = s.solves
 		return a, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	s.analyzers.put(key, a)
-	s.aflights.Forget(key)
-	return a, nil
 }
 
 // BatchRequest is the /v1/batch body: independent queries fanned out over
@@ -709,13 +675,13 @@ func (s *Server) handleLUT(w http.ResponseWriter, req *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
+	if s.cfg.MeshPitch > 0 && lreq.Pitch == 0 {
+		lreq.Pitch = s.cfg.MeshPitch
+	}
 	r, err := lreq.Query.ResolveDesign()
 	if err != nil {
 		writeErr(w, statusFor(err), err)
 		return
-	}
-	if s.cfg.MeshPitch > 0 && lreq.Pitch == 0 {
-		r.Spec.MeshPitch = s.cfg.MeshPitch
 	}
 	maxPerDie := lreq.MaxPerDie
 	if maxPerDie <= 0 {
@@ -724,6 +690,17 @@ func (s *Server) handleLUT(w http.ResponseWriter, req *http.Request) {
 	levels := lreq.IOLevels
 	if len(levels) == 0 {
 		levels = lut.DefaultIOLevels()
+	}
+	// Sorted and deduplicated, equal grids share one cache key and a
+	// repeated level costs nothing.
+	slices.Sort(levels)
+	levels = slices.Compact(levels)
+	// Every level multiplies the solve count by (maxPerDie+1)^dies; the
+	// product is taken in floating point so no input can overflow it.
+	if points := float64(len(levels)) * math.Pow(float64(maxPerDie)+1, float64(r.Spec.NumDRAM)); points > maxLUTPoints {
+		writeErr(w, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("serve: LUT grid of %.3g points exceeds limit %d", points, maxLUTPoints))
+		return
 	}
 	t, err := s.lutFor(req.Context(), r, maxPerDie, levels)
 	if err != nil {
@@ -764,7 +741,7 @@ func (s *Server) handleLUT(w http.ResponseWriter, req *http.Request) {
 }
 
 // lutFor returns the cached table for the design grid, building at most
-// one per key under singleflight.
+// one per key.
 func (s *Server) lutFor(ctx context.Context, r *query.Resolved, maxPerDie int, levels []float64) (*lut.Table, error) {
 	var kb speckey.Builder
 	kb.Str(r.SpecKey())
@@ -772,23 +749,13 @@ func (s *Server) lutFor(ctx context.Context, r *query.Resolved, maxPerDie int, l
 	for _, io := range levels {
 		kb.Float(io)
 	}
-	key := kb.String()
-	if t, ok := s.luts.get(key); ok {
-		return t, nil
-	}
-	t, err := s.lflights.Do(key, func() (*lut.Table, error) {
+	return s.luts.Do(ctx, kb.String(), nil, func() (*lut.Table, error) {
 		a, err := s.analyzerFor(ctx, r)
 		if err != nil {
 			return nil, err
 		}
 		return lut.BuildWith(a, maxPerDie, levels, s.cfg.Workers)
 	})
-	if err != nil {
-		return nil, err
-	}
-	s.luts.put(key, t)
-	s.lflights.Forget(key)
-	return t, nil
 }
 
 type healthBody struct {

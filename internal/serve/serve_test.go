@@ -393,16 +393,22 @@ func TestMixedLoad64(t *testing.T) {
 	}
 }
 
+// TestResultCacheIsBounded: with room for two results, a third evicts the
+// least recently used one, which then re-solves; the two kept ones hit.
 func TestResultCacheIsBounded(t *testing.T) {
 	s, ts := newTestServer(t, Config{CacheSize: 2})
-	for _, io := range []string{"1.0", "0.5", "0.25"} {
-		post(t, ts.URL+"/v1/analyze", `{"bench":"ddr3-off","state":"0-0-0-1","io":`+io+`}`)
+	q := func(io string) string { return `{"bench":"ddr3-off","state":"0-0-0-1","io":` + io + `}` }
+	for _, io := range []string{"1.0", "0.5", "0.25", "0.5", "0.25"} {
+		post(t, ts.URL+"/v1/analyze", q(io))
 	}
-	if got := s.results.len(); got != 2 {
-		t.Errorf("result cache holds %d entries, want the bound 2", got)
+	if h, m := s.cacheHits.Value(), s.cacheMisses.Value(); h != 2 || m != 3 {
+		t.Fatalf("hits/misses = %d/%d, want 2/3 (the two newest results kept)", h, m)
 	}
-	// The singleflight group must not retain completed results.
-	if got := s.flights.Len(); got != 0 {
-		t.Errorf("flight group retains %d completed results, want 0", got)
+	post(t, ts.URL+"/v1/analyze", q("1.0"))
+	if m := s.cacheMisses.Value(); m != 4 {
+		t.Errorf("misses = %d after re-asking the evicted query, want 4", m)
+	}
+	if got := s.flightMisses.Value(); got != 4 {
+		t.Errorf("solves = %d, want 4 (one per miss)", got)
 	}
 }

@@ -64,10 +64,16 @@ const (
 	precondAMG    = "amg"
 )
 
-// UsesReordering reports whether a method benefits from solving the
-// RCM-reordered system. Only cg-amg opts in: the existing methods keep
-// their byte-pinned outputs, and reordering the system changes the
-// floating-point trajectory of every iterative solve.
+// UsesReordering reports whether a method solves the RCM-reordered
+// system. Only cg-amg does, and not merely to keep the other methods'
+// outputs byte-pinned: IC(0) converges slower on the RCM order. With the
+// gate forced on, the 243 solves of `tables -only table6` took 31,676
+// summed IC(0) iterations instead of 23,850 (+33%). Making cg-amg the
+// default instead (perfbench, median of 3 runs on a 2-vCPU Xeon) cut
+// lut-policy wall_s from 8.00 to 5.58 s but raised design-sweep setup_s
+// from 0.152 to 0.189 s and peak_rss_mb from 252 to 318 MB. So the gate
+// can go only together with cg-ic0, once a size threshold picks the
+// method.
 func UsesReordering(method string) bool { return method == MethodCGAMG }
 
 // DefaultMethod is used when Options.Method is empty.

@@ -177,10 +177,11 @@ func (nl *Netlist) parseNode(s string) (int, error) {
 		return 0, fmt.Errorf("bad node name %q (want n<index>)", s)
 	}
 	n, err := strconv.Atoi(s[1:])
-	if err != nil || n < 0 {
+	// MaxInt is refused too: the node count n+1 would overflow.
+	if err != nil || n < 0 || n == math.MaxInt {
 		return 0, fmt.Errorf("bad node index %q", s)
 	}
-	if n+1 > nl.Nodes {
+	if n >= nl.Nodes {
 		nl.Nodes = n + 1
 	}
 	return n, nil
@@ -205,6 +206,23 @@ func parseResistance(s string) (float64, error) {
 	return v, nil
 }
 
+// UnreferencedNodesError reports a deck whose highest node index implies
+// more nodes than its cards can reference. Every unreferenced node is a
+// floating row, so the system would be singular anyway; System rejects it
+// before allocating, which keeps a three-card deck naming node n4000000000000
+// from asking for terabytes.
+type UnreferencedNodesError struct {
+	// Nodes is the node count the highest index implies.
+	Nodes int
+	// Refs is the most nodes the cards can reference:
+	// 2·branches + ties + loads.
+	Refs int
+}
+
+func (e *UnreferencedNodesError) Error() string {
+	return fmt.Sprintf("spice: deck implies %d nodes but its cards reference at most %d (unreferenced nodes float)", e.Nodes, e.Refs)
+}
+
 // System rebuilds the folded nodal equations of the deck: the SPD
 // conductance matrix (ties folded onto the diagonal) and the right-hand
 // side (tie injections g·VDD minus load currents). Branch stamps replay
@@ -217,6 +235,9 @@ func (nl *Netlist) System() (*sparse.CSR, []float64, error) {
 	}
 	if len(nl.Ties) == 0 {
 		return nil, nil, fmt.Errorf("spice: deck has no supply ties (singular system)")
+	}
+	if refs := 2*len(nl.Branches) + len(nl.Ties) + len(nl.Loads); nl.Nodes > refs {
+		return nil, nil, &UnreferencedNodesError{Nodes: nl.Nodes, Refs: refs}
 	}
 	b := sparse.NewBuilder(nl.Nodes)
 	rhs := make([]float64, nl.Nodes)

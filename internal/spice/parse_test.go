@@ -1,6 +1,7 @@
 package spice
 
 import (
+	"bytes"
 	"errors"
 	"strconv"
 	"strings"
@@ -98,6 +99,7 @@ func TestParseErrors(t *testing.T) {
 		{"unknown card", "* t\nVDD vdd 0 DC 1\nC0 n0 n1 1p\n.end\n", 3},
 		{"bad node name", "* t\nVDD vdd 0 DC 1\nR0 x0 n1 1\n.end\n", 3},
 		{"negative node", "* t\nVDD vdd 0 DC 1\nR0 n-1 n1 1\n.end\n", 3},
+		{"node count overflow", "* t\nVDD vdd 0 DC 1\nR0 n9223372036854775807 n1 1\n.end\n", 3},
 		{"self loop", "* t\nVDD vdd 0 DC 1\nR0 n1 n1 1\n.end\n", 3},
 		{"zero resistance", "* t\nVDD vdd 0 DC 1\nR0 n0 n1 0\n.end\n", 3},
 		{"negative resistance", "* t\nVDD vdd 0 DC 1\nR0 n0 n1 -5\n.end\n", 3},
@@ -135,6 +137,50 @@ func TestSystemRequiresTies(t *testing.T) {
 	if _, _, err := nl.System(); err == nil {
 		t.Error("floating deck: want singular-system error from System")
 	}
+}
+
+// hostileDeck parses, but its one tie names node 4·10¹², so a System that
+// sized the matrix by the highest node index would allocate terabytes.
+const hostileDeck = "VDD vdd 0 DC 1.0\nRT1 vdd n4000000000000 1\n.end\n"
+
+// TestSystemRejectsUnreferencedNodes: a deck implying more nodes than its
+// cards reference fails with a typed error before System allocates.
+func TestSystemRejectsUnreferencedNodes(t *testing.T) {
+	nl, err := Parse(strings.NewReader(hostileDeck))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = nl.System()
+	var ue *UnreferencedNodesError
+	if !errors.As(err, &ue) || ue.Nodes != 4000000000001 || ue.Refs != 1 {
+		t.Fatalf("System err = %v, want *UnreferencedNodesError{Nodes: 4000000000001, Refs: 1}", err)
+	}
+}
+
+// FuzzParse feeds arbitrary bytes to Parse and then System: the outcome is
+// an error or a system sized by the nodes the deck's cards reference —
+// never a panic, and never an allocation the deck's own size does not
+// bound.
+func FuzzParse(f *testing.F) {
+	f.Add([]byte(hostileDeck))
+	f.Add([]byte("* divider\nVDD vdd 0 DC 1.0\nRT0 vdd n0 1\nR0 n0 n1 1\nI0 n1 0 DC 0.1\n.end\n"))
+	f.Add([]byte("VDD vdd 0 DC 1\nRT0 vdd n0 1\nR0 n9223372036854775807 n0 1\n.end\n"))
+	f.Fuzz(func(t *testing.T, deck []byte) {
+		nl, err := Parse(bytes.NewReader(deck))
+		if err != nil {
+			return
+		}
+		a, rhs, err := nl.System()
+		if err != nil {
+			return
+		}
+		if refs := 2*len(nl.Branches) + len(nl.Ties) + len(nl.Loads); nl.Nodes > refs {
+			t.Fatalf("System accepted %d nodes for %d card references", nl.Nodes, refs)
+		}
+		if a.N != nl.Nodes || len(rhs) != nl.Nodes {
+			t.Fatalf("system of order %d with %d-entry rhs for %d nodes", a.N, len(rhs), nl.Nodes)
+		}
+	})
 }
 
 // TestDegenerateBranchError pins the typed error WriteNetlist returns for
