@@ -16,7 +16,8 @@ import (
 // tracks the worst droop over time for three designs: baseline, wire-bonded,
 // and wire-bonded with 100 nF decaps behind every wire.
 func (r *Runner) ACStudy() (*report.Table, error) {
-	defer r.span("exp/ac-droop")()
+	sp := r.Cfg.Obs.Trace().Span("exp/ac-droop")
+	defer sp.End()
 	b, err := bench3d.StackedDDR3Off()
 	if err != nil {
 		return nil, err

@@ -14,7 +14,8 @@ import (
 // discussion (its reference [6] models exactly this effect): few or badly
 // placed TSVs concentrate the supply current in individual vias.
 func (r *Runner) CrowdingStudy() (*report.Table, error) {
-	defer r.span("exp/crowding")()
+	sp := r.Cfg.Obs.Trace().Span("exp/crowding")
+	defer sp.End()
 	b, err := bench3d.StackedDDR3Off()
 	if err != nil {
 		return nil, err

@@ -37,10 +37,10 @@ type Config struct {
 	Workers int
 	// Solver selects the nodal solver method ("" = solve.DefaultMethod).
 	Solver string
-	// Obs, when non-nil, receives run metrics and a span per experiment:
-	// mesh/solver instrumentation from the layers below, sweep pool
-	// metrics under "exp.sweep.*", and analyzer/LUT cache hit rates.
-	// Results are identical with or without it.
+	// Obs, when non-nil, receives run metrics and, on its run trace, a
+	// span per experiment: mesh/solver instrumentation from the layers
+	// below, sweep pool metrics under "exp.sweep.*", and analyzer/LUT
+	// cache hit rates. Results are identical with or without it.
 	Obs *obs.Registry
 }
 
@@ -72,11 +72,6 @@ func NewRunner(cfg Config) *Runner {
 	r.luts.Hits = reg.Counter("exp.lut_cache.hits")
 	r.luts.Misses = reg.Counter("exp.lut_cache.misses")
 	return r
-}
-
-// span opens one experiment-level trace span (no-op without a registry).
-func (r *Runner) span(name string, attrs ...obs.Attr) func() {
-	return r.Cfg.Obs.Span(name, attrs...)
 }
 
 // sweep fans fn over n independent design points on the runner's worker

@@ -22,7 +22,8 @@ func (r *Runner) TSVFailureStudy() (*report.Table, error) {
 // rather than dropping the table; the table is returned alongside the
 // aggregated cell error so callers can print it and still fail the run.
 func (r *Runner) TSVFailureStudyAt(tsvCounts, failPcts []int) (*report.Table, error) {
-	defer r.span("exp/tsv-failure")()
+	sp := r.Cfg.Obs.Trace().Span("exp/tsv-failure")
+	defer sp.End()
 	b, err := bench3d.StackedDDR3Off()
 	if err != nil {
 		return nil, err

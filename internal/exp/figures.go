@@ -16,7 +16,8 @@ import (
 // Cadence EPS comparison (max IR 32.2 vs. 32.6 mV, 1.3 % error, 517x
 // speedup). The two left banks run the interleaving read.
 func (r *Runner) Figure4() (*report.Table, *irdrop.Validation, error) {
-	defer r.span("exp/figure4")()
+	sp := r.Cfg.Obs.Trace().Span("exp/figure4")
+	defer sp.End()
 	b, err := bench3d.StackedDDR3Off()
 	if err != nil {
 		return nil, nil, err
@@ -44,7 +45,8 @@ func (r *Runner) Figure4() (*report.Table, *irdrop.Validation, error) {
 // saturate, and aligning TSVs to C4 bumps removes the lateral detour
 // through the logic die (up to ~51.5 % in the paper).
 func (r *Runner) Figure5() (*report.Series, error) {
-	defer r.span("exp/figure5")()
+	sp := r.Cfg.Obs.Trace().Span("exp/figure5")
+	defer sp.End()
 	off, err := bench3d.StackedDDR3Off()
 	if err != nil {
 		return nil, err
@@ -156,7 +158,8 @@ func (r *Runner) caseSpec(c Figure9Case) (*bench3d.Benchmark, *pdn.Spec, error) 
 // solve fails renders as an ERR cell; the partial table is returned
 // alongside the aggregated error.
 func (r *Runner) Table7() (*report.Table, error) {
-	defer r.span("exp/table7")()
+	sp := r.Cfg.Obs.Trace().Span("exp/table7")
+	defer sp.End()
 	t := &report.Table{
 		Title:  "Table 7: design cases for the IR-drop vs. performance study",
 		Header: []string{"case", "max IR (mV)", "paper (mV)"},
@@ -198,7 +201,8 @@ func (r *Runner) Table7() (*report.Table, error) {
 // constraints, and the F2F design crosses over the 1.5x-metal design below
 // ~18 mV thanks to PDN sharing at low bank activities.
 func (r *Runner) Figure9(constraintsMV []float64) (*report.Series, error) {
-	defer r.span("exp/figure9")()
+	sp := r.Cfg.Obs.Trace().Span("exp/figure9")
+	defer sp.End()
 	if len(constraintsMV) == 0 {
 		constraintsMV = []float64{14, 16, 18, 20, 22, 24, 26, 28, 30}
 	}

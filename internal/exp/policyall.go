@@ -15,7 +15,8 @@ import (
 // state — the proportional equivalent of the paper's 24 mV on the 30 mV
 // DDR3 design.
 func (r *Runner) PolicyStudyAll() (*report.Table, error) {
-	defer r.span("exp/policy-all")()
+	sp := r.Cfg.Obs.Trace().Span("exp/policy-all")
+	defer sp.End()
 	t := &report.Table{
 		Title: "Extension: IR-drop-aware policies across all benchmarks",
 		Header: []string{"benchmark", "channels", "limit (mV)",

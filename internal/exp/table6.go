@@ -25,7 +25,8 @@ type Table6Result struct {
 // policy, and the IR-drop-aware distributed-read policy, both at a 24 mV
 // constraint.
 func (r *Runner) Table6() (*report.Table, *Table6Result, error) {
-	defer r.span("exp/table6")()
+	sp := r.Cfg.Obs.Trace().Span("exp/table6")
+	defer sp.End()
 	b, err := bench3d.StackedDDR3Off()
 	if err != nil {
 		return nil, nil, err

@@ -12,7 +12,8 @@ import (
 
 // Table8 renders the cost model summary (paper Table 8).
 func (r *Runner) Table8() (*report.Table, error) {
-	defer r.span("exp/table8")()
+	sp := r.Cfg.Obs.Trace().Span("exp/table8")
+	defer sp.End()
 	m := cost.Default()
 	t := &report.Table{
 		Title:  "Table 8: cost model summary",
@@ -36,7 +37,8 @@ var Table9Alphas = []float64{0, 0.3, 1}
 // reports the best options at each alpha plus the baseline (paper Table 9).
 // It also reports the regression quality of §6.1.
 func (r *Runner) Table9(benchName string) (*report.Table, error) {
-	defer r.span("exp/table9", obs.A("bench", benchName))()
+	sp := r.Cfg.Obs.Trace().Span("exp/table9", obs.A("bench", benchName))
+	defer sp.End()
 	b, err := bench3d.ByName(benchName)
 	if err != nil {
 		return nil, err
@@ -84,7 +86,8 @@ func (r *Runner) Table9(benchName string) (*report.Table, error) {
 // RegressionStudy reports the §6.1 regression quality and the
 // sample-vs-brute-force reduction for one benchmark.
 func (r *Runner) RegressionStudy(benchName string) (*report.Table, error) {
-	defer r.span("exp/regression", obs.A("bench", benchName))()
+	sp := r.Cfg.Obs.Trace().Span("exp/regression", obs.A("bench", benchName))
+	defer sp.End()
 	b, err := bench3d.ByName(benchName)
 	if err != nil {
 		return nil, err

@@ -13,7 +13,8 @@ import (
 
 // Table1 renders the benchmark specification summary (paper Table 1).
 func (r *Runner) Table1() (*report.Table, error) {
-	defer r.span("exp/table1")()
+	sp := r.Cfg.Obs.Trace().Span("exp/table1")
+	defer sp.End()
 	t := &report.Table{
 		Title:  "Table 1: benchmark specifications",
 		Header: []string{"benchmark", "dies", "die (mm)", "banks/die", "stand-alone", "host die", "VDD (V)"},
@@ -39,7 +40,8 @@ func (r *Runner) Table1() (*report.Table, error) {
 // MetalUsageStudy reproduces the §3 opening observation: doubling the PDN
 // metal usage cuts the stacked-DDR3 IR drop by more than 40 %.
 func (r *Runner) MetalUsageStudy() (*report.Table, error) {
-	defer r.span("exp/metal-usage")()
+	sp := r.Cfg.Obs.Trace().Span("exp/metal-usage")
+	defer sp.End()
 	b, err := bench3d.StackedDDR3Off()
 	if err != nil {
 		return nil, err
@@ -81,7 +83,8 @@ func (r *Runner) MetalUsageStudy() (*report.Table, error) {
 // couples the PDNs and raises the DRAM IR drop from ~30 to ~64 mV under a
 // ~50 mV logic noise.
 func (r *Runner) MountingStudy() (*report.Table, error) {
-	defer r.span("exp/mounting")()
+	sp := r.Cfg.Obs.Trace().Span("exp/mounting")
+	defer sp.End()
 	off, err := bench3d.StackedDDR3Off()
 	if err != nil {
 		return nil, err
@@ -123,7 +126,8 @@ func (r *Runner) MountingStudy() (*report.Table, error) {
 // Table2 compares the TSV-location and RDL options of Figure 6 on the
 // off-chip stacked DDR3 (paper Table 2).
 func (r *Runner) Table2() (*report.Table, error) {
-	defer r.span("exp/table2")()
+	sp := r.Cfg.Obs.Trace().Span("exp/table2")
+	defer sp.End()
 	b, err := bench3d.StackedDDR3Off()
 	if err != nil {
 		return nil, err
@@ -176,7 +180,8 @@ func (r *Runner) Table2() (*report.Table, error) {
 // Table3 measures the impact of dedicated TSVs and backside wire bonding
 // (paper Table 3).
 func (r *Runner) Table3() (*report.Table, error) {
-	defer r.span("exp/table3")()
+	sp := r.Cfg.Obs.Trace().Span("exp/table3")
+	defer sp.End()
 	off, err := bench3d.StackedDDR3Off()
 	if err != nil {
 		return nil, err
@@ -238,7 +243,8 @@ func (r *Runner) Table3() (*report.Table, error) {
 // placement cases (paper Table 4). Two-die interleaving states share the
 // bus, so each die runs at 50 % I/O activity.
 func (r *Runner) Table4() (*report.Table, error) {
-	defer r.span("exp/table4")()
+	sp := r.Cfg.Obs.Trace().Span("exp/table4")
+	defer sp.End()
 	b, err := bench3d.StackedDDR3Off()
 	if err != nil {
 		return nil, err
@@ -304,7 +310,8 @@ func (r *Runner) Table4() (*report.Table, error) {
 // Table5 measures memory-state and I/O-activity impact on power and IR
 // drop for F2B and F2F off-chip stacked DDR3 (paper Table 5).
 func (r *Runner) Table5() (*report.Table, error) {
-	defer r.span("exp/table5")()
+	sp := r.Cfg.Obs.Trace().Span("exp/table5")
+	defer sp.End()
 	b, err := bench3d.StackedDDR3Off()
 	if err != nil {
 		return nil, err

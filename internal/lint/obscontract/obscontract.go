@@ -12,10 +12,12 @@
 //     allowed,
 //   - Counter.Add never takes a negative constant (counters are
 //     monotonic; use a Gauge for deltas),
-//   - a span obtained from Trace.Span or TraceSpan.Child is ended on
-//     every return path — a forward may-analysis over the function's
-//     CFG; handing the span to another function, storing it, or
-//     returning it transfers the obligation and ends tracking,
+//   - a span obtained from Trace.Span or TraceSpan.Child — obs's one
+//     span type, so request spans and the run-trace spans exp and opt
+//     open through Registry.Trace alike — is ended on every return
+//     path — a forward may-analysis over the function's CFG; handing
+//     the span to another function, storing it, or returning it
+//     transfers the obligation and ends tracking,
 //   - a solve recorder obtained from SolveBuffer.StartSolveRecord is
 //     committed on every return path — the same may-analysis, closing
 //     on Commit instead of End. An uncommitted recorder silently drops

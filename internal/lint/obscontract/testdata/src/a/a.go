@@ -49,6 +49,17 @@ func handoff(t *obs.Trace) {
 
 func consume(s *obs.TraceSpan) { s.End() }
 
+// runTraceLeak opens a span on a registry's run trace, the shape exp and
+// opt use, and forgets the End on the error path.
+func runTraceLeak(r *obs.Registry, fail bool) error {
+	sp := r.Trace().Span("exp/table1") // want `span sp is not ended on every return path`
+	if fail {
+		return errFail
+	}
+	sp.End()
+	return nil
+}
+
 // child tracks spans from TraceSpan.Child too.
 func child(t *obs.Trace) {
 	sp := t.Span("solve")

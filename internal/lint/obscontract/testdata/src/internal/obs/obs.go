@@ -35,8 +35,10 @@ func (c *Counter) Add(n int64) {}
 // Set mirrors Gauge.Set.
 func (g *Gauge) Set(v float64) {}
 
-// Trace mirrors the request trace.
+// Trace mirrors the trace (a request's, or a registry's run trace).
 type Trace struct{}
+
+func (r *Registry) Trace() *Trace { return &Trace{} }
 
 // TraceSpan mirrors one span of a trace.
 type TraceSpan struct{}

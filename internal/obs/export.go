@@ -21,7 +21,7 @@ type Snapshot struct {
 	Gauges     map[string]float64           `json:"gauges,omitempty"`
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
 	Timers     map[string]TimerSnapshot     `json:"timers,omitempty"`
-	Spans      []SpanSnapshot               `json:"spans,omitempty"`
+	Spans      []TraceSpanSnapshot          `json:"spans,omitempty"`
 }
 
 // HistogramSnapshot carries a histogram's fixed bounds and bucket
@@ -40,14 +40,6 @@ type TimerSnapshot struct {
 	Count   int64   `json:"count"`
 	Seconds float64 `json:"seconds"`
 	MaxSec  float64 `json:"max_seconds,omitempty"`
-}
-
-// SpanSnapshot is one trace span with run-relative timestamps.
-type SpanSnapshot struct {
-	Name    string            `json:"name"`
-	StartMS float64           `json:"start_ms"`
-	DurMS   float64           `json:"dur_ms"`
-	Attrs   map[string]string `json:"attrs,omitempty"`
 }
 
 // Snapshot copies the registry's current state. Safe on nil (returns an
@@ -96,20 +88,7 @@ func (r *Registry) Snapshot() Snapshot {
 			}
 		}
 	}
-	for _, sp := range r.spanRecords() {
-		ss := SpanSnapshot{
-			Name:    sp.name,
-			StartMS: float64(sp.start) / 1e6,
-			DurMS:   float64(sp.dur) / 1e6,
-		}
-		if len(sp.attrs) > 0 {
-			ss.Attrs = map[string]string{}
-			for _, a := range sp.attrs {
-				ss.Attrs[a.Key] = a.Value
-			}
-		}
-		s.Spans = append(s.Spans, ss)
-	}
+	s.Spans = r.trace.Snapshot().Spans
 	return s
 }
 
@@ -181,20 +160,27 @@ func (r *Registry) String() string {
 	return string(b)
 }
 
-// Summary renders the human-readable -stats report: the span trace in
-// start order followed by every metric, sorted by name.
+// Summary renders the human-readable -stats report: the run trace's
+// spans in start order (attributes sorted by key) followed by every
+// metric, sorted by name.
 func (r *Registry) Summary() string {
 	if r == nil {
 		return ""
 	}
 	var sb strings.Builder
-	spans := r.spanRecords()
+	spans := r.trace.Snapshot().Spans
 	if len(spans) > 0 {
 		sb.WriteString("spans (start -> duration):\n")
 		for _, sp := range spans {
-			fmt.Fprintf(&sb, "  %9.1fms  %-28s %s", float64(sp.start)/1e6, sp.name, sp.dur.Round(100*time.Microsecond))
-			for _, a := range sp.attrs {
-				fmt.Fprintf(&sb, "  %s=%s", a.Key, a.Value)
+			dur := time.Duration(sp.DurMS * 1e6).Round(100 * time.Microsecond)
+			fmt.Fprintf(&sb, "  %9.1fms  %-28s %s", sp.StartMS, sp.Name, dur)
+			keys := make([]string, 0, len(sp.Attrs))
+			for k := range sp.Attrs {
+				keys = append(keys, k) // ok: sorted below
+			}
+			sort.Strings(keys)
+			for _, k := range keys {
+				fmt.Fprintf(&sb, "  %s=%s", k, sp.Attrs[k])
 			}
 			sb.WriteByte('\n')
 		}

@@ -1,8 +1,10 @@
 // Package obs is the observability layer of the analysis stack: a
 // stdlib-only, concurrency-safe metrics registry (counters, gauges,
-// histograms with fixed deterministic bucket bounds, duration timers)
-// plus a per-run trace of named spans. Registries export an
-// expvar-compatible JSON snapshot and a human -stats summary.
+// histograms with fixed deterministic bucket bounds, duration timers),
+// one span model — Trace and TraceSpan, recorded per served request and,
+// through Registry.Trace, once per CLI or experiment run — and one
+// retention buffer, Retain, behind every /debug list. Registries export
+// an expvar-compatible JSON snapshot and a human -stats summary.
 //
 // Determinism contract: for one workload, every counter value, gauge
 // maximum, and histogram bucket tally is identical for any worker count.
@@ -32,75 +34,29 @@ func now() time.Time {
 	return time.Now()
 }
 
-// DefaultSpanCap bounds a registry's retained spans: once full, the
-// oldest span is overwritten and the "obs.spans_dropped" counter
-// increments, so a long-running process (pdnserve) holds a fixed amount
-// of span data no matter how long it serves.
-const DefaultSpanCap = 4096
-
-// Registry is a named-metric registry plus a span trace for one run.
+// Registry is a named-metric registry plus the run Trace for one run.
 // All methods are safe for concurrent use; the nil registry is a valid
-// disabled registry. Span storage is a bounded ring (DefaultSpanCap,
-// tunable with SetSpanCap); drops are counted in "obs.spans_dropped".
+// disabled registry.
 type Registry struct {
-	mu       sync.Mutex
-	metrics  map[string]interface{}
-	spans    []spanRecord // ring once len == spanCap; spanNext is the oldest
-	spanCap  int
-	spanNext int
-	start    time.Time
-
-	// dropped counts spans overwritten by the ring; kept as a direct
-	// field because the recording path already holds mu and must not
-	// re-enter the metric lookup.
-	dropped *Counter
+	mu      sync.Mutex
+	metrics map[string]interface{}
+	trace   *Trace
 }
 
-// NewRegistry returns an empty registry; its creation time anchors the
-// relative span timestamps.
+// NewRegistry returns an empty registry with a fresh run trace; the
+// registry's creation time anchors the trace's span timestamps.
 func NewRegistry() *Registry {
-	r := &Registry{metrics: map[string]interface{}{}, spanCap: DefaultSpanCap, start: now()}
-	r.dropped = r.Counter("obs.spans_dropped")
-	return r
+	return &Registry{metrics: map[string]interface{}{}, trace: NewTrace("")}
 }
 
-// SetSpanCap bounds the span ring at n (minimum 1). Shrinking below the
-// current count drops the oldest spans, counting them as dropped. Safe
-// on nil.
-func (r *Registry) SetSpanCap(n int) {
+// Trace returns the run trace: the span tree of a CLI or experiment run,
+// in the same model the serving layer records per request. Returns nil
+// on a nil registry, so spans opened on a disabled run cost nothing.
+func (r *Registry) Trace() *Trace {
 	if r == nil {
-		return
+		return nil
 	}
-	if n < 1 {
-		n = 1
-	}
-	r.mu.Lock()
-	if len(r.spans) > n {
-		// Linearize the ring oldest-first, then keep the newest n.
-		lin := make([]spanRecord, 0, len(r.spans))
-		for i := 0; i < len(r.spans); i++ {
-			lin = append(lin, r.spans[(r.spanNext+i)%len(r.spans)])
-		}
-		drop := len(lin) - n
-		r.spans = append([]spanRecord(nil), lin[drop:]...)
-		r.dropped.Add(int64(drop))
-	}
-	r.spanCap = n
-	r.spanNext = 0
-	r.mu.Unlock()
-}
-
-// addSpan records one completed span into the bounded ring.
-func (r *Registry) addSpan(rec spanRecord) {
-	r.mu.Lock()
-	if len(r.spans) < r.spanCap {
-		r.spans = append(r.spans, rec)
-	} else {
-		r.spans[r.spanNext] = rec
-		r.spanNext = (r.spanNext + 1) % r.spanCap
-		r.dropped.Add(1)
-	}
-	r.mu.Unlock()
+	return r.trace
 }
 
 // get returns the metric registered under name, creating it with mk on
@@ -197,18 +153,6 @@ func (r *Registry) Timer(name string) *Timer {
 		panic("obs: metric " + name + " already registered with a different kind")
 	}
 	return t
-}
-
-// names returns the registered metric names, sorted.
-func (r *Registry) names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.metrics))
-	for name := range r.metrics {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Counter is a concurrency-safe monotonic counter.

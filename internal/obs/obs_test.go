@@ -18,11 +18,14 @@ func TestNilRegistryIsDisabled(t *testing.T) {
 	r.Histogram("h", []float64{1, 2}).Observe(1.5)
 	r.Timer("t").Observe(time.Second)
 	r.Timer("t").Start()()
-	r.Span("s", A("k", 1))()
+	r.Trace().Span("s", A("k", 1)).End()
 	r.SweepMetrics("sw").Begin(4).TaskStart()()
 	r.SweepMetrics("sw").Begin(4).End()
 	if got := r.Counter("c").Value(); got != 0 {
 		t.Fatalf("nil counter Value = %d, want 0", got)
+	}
+	if r.Trace() != nil {
+		t.Fatal("nil registry handed out a run trace")
 	}
 	if s := r.Summary(); s != "" {
 		t.Fatalf("nil Summary = %q, want empty", s)
@@ -95,7 +98,7 @@ func TestConcurrentRecordingIsExact(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			defer r.Span("worker")()
+			defer r.Trace().Span("worker").End()
 			for i := 0; i < per; i++ {
 				c.Add(1)
 				g.SetMax(float64(w*per + i))
@@ -130,9 +133,9 @@ func TestDeterministicSnapshotBytes(t *testing.T) {
 			r.Counter("tasks").Add(1)
 			r.Gauge("worst").SetMax(float64(i % 7))
 			r.Histogram("sizes", []float64{2, 5}).Observe(float64(i % 10))
-			r.InfoGauge("workers").Set(float64(i)) // stripped: run-condition dependent
-			r.Timer("t").Observe(time.Duration(i)) // stripped: wall clock
-			r.Span("task", A("i", i))()            // stripped: wall clock
+			r.InfoGauge("workers").Set(float64(i))  // stripped: run-condition dependent
+			r.Timer("t").Observe(time.Duration(i))  // stripped: wall clock
+			r.Trace().Span("task", A("i", i)).End() // stripped: wall clock
 		}
 		if !concurrent {
 			for i := 0; i < 64; i++ {
@@ -181,9 +184,9 @@ func TestSnapshotJSONAndExpvarString(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("c").Add(7)
 	r.Histogram("h", []float64{1}).Observe(0.5)
-	done := r.Span("stage", A("design", "2ch-4rank"))
+	sp := r.Trace().Span("stage", A("design", "2ch-4rank"))
 	time.Sleep(time.Millisecond)
-	done()
+	sp.End()
 	for _, b := range [][]byte{r.JSON(), []byte(r.String())} {
 		if !json.Valid(b) {
 			t.Fatalf("invalid JSON: %s", b)
@@ -196,7 +199,7 @@ func TestSnapshotJSONAndExpvarString(t *testing.T) {
 	if s.Counters["c"] != 7 {
 		t.Fatalf("counter in JSON = %d, want 7", s.Counters["c"])
 	}
-	if len(s.Spans) != 1 || s.Spans[0].Name != "stage" || s.Spans[0].Attrs["design"] != "2ch-4rank" {
+	if len(s.Spans) != 1 || s.Spans[0].Name != "stage" || s.Spans[0].ID != 1 || s.Spans[0].Attrs["design"] != "2ch-4rank" {
 		t.Fatalf("span in JSON = %+v", s.Spans)
 	}
 	if s.Spans[0].DurMS <= 0 {
@@ -206,13 +209,13 @@ func TestSnapshotJSONAndExpvarString(t *testing.T) {
 
 func TestSpanOrderingByStart(t *testing.T) {
 	r := NewRegistry()
-	first := r.Span("first")
-	second := r.Span("second")
-	second() // closes before first: append order is second, first
-	first()
+	first := r.Trace().Span("first")
+	second := first.Child("second")
+	second.End() // closes before first: append order is second, first
+	first.End()
 	spans := r.Snapshot().Spans
-	if len(spans) != 2 || spans[0].Name != "first" || spans[1].Name != "second" {
-		t.Fatalf("span order = %+v, want start order [first second]", spans)
+	if len(spans) != 2 || spans[0].Name != "first" || spans[1].Name != "second" || spans[1].Parent != spans[0].ID {
+		t.Fatalf("span order = %+v, want start order [first second] with second under first", spans)
 	}
 }
 
@@ -222,7 +225,7 @@ func TestSummaryMentionsEveryMetric(t *testing.T) {
 	r.Gauge("solve.residual").SetMax(1e-9)
 	r.Histogram("solve.iters", []float64{10}).Observe(4)
 	r.Timer("solve.time").Observe(time.Millisecond)
-	r.Span("exp/table6")()
+	r.Trace().Span("exp/table6").End()
 	s := r.Summary()
 	for _, want := range []string{"solve.total", "solve.residual", "solve.iters", "solve.time", "exp/table6"} {
 		if !strings.Contains(s, want) {

@@ -5,10 +5,10 @@ package obs
 // residual trajectory, the CG α/β coefficients (which define the Lanczos
 // tridiagonal and therefore a free condition-number estimate), the
 // preconditioner that really ran, the warm-start seed, and a classified
-// termination reason. SolveBuffer retains finished records the way
-// TraceBuffer retains traces: the N most recent plus the N
-// worst-by-iterations, each bounded, so a long-running server holds a
-// fixed amount of solve forensics no matter how much traffic it serves.
+// termination reason. SolveBuffer retains finished records in a Retain
+// ranked by iterations: the N most recent plus the N worst, each
+// bounded, so a long-running server holds a fixed amount of solve
+// forensics no matter how much traffic it serves.
 //
 // Everything a record carries is derived from the solver's deterministic
 // kernels, so for one workload the record shapes (residual histories,
@@ -19,7 +19,6 @@ package obs
 import (
 	"math"
 	"strconv"
-	"sync"
 	"sync/atomic"
 )
 
@@ -46,9 +45,6 @@ const (
 )
 
 const (
-	// DefaultSolveBufferCap bounds each SolveBuffer retention class when
-	// the size knob is unset.
-	DefaultSolveBufferCap = 64
 	// SolveResidualCap bounds the decimated residual history per record.
 	// When the ring fills, every other retained sample is dropped and
 	// the sampling stride doubles, so arbitrarily long solves keep a
@@ -389,10 +385,9 @@ func sturmNegcount(d, e []float64, x float64) int {
 }
 
 // SolveBuffer retains finished solve records for post-hoc inspection
-// (/debug/solves): a ring of the N most recent plus the N
-// worst-by-iterations seen, each bounded, mirroring TraceBuffer. Safe
-// for concurrent use; nil disables retention (and recording — see
-// StartSolveRecord).
+// (/debug/solves) in a Retain ranked by iterations — the N most recent
+// plus the N worst — and assigns the record IDs. Safe for concurrent
+// use; nil disables retention (and recording — see StartSolveRecord).
 type SolveBuffer struct {
 	// IterHist and CondHist, when non-nil, receive every committed
 	// record's iteration count and condition estimate (the latter only
@@ -403,22 +398,14 @@ type SolveBuffer struct {
 	IterHist *Histogram
 	CondHist *Histogram
 
-	mu     sync.Mutex
-	cap    int
-	recent []SolveRecord // ring; next is the oldest once full
-	next   int
-	worst  []SolveRecord // sorted by Iterations descending, len <= cap
-	added  int64
-	seq    atomic.Int64
+	ret *Retain[SolveRecord]
+	seq atomic.Int64
 }
 
 // NewSolveBuffer builds a buffer retaining n recent and n
-// worst-by-iterations records (n <= 0 selects DefaultSolveBufferCap).
+// worst-by-iterations records (n <= 0 selects DefaultRetainCap).
 func NewSolveBuffer(n int) *SolveBuffer {
-	if n <= 0 {
-		n = DefaultSolveBufferCap
-	}
-	return &SolveBuffer{cap: n}
+	return &SolveBuffer{ret: NewRetain(n, func(r SolveRecord) float64 { return float64(r.Iterations) })}
 }
 
 // Add records one finished solve. Commit calls this; use it directly
@@ -431,26 +418,7 @@ func (b *SolveBuffer) Add(rec SolveRecord) {
 	if rec.CondEst > 0 {
 		b.CondHist.Observe(rec.CondEst)
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.added++
-	if len(b.recent) < b.cap {
-		b.recent = append(b.recent, rec)
-	} else {
-		b.recent[b.next] = rec
-		b.next = (b.next + 1) % b.cap
-	}
-	if len(b.worst) < b.cap {
-		b.worst = append(b.worst, rec)
-	} else if rec.Iterations > b.worst[len(b.worst)-1].Iterations {
-		b.worst[len(b.worst)-1] = rec
-	} else {
-		return
-	}
-	// Restore descending order: bubble the inserted tail entry up.
-	for i := len(b.worst) - 1; i > 0 && b.worst[i].Iterations > b.worst[i-1].Iterations; i-- {
-		b.worst[i], b.worst[i-1] = b.worst[i-1], b.worst[i]
-	}
+	b.ret.Add(rec)
 }
 
 // Snapshot returns the retained records: recent newest-first, worst in
@@ -460,17 +428,7 @@ func (b *SolveBuffer) Snapshot() (recent, worst []SolveRecord, added int64) {
 	if b == nil {
 		return nil, nil, 0
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	recent = make([]SolveRecord, 0, len(b.recent))
-	// The ring's next slot holds the oldest entry once full (and stays 0
-	// while filling), so the newest entry sits just before it; walk
-	// backwards from there.
-	for i := 0; i < len(b.recent); i++ {
-		recent = append(recent, b.recent[(b.next-1-i+2*len(b.recent))%len(b.recent)])
-	}
-	worst = append([]SolveRecord(nil), b.worst...)
-	return recent, worst, b.added
+	return b.ret.Snapshot()
 }
 
 // Find returns the retained record with the given solve ID — or, when no
@@ -481,43 +439,8 @@ func (b *SolveBuffer) Find(id string) (SolveRecord, bool) {
 	if b == nil {
 		return SolveRecord{}, false
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for i := range b.recent {
-		if b.recent[i].ID == id {
-			return b.recent[i], true
-		}
+	if rec, ok := b.ret.Find(func(r SolveRecord) bool { return r.ID == id }); ok {
+		return rec, true
 	}
-	for i := range b.worst {
-		if b.worst[i].ID == id {
-			return b.worst[i], true
-		}
-	}
-	var hit SolveRecord
-	var hitSeq int64 = -1
-	for _, list := range [][]SolveRecord{b.recent, b.worst} {
-		for i := range list {
-			if list[i].TraceID == id {
-				if seq := solveSeq(list[i].ID); seq > hitSeq {
-					hit, hitSeq = list[i], seq
-				}
-			}
-		}
-	}
-	if hitSeq >= 0 {
-		return hit, true
-	}
-	return SolveRecord{}, false
-}
-
-// solveSeq parses the numeric part of a record ID for recency ordering.
-func solveSeq(id string) int64 {
-	if len(id) < 3 || id[0] != 's' || id[1] != '-' {
-		return -1
-	}
-	n, err := strconv.ParseInt(id[2:], 10, 64)
-	if err != nil {
-		return -1
-	}
-	return n
+	return b.ret.Find(func(r SolveRecord) bool { return r.TraceID == id })
 }

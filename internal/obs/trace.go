@@ -10,18 +10,29 @@ import (
 	"time"
 )
 
-// Trace is one request-scoped trace: a deterministic-format ID plus a
-// set of hierarchical spans recorded as the request moves through the
-// serving layers (admission queue, cache, stamp, solve, serialize).
-// Traces are wall-clock data — never part of the deterministic metrics
-// contract — but their structural fields (span names, parent/child
-// relations, item indices, solver iteration counts) are deterministic
-// for a given request at any worker count, which is what the batch
-// propagation test pins.
+// Attr is one key/value annotation on a span.
+type Attr struct {
+	Key, Value string
+}
+
+// A formats any value into an Attr.
+func A(key string, value interface{}) Attr {
+	return Attr{Key: key, Value: fmt.Sprint(value)}
+}
+
+// Trace is the one span model: a deterministic-format ID plus a set of
+// hierarchical spans. A served request records one as it moves through
+// the serving layers (admission queue, cache, stamp, solve, serialize);
+// a CLI or experiment run records one through Registry.Trace (one span
+// per table, figure, or model fit). Traces are wall-clock data — never
+// part of the deterministic metrics contract — but their structural
+// fields (span names, parent/child relations, item indices, solver
+// iteration counts) are deterministic for a given request at any worker
+// count, which is what the batch propagation test pins.
 //
 // Every method is nil-safe: a nil *Trace hands out nil *TraceSpans, and
 // recording on a nil span is a no-op, so instrumented layers need no
-// conditionals when tracing is absent (CLI paths, tracing disabled).
+// conditionals when tracing is absent (no registry, tracing disabled).
 type Trace struct {
 	id    string
 	start time.Time
@@ -75,8 +86,9 @@ func (t *Trace) newSpan(parent int, name string, attrs []Attr) *TraceSpan {
 	if t == nil {
 		return nil
 	}
-	start := now()
+	// The clock is read under the lock, so span IDs follow start order.
 	t.mu.Lock()
+	start := now()
 	t.seq++
 	id := t.seq
 	t.mu.Unlock()
@@ -185,7 +197,7 @@ func (t *Trace) Dur() time.Duration {
 
 // TraceSnapshot is one completed trace shaped for JSON export
 // (/debug/requests). Field names are a compatibility contract; see
-// DESIGN.md §5e.
+// DESIGN.md §5e. A run trace exports only its Spans (Snapshot.Spans).
 type TraceSnapshot struct {
 	// ID is the trace ID echoed in X-Trace-Id.
 	ID string `json:"trace_id"`
@@ -204,7 +216,7 @@ type TraceSpanSnapshot struct {
 	// Parent is the parent span ID (0 for root-level spans).
 	Parent int `json:"parent,omitempty"`
 	// Name is the phase name (request, queue, cache, flight, item,
-	// stamp, solve, serialize).
+	// stamp, solve, serialize; exp/<table>, opt/fit-models in runs).
 	Name string `json:"name"`
 	// StartMS is the span start relative to the trace start.
 	StartMS float64 `json:"start_ms"`
@@ -215,7 +227,8 @@ type TraceSpanSnapshot struct {
 }
 
 // Snapshot copies the trace's recorded spans, sorted by span ID
-// (creation order — stable under concurrent recording). Safe on nil.
+// (creation order, which is start order — stable under concurrent
+// recording). Safe on nil.
 func (t *Trace) Snapshot() TraceSnapshot {
 	if t == nil {
 		return TraceSnapshot{}
@@ -316,99 +329,4 @@ func WithSpan(ctx context.Context, s *TraceSpan) context.Context {
 func SpanFrom(ctx context.Context) *TraceSpan {
 	s, _ := ctx.Value(spanCtxKey{}).(*TraceSpan)
 	return s
-}
-
-// TraceBuffer retains finished request traces for post-hoc inspection
-// (/debug/requests): a ring of the N most recent plus the N slowest
-// seen, each bounded, so a long-running server holds a fixed amount of
-// trace data no matter how much traffic it serves. Safe for concurrent
-// use; nil disables retention.
-type TraceBuffer struct {
-	mu      sync.Mutex
-	cap     int
-	recent  []TraceSnapshot // ring; next is the oldest once full
-	next    int
-	slowest []TraceSnapshot // sorted by DurMS descending, len <= cap
-	added   int64
-}
-
-// DefaultTraceBufferCap bounds each retention class when the size knob
-// is unset.
-const DefaultTraceBufferCap = 64
-
-// NewTraceBuffer builds a buffer retaining n recent and n slowest
-// traces (n <= 0 selects DefaultTraceBufferCap).
-func NewTraceBuffer(n int) *TraceBuffer {
-	if n <= 0 {
-		n = DefaultTraceBufferCap
-	}
-	return &TraceBuffer{cap: n}
-}
-
-// Add records one finished trace. No-op on nil.
-func (b *TraceBuffer) Add(s TraceSnapshot) {
-	if b == nil {
-		return
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.added++
-	if len(b.recent) < b.cap {
-		b.recent = append(b.recent, s)
-	} else {
-		b.recent[b.next] = s
-		b.next = (b.next + 1) % b.cap
-	}
-	if len(b.slowest) < b.cap {
-		b.slowest = append(b.slowest, s)
-	} else if s.DurMS > b.slowest[len(b.slowest)-1].DurMS {
-		b.slowest[len(b.slowest)-1] = s
-	} else {
-		return
-	}
-	// Restore descending order: bubble the inserted tail entry up.
-	for i := len(b.slowest) - 1; i > 0 && b.slowest[i].DurMS > b.slowest[i-1].DurMS; i-- {
-		b.slowest[i], b.slowest[i-1] = b.slowest[i-1], b.slowest[i]
-	}
-}
-
-// Snapshot returns the retained traces: recent newest-first, slowest
-// in descending duration, and the total number of traces ever added.
-// Safe on nil.
-func (b *TraceBuffer) Snapshot() (recent, slowest []TraceSnapshot, added int64) {
-	if b == nil {
-		return nil, nil, 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	recent = make([]TraceSnapshot, 0, len(b.recent))
-	// The ring's next slot holds the oldest entry once full (and stays 0
-	// while filling), so the newest entry sits just before it; walk
-	// backwards from there.
-	for i := 0; i < len(b.recent); i++ {
-		recent = append(recent, b.recent[(b.next-1-i+2*len(b.recent))%len(b.recent)])
-	}
-	slowest = append([]TraceSnapshot(nil), b.slowest...)
-	return recent, slowest, b.added
-}
-
-// Find returns the retained trace with the given ID, preferring the
-// recent ring. Safe on nil.
-func (b *TraceBuffer) Find(id string) (TraceSnapshot, bool) {
-	if b == nil {
-		return TraceSnapshot{}, false
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for i := range b.recent {
-		if b.recent[i].ID == id {
-			return b.recent[i], true
-		}
-	}
-	for i := range b.slowest {
-		if b.slowest[i].ID == id {
-			return b.slowest[i], true
-		}
-	}
-	return TraceSnapshot{}, false
 }

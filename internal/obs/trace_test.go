@@ -137,93 +137,6 @@ func TestContextPropagation(t *testing.T) {
 	}
 }
 
-func TestTraceBufferRecentSlowestFind(t *testing.T) {
-	b := NewTraceBuffer(3)
-	durs := []float64{5, 1, 9, 2, 7}
-	for i, d := range durs {
-		b.Add(TraceSnapshot{ID: string(rune('a' + i)), DurMS: d})
-	}
-	recent, slowest, added := b.Snapshot()
-	if added != int64(len(durs)) {
-		t.Fatalf("added = %d, want %d", added, len(durs))
-	}
-	wantRecent := []string{"e", "d", "c"} // newest first
-	for i, id := range wantRecent {
-		if recent[i].ID != id {
-			t.Fatalf("recent = %v, want IDs %v", recent, wantRecent)
-		}
-	}
-	wantSlow := []float64{9, 7, 5} // descending duration
-	for i, d := range wantSlow {
-		if slowest[i].DurMS != d {
-			t.Fatalf("slowest durations = %v, want %v", slowest, wantSlow)
-		}
-	}
-	// "c" (dur 9) is in both buffers; "a" (dur 5) only survives in slowest.
-	if _, ok := b.Find("a"); !ok {
-		t.Fatalf("trace a should be retained in slowest")
-	}
-	if _, ok := b.Find("b"); ok {
-		t.Fatalf("trace b (fast, aged out) should be gone")
-	}
-	if ts, ok := b.Find("e"); !ok || ts.DurMS != 7 {
-		t.Fatalf("Find(e) = %+v, %v", ts, ok)
-	}
-}
-
-func TestTraceBufferNilAndDefaults(t *testing.T) {
-	var b *TraceBuffer
-	b.Add(TraceSnapshot{ID: "x"})
-	if r, s, n := b.Snapshot(); r != nil || s != nil || n != 0 {
-		t.Fatalf("nil buffer snapshot = %v %v %d", r, s, n)
-	}
-	if _, ok := b.Find("x"); ok {
-		t.Fatalf("nil buffer Find returned a trace")
-	}
-	if got := NewTraceBuffer(0); got.cap != DefaultTraceBufferCap {
-		t.Fatalf("NewTraceBuffer(0) cap = %d, want %d", got.cap, DefaultTraceBufferCap)
-	}
-}
-
-func TestRegistrySpanRingBounds(t *testing.T) {
-	r := NewRegistry()
-	r.SetSpanCap(4)
-	for i := 0; i < 10; i++ {
-		r.Span("s", A("i", i))()
-	}
-	snap := r.Snapshot()
-	if len(snap.Spans) != 4 {
-		t.Fatalf("retained %d spans, want 4", len(snap.Spans))
-	}
-	// The survivors are the newest four: i = 6..9.
-	got := map[string]bool{}
-	for _, sp := range snap.Spans {
-		got[sp.Attrs["i"]] = true
-	}
-	for _, want := range []string{"6", "7", "8", "9"} {
-		if !got[want] {
-			t.Fatalf("span i=%s missing from retained set %v", want, got)
-		}
-	}
-	if d := r.Counter("obs.spans_dropped").Value(); d != 6 {
-		t.Fatalf("spans_dropped = %d, want 6", d)
-	}
-	// Shrinking below the retained count drops the oldest and counts them.
-	r.SetSpanCap(2)
-	snap = r.Snapshot()
-	if len(snap.Spans) != 2 {
-		t.Fatalf("after shrink retained %d spans, want 2", len(snap.Spans))
-	}
-	for _, sp := range snap.Spans {
-		if sp.Attrs["i"] != "8" && sp.Attrs["i"] != "9" {
-			t.Fatalf("after shrink survivor %v, want i=8/9", sp.Attrs)
-		}
-	}
-	if d := r.Counter("obs.spans_dropped").Value(); d != 8 {
-		t.Fatalf("spans_dropped after shrink = %d, want 8", d)
-	}
-}
-
 func TestInfoHistogramExcludedFromDeterministic(t *testing.T) {
 	r := NewRegistry()
 	r.InfoHistogram("serve.latency_ms", []float64{1, 10}).Observe(3)

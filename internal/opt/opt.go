@@ -102,7 +102,8 @@ type Optimizer struct {
 	Solver string
 	// Obs, when non-nil, receives sampling metrics: the mesh/solver
 	// instrumentation of every R-Mesh evaluation plus a span around the
-	// model fit. Optimization results are identical either way.
+	// model fit on its run trace. Optimization results are identical
+	// either way.
 	Obs *obs.Registry
 
 	fits map[string]*regress.Fit
@@ -252,7 +253,8 @@ func axisSamples(lo, hi float64, n int) []float64 {
 // samples use an independent analyzer, so they parallelize cleanly). It
 // must run before Best.
 func (o *Optimizer) FitModels() error {
-	defer o.Obs.Span("opt/fit-models", obs.A("bench", o.Bench.Name))()
+	span := o.Obs.Trace().Span("opt/fit-models", obs.A("bench", o.Bench.Name))
+	defer span.End()
 	sp := o.Bench.Space
 	n := o.samplesPerAxis()
 	m2s := axisSamples(sp.M2Range[0], sp.M2Range[1], n)

@@ -17,6 +17,15 @@ func (s *Spec) TSVSites() []geom.Point {
 	return tsvSites(s.DRAM.Outline, s.TSVStyle, s.TSVCount, s.DRAMTech.PGTSV.Pitch)
 }
 
+// MaxTSVCount bounds a design's PG TSV count: the sites a square grid at
+// the minimum PG TSV pitch puts on the DRAM die. The site generators
+// allocate one point per TSV, so a requested count is checked against it
+// before anything is built.
+func (s *Spec) MaxTSVCount() int {
+	nx, ny := geom.Dims(s.DRAM.Outline, s.DRAMTech.PGTSV.Pitch)
+	return int(nx * ny)
+}
+
 func tsvSites(outline geom.Rect, style TSVLocation, count int, pitch float64) []geom.Point {
 	switch style {
 	case EdgeTSV:

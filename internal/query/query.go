@@ -101,11 +101,20 @@ func (q Query) Validate() error {
 	if err := q.validateDesign(); err != nil {
 		return err
 	}
-	if q.IO <= 0 || q.IO > 1 {
-		return fieldErr("io", "activity %g out of (0,1]", q.IO)
+	if err := CheckIO("io", q.IO); err != nil {
+		return err
 	}
 	if _, err := memstate.ParseCounts(q.State); err != nil {
 		return fieldErr("state", "%v", err)
+	}
+	return nil
+}
+
+// CheckIO applies the I/O activity rule, a fraction in (0,1], to one
+// value of the named field: a *FieldError on field when it fails.
+func CheckIO(field string, io float64) error {
+	if io <= 0 || io > 1 {
+		return fieldErr(field, "activity %g out of (0,1]", io)
 	}
 	return nil
 }
@@ -165,10 +174,15 @@ func (q Query) ResolveDesign() (*Resolved, error) {
 	}
 	// The fields are range-checked above; what is left are combinations
 	// this benchmark cannot build. Dedicated TSVs need an on-chip design,
-	// and after that check the spec can only fail validation on a pitch
-	// too coarse for the die, or exceed the mesh node budget.
+	// the TSV count must fit the die, and after those checks the spec can
+	// only fail validation on a pitch too coarse for the die, or exceed
+	// the mesh node budget.
 	if q.Dedicated && !spec.OnLogic {
 		return nil, fieldErr("dedicated", "dedicated TSVs need an on-chip design; %s is off-chip", q.Bench)
+	}
+	if limit := spec.MaxTSVCount(); spec.TSVCount > limit {
+		return nil, fieldErr("tsv", "TSV count %d exceeds the %d sites that fit the %s die at the %g mm TSV pitch",
+			spec.TSVCount, limit, q.Bench, spec.DRAMTech.PGTSV.Pitch)
 	}
 	if err := rmesh.CheckSize(spec); err != nil {
 		return nil, fieldErr("pitch", "%v", err)

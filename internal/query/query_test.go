@@ -4,6 +4,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"pdn3d/internal/bench3d"
 )
 
 func valid() Query {
@@ -75,6 +77,7 @@ func TestResolveRejects(t *testing.T) {
 		{"mesh above the node budget", func(q *Query) { q.Pitch = 1e-6 }, "pitch"},
 		{"pitch too coarse for the die", func(q *Query) { q.Pitch = 100 }, "pitch"},
 		{"dedicated TSVs off-chip", func(q *Query) { q.Dedicated = true }, "dedicated"},
+		{"tsv above the die's sites", func(q *Query) { q.TSV = 1_000_000_000 }, "tsv"},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
@@ -86,6 +89,30 @@ func TestResolveRejects(t *testing.T) {
 				t.Fatalf("Resolve = %v, want *FieldError on %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// The TSV bound sits exactly at the die's site count, and every
+// benchmark's design space fits under it.
+func TestResolveTSVBound(t *testing.T) {
+	for _, name := range []string{"ddr3-off", "ddr3-on", "wideio", "hmc"} {
+		b, err := bench3d.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		limit := b.Spec.MaxTSVCount()
+		if top := b.Space.TSVRange[1]; top > limit {
+			t.Errorf("%s: design space reaches %d TSVs, above the %d sites", name, top, limit)
+		}
+		q := Query{Bench: name, TSV: limit}
+		if _, err := q.ResolveDesign(); err != nil {
+			t.Errorf("%s: %d TSVs (the site count): %v", name, limit, err)
+		}
+		q.TSV++
+		var fe *FieldError
+		if _, err := q.ResolveDesign(); !errors.As(err, &fe) || fe.Field != "tsv" {
+			t.Errorf("%s: %d TSVs: %v, want a *FieldError on tsv", name, q.TSV, err)
+		}
 	}
 }
 

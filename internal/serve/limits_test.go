@@ -58,6 +58,60 @@ func TestMeshBudgetRejectsHostilePitch(t *testing.T) {
 	}
 }
 
+// hostileTSV passes every per-field check yet asks for 10⁹ TSV sites; the
+// site generators would allocate one point per TSV.
+const hostileTSV = `{"bench":"ddr3-off","state":"0-0-0-1","io":1,"tsv":1000000000}`
+
+// TestTSVBoundRejectsHostileCount: a TSV count above the sites that fit
+// the die is a 400 naming the tsv field on the analyze, LUT and batch
+// paths, and the server goes on serving.
+func TestTSVBoundRejectsHostileCount(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, c := range []struct{ path, body string }{
+		{"/v1/analyze", hostileTSV},
+		{"/v1/lut", `{"bench":"ddr3-off","tsv":1000000000}`},
+	} {
+		resp, body := post(t, ts.URL+c.path, c.body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s %s: status = %d, want 400 (body %s)", c.path, c.body, resp.StatusCode, body)
+		}
+		if msg := errorText(t, body); !strings.Contains(msg, "-tsv") {
+			t.Errorf("%s: error %q does not name the tsv field", c.path, msg)
+		}
+	}
+	_, body := post(t, ts.URL+"/v1/batch", `{"queries":[`+hostileTSV+`,`+goodQuery+`]}`)
+	var br BatchResponse
+	if err := json.Unmarshal(body, &br); err != nil || len(br.Results) != 2 ||
+		br.Results[0].Status != http.StatusBadRequest || br.Results[1].Status != http.StatusOK {
+		t.Fatalf("batch of the hostile TSV count and a good query: %s, want statuses 400 and 200", body)
+	}
+	if resp, body := post(t, ts.URL+"/v1/analyze", goodQuery); resp.StatusCode != http.StatusOK {
+		t.Fatalf("next request: status = %d, body %s", resp.StatusCode, body)
+	}
+}
+
+// TestLUTIOLevelsOutOfRange: an I/O level outside (0,1] is a 400 naming
+// io_levels, refused before any analyzer is built or solve run.
+func TestLUTIOLevelsOutOfRange(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	for _, levels := range []string{"[1.5]", "[-0.5]", "[0]", "[0.5,1.5]"} {
+		resp, body := post(t, ts.URL+"/v1/lut", `{"bench":"ddr3-off","max_per_die":1,"io_levels":`+levels+`}`)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("io_levels %s: status = %d, want 400 (body %s)", levels, resp.StatusCode, body)
+		}
+		if msg := errorText(t, body); !strings.Contains(msg, "-io_levels") {
+			t.Errorf("io_levels %s: error %q does not name the io_levels field", levels, msg)
+		}
+	}
+	counters := s.reg.Snapshot().Counters
+	if counters["serve.flight.misses"] != 0 || counters["rmesh.builds"] != 0 {
+		t.Errorf("refused LUT requests ran %d flights and %d mesh builds", counters["serve.flight.misses"], counters["rmesh.builds"])
+	}
+	if resp, body := post(t, ts.URL+"/v1/lut", `{"bench":"ddr3-off","max_per_die":1,"io_levels":[1]}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("next request: status = %d, body %s", resp.StatusCode, body)
+	}
+}
+
 // TestOversizedBodyIs413: a body above maxBodyBytes is refused in the JSON
 // error envelope, and the server goes on serving.
 func TestOversizedBodyIs413(t *testing.T) {
@@ -151,7 +205,7 @@ func TestPanickingSolveAnswers500(t *testing.T) {
 
 // FuzzRequestBody feeds arbitrary bytes through the /v1/analyze path up to
 // the solve: the body read and its cap, the JSON decoding rules, and query
-// resolution with its mesh-size check. The outcome is a resolved query or
+// resolution with its TSV-count and mesh-size checks. The outcome is a resolved query or
 // an error whose status is 4xx, and nothing is solved or built.
 func FuzzRequestBody(f *testing.F) {
 	for _, seed := range []string{
@@ -162,6 +216,7 @@ func FuzzRequestBody(f *testing.F) {
 		`{"bench":"ddr3-off","state":"0-0-0-1","io":1,"dedicated":true}`,
 		`{"bench":"hmc","state":"1-0-0-0","io":0.5,"tsv":64,"style":"E","rdl":"all"}`,
 		`{{{`,
+		hostileTSV,
 	} {
 		f.Add([]byte(seed))
 	}

@@ -2,7 +2,7 @@ package serve
 
 // Request-scoped observability for the serving path: per-endpoint
 // latency/status/in-flight telemetry, the X-Trace-Id contract, the
-// /debug/requests trace buffer, and the structured access log. The
+// /debug/* retention endpoints, and the structured access log. The
 // phase vocabulary — queue, cache, flight, item, stamp, solve,
 // serialize — and the log field names are a compatibility contract
 // documented in DESIGN.md §5e.
@@ -172,22 +172,45 @@ func round3(ms float64) float64 {
 	return float64(int64(ms*1000+0.5)) / 1000
 }
 
-// Shared plumbing for the /debug/* endpoints. Both endpoints speak the
-// same dialect: GET only (405 otherwise), ?id= for a single record (404
-// with the /v1/* JSON error envelope when not retained), ?limit=N to
-// truncate each retention list — N must be a positive integer: a
+// debugList serves one retention buffer as a /debug/* endpoint
+// (/debug/requests, /debug/solves): GET only (405 otherwise); ?id= for
+// the one value find returns (404 naming what when it is not retained);
+// otherwise {added, recent, <topKey>} from snapshot — the number of
+// values ever added, the newest first, and the highest-ranked first
+// (slowest traces, worst solves) — with ?limit=N truncating each list to
+// its N most interesting entries. N must be a positive integer: a
 // non-integer is a 400, a non-positive integer a 422 (it parsed fine but
 // asks for an empty or negative view, which is never what a debugging
-// client wants). The contract is pinned by TestDebugLimitContract.
-
-// requireDebugGet rejects non-GET debug requests with the shared
-// envelope; it reports whether the handler may proceed.
-func requireDebugGet(w http.ResponseWriter, req *http.Request) bool {
-	if req.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("serve: %s requires GET", req.URL.Path))
-		return false
+// client wants). Errors use the /v1/* JSON envelope. The contract is
+// pinned by TestDebugLimitContract and TestDebugListShape.
+func debugList[T any](what, topKey string, snapshot func() (recent, top []T, added int64), find func(id string) (T, bool)) http.HandlerFunc {
+	return func(w http.ResponseWriter, req *http.Request) {
+		if req.Method != http.MethodGet {
+			writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("serve: %s requires GET", req.URL.Path))
+			return
+		}
+		if id := req.URL.Query().Get("id"); id != "" {
+			v, ok := find(id)
+			if !ok {
+				writeErr(w, http.StatusNotFound, fmt.Errorf("serve: %s %s not retained (aged out or unknown)", what, id))
+				return
+			}
+			writeJSON(w, http.StatusOK, &v)
+			return
+		}
+		limit, ok := debugLimit(w, req)
+		if !ok {
+			return
+		}
+		recent, top, added := snapshot()
+		// encoding/json writes map keys sorted, and "added" < "recent" <
+		// "slowest", "worst" keeps the body's field order.
+		writeJSON(w, http.StatusOK, map[string]interface{}{
+			"added":  added,
+			"recent": truncate(recent, limit),
+			topKey:   truncate(top, limit),
+		})
 	}
-	return true
 }
 
 // debugLimit parses the shared ?limit= parameter: -1 (no truncation)
@@ -210,12 +233,6 @@ func debugLimit(w http.ResponseWriter, req *http.Request) (limit int, ok bool) {
 	return n, true
 }
 
-// debugNotFound writes the shared 404 envelope for an id that is not
-// retained. what names the record kind ("trace", "solve record").
-func debugNotFound(w http.ResponseWriter, what, id string) {
-	writeErr(w, http.StatusNotFound, fmt.Errorf("serve: %s %s not retained (aged out or unknown)", what, id))
-}
-
 // truncate caps a retention list at limit entries; limit < 0 keeps all.
 // Lists are ordered most-interesting first (newest / slowest / worst),
 // so truncation keeps the entries a capped client wants.
@@ -227,90 +244,6 @@ func truncate[T any](list []T, limit int) []T {
 		list = list[:limit]
 	}
 	return list
-}
-
-// debugRequestsBody is the /debug/requests response shape.
-type debugRequestsBody struct {
-	// Added counts every trace ever offered to the buffer; Added minus
-	// the retained count is how many have aged out.
-	Added int64 `json:"added"`
-	// Recent holds the newest traces, newest first.
-	Recent []obs.TraceSnapshot `json:"recent"`
-	// Slowest holds the slowest traces seen, slowest first.
-	Slowest []obs.TraceSnapshot `json:"slowest"`
-}
-
-// handleDebugRequests serves the retained request traces: the
-// recent+slowest buffers (?limit=N truncates each list to its N newest /
-// slowest entries), or one trace with ?id=<trace-id> (404 when it has
-// aged out or never existed). Errors use the same JSON envelope as the
-// /v1/* endpoints.
-func (s *Server) handleDebugRequests(w http.ResponseWriter, req *http.Request) {
-	if !requireDebugGet(w, req) {
-		return
-	}
-	if id := req.URL.Query().Get("id"); id != "" {
-		ts, ok := s.traces.Find(id)
-		if !ok {
-			debugNotFound(w, "trace", id)
-			return
-		}
-		writeJSON(w, http.StatusOK, &ts)
-		return
-	}
-	limit, ok := debugLimit(w, req)
-	if !ok {
-		return
-	}
-	recent, slowest, added := s.traces.Snapshot()
-	writeJSON(w, http.StatusOK, &debugRequestsBody{
-		Added:   added,
-		Recent:  truncate(recent, limit),
-		Slowest: truncate(slowest, limit),
-	})
-}
-
-// debugSolvesBody is the /debug/solves response shape.
-type debugSolvesBody struct {
-	// Added counts every solve record ever committed to the buffer; Added
-	// minus the retained count is how many have aged out.
-	Added int64 `json:"added"`
-	// Recent holds the newest solve records, newest first.
-	Recent []obs.SolveRecord `json:"recent"`
-	// Worst holds the records with the highest iteration counts seen,
-	// worst first.
-	Worst []obs.SolveRecord `json:"worst"`
-}
-
-// handleDebugSolves serves the retained solve flight records: the
-// recent+worst-by-iterations buffers (?limit=N truncates each list), or
-// one record with ?id=. The id accepts either a solve ID ("s-12") or a
-// trace ID — the latter returns the most recent solve that request ran,
-// so a trace from /debug/requests leads straight to its solve. With
-// recording disabled the endpoint stays up and serves empty lists.
-func (s *Server) handleDebugSolves(w http.ResponseWriter, req *http.Request) {
-	if !requireDebugGet(w, req) {
-		return
-	}
-	if id := req.URL.Query().Get("id"); id != "" {
-		rec, ok := s.solves.Find(id)
-		if !ok {
-			debugNotFound(w, "solve record", id)
-			return
-		}
-		writeJSON(w, http.StatusOK, &rec)
-		return
-	}
-	limit, ok := debugLimit(w, req)
-	if !ok {
-		return
-	}
-	recent, worst, added := s.solves.Snapshot()
-	writeJSON(w, http.StatusOK, &debugSolvesBody{
-		Added:  added,
-		Recent: truncate(recent, limit),
-		Worst:  truncate(worst, limit),
-	})
 }
 
 // wantsProm decides the /metrics representation: explicit ?format= wins,

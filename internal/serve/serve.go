@@ -109,7 +109,7 @@ type Config struct {
 	MaxBatch int
 	// TraceBufSize bounds each /debug/requests retention class (the N
 	// most recent and N slowest request traces); <= 0 selects
-	// obs.DefaultTraceBufferCap.
+	// obs.DefaultRetainCap.
 	TraceBufSize int
 	// DisableTracing turns off request-scoped trace recording: responses
 	// still carry X-Trace-Id and latency telemetry still flows, but no
@@ -118,7 +118,7 @@ type Config struct {
 	DisableTracing bool
 	// SolveBufSize bounds each /debug/solves retention class (the N most
 	// recent and N worst-by-iterations solve records); <= 0 selects
-	// obs.DefaultSolveBufferCap.
+	// obs.DefaultRetainCap.
 	SolveBufSize int
 	// DisableSolveRecords turns off the solve flight recorder: solves run
 	// with a nil recorder (their no-op path), /debug/solves serves empty
@@ -160,7 +160,7 @@ type Server struct {
 	// trace retention behind /debug/requests, the solve flight-record
 	// retention behind /debug/solves, and the access log.
 	ep     map[string]*epMetrics
-	traces *obs.TraceBuffer
+	traces *obs.Retain[obs.TraceSnapshot]
 	solves *obs.SolveBuffer
 	log    *obs.Logger
 }
@@ -202,7 +202,7 @@ func New(cfg Config) *Server {
 	s.rejectedBusy = s.reg.Counter("serve.admission.rejected_busy")
 	s.rejectedDraining = s.reg.Counter("serve.admission.rejected_draining")
 
-	s.traces = obs.NewTraceBuffer(cfg.TraceBufSize)
+	s.traces = obs.NewRetain(cfg.TraceBufSize, func(ts obs.TraceSnapshot) float64 { return ts.DurMS })
 	if !cfg.DisableSolveRecords {
 		// Solve iteration counts and condition estimates are deterministic
 		// for one workload (the recorded shapes are worker-count-
@@ -224,8 +224,11 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("/v1/lut", s.throttled("lut", s.handleLUT))
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
-	s.mux.HandleFunc("/debug/requests", s.handleDebugRequests)
-	s.mux.HandleFunc("/debug/solves", s.handleDebugSolves)
+	s.mux.HandleFunc("/debug/requests", debugList("trace", "slowest", s.traces.Snapshot,
+		func(id string) (obs.TraceSnapshot, bool) {
+			return s.traces.Find(func(ts obs.TraceSnapshot) bool { return ts.ID == id })
+		}))
+	s.mux.HandleFunc("/debug/solves", debugList("solve record", "worst", s.solves.Snapshot, s.solves.Find))
 	return s
 }
 
@@ -690,6 +693,12 @@ func (s *Server) handleLUT(w http.ResponseWriter, req *http.Request) {
 	levels := lreq.IOLevels
 	if len(levels) == 0 {
 		levels = lut.DefaultIOLevels()
+	}
+	for _, io := range levels {
+		if err := query.CheckIO("io_levels", io); err != nil {
+			writeErr(w, statusFor(err), err)
+			return
+		}
 	}
 	// Sorted and deduplicated, equal grids share one cache key and a
 	// repeated level costs nothing.

@@ -19,7 +19,7 @@ func TestDebugSolvesEndpoint(t *testing.T) {
 	}
 
 	_, body := getBody(t, ts.URL+"/debug/solves")
-	var b debugSolvesBody
+	var b debugBody[obs.SolveRecord]
 	if err := json.Unmarshal(body, &b); err != nil {
 		t.Fatalf("unmarshal: %v (%s)", err, body)
 	}
@@ -73,7 +73,7 @@ func TestDebugSolvesDisabled(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, want 200 with recording disabled", resp.StatusCode)
 	}
-	var b debugSolvesBody
+	var b debugBody[obs.SolveRecord]
 	if err := json.Unmarshal(body, &b); err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ var paperBenches = []string{"ddr3-off", "ddr3-on", "wideio", "hmc"}
 func solveShapes(t *testing.T, base string) []byte {
 	t.Helper()
 	_, body := getBody(t, base+"/debug/solves")
-	var b debugSolvesBody
+	var b debugBody[obs.SolveRecord]
 	if err := json.Unmarshal(body, &b); err != nil {
 		t.Fatal(err)
 	}

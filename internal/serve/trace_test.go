@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"regexp"
 	"sort"
 	"strings"
 	"sync"
@@ -199,12 +200,43 @@ func TestDisableTracing(t *testing.T) {
 	if dresp.StatusCode != http.StatusOK {
 		t.Fatalf("/debug/requests status = %d", dresp.StatusCode)
 	}
-	var b debugRequestsBody
+	var b debugBody[obs.TraceSnapshot]
 	if err := json.Unmarshal(dbody, &b); err != nil {
 		t.Fatal(err)
 	}
 	if b.Added != 0 || len(b.Recent) != 0 || len(b.Slowest) != 0 {
 		t.Fatalf("disabled tracing retained traces: %s", dbody)
+	}
+}
+
+// debugBody decodes either /debug/* list body.
+type debugBody[T any] struct {
+	Added                  int64
+	Recent, Slowest, Worst []T
+}
+
+// TestDebugListShape pins the bytes of the /debug/* list bodies: the
+// field order added, recent, then slowest or worst, with empty lists
+// rendered as [].
+func TestDebugListShape(t *testing.T) {
+	_, ts := newTestServer(t, Config{DisableSolveRecords: true})
+	for _, c := range []struct{ path, want string }{
+		{"/debug/requests", `{"added":0,"recent":[],"slowest":[]}` + "\n"},
+		{"/debug/solves", `{"added":0,"recent":[],"worst":[]}` + "\n"},
+	} {
+		if _, body := getBody(t, ts.URL+c.path); string(body) != c.want {
+			t.Errorf("%s = %q, want %q", c.path, body, c.want)
+		}
+	}
+	_, ts = newTestServer(t, Config{})
+	post(t, ts.URL+"/v1/analyze", goodQuery)
+	for _, c := range []struct{ path, want string }{
+		{"/debug/requests", `^\{"added":1,"recent":\[\{"trace_id":.*\}\],"slowest":\[\{"trace_id":.*\}\]\}\n$`},
+		{"/debug/solves", `^\{"added":1,"recent":\[\{"solve_id":.*\}\],"worst":\[\{"solve_id":.*\}\]\}\n$`},
+	} {
+		if _, body := getBody(t, ts.URL+c.path); !regexp.MustCompile(c.want).Match(body) {
+			t.Errorf("%s = %s, want the shape %s", c.path, body, c.want)
+		}
 	}
 }
 
@@ -217,7 +249,7 @@ func TestDebugRequestsEndpoint(t *testing.T) {
 		lastID = resp.Header.Get("X-Trace-Id")
 	}
 	_, dbody := getBody(t, ts.URL+"/debug/requests")
-	var b debugRequestsBody
+	var b debugBody[obs.TraceSnapshot]
 	if err := json.Unmarshal(dbody, &b); err != nil {
 		t.Fatal(err)
 	}

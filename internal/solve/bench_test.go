@@ -60,7 +60,7 @@ func BenchmarkCG_AMG(b *testing.B) { benchCG(b, MethodCGAMG) }
 // attached. The spread between the two is the recorder's overhead; the
 // budget is ≤2% time and ≤8 allocs/op versus the unrecorded run.
 func BenchmarkCG_AMG_Recorded(b *testing.B) {
-	buf := obs.NewSolveBuffer(obs.DefaultSolveBufferCap)
+	buf := obs.NewSolveBuffer(obs.DefaultRetainCap)
 	for _, sz := range benchSizes {
 		b.Run(sz.name, func(b *testing.B) {
 			a := grid2D(sz.nx, sz.ny)

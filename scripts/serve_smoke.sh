@@ -3,7 +3,8 @@
 # endpoint (analyze, batch, lut, healthz, metrics, debug/requests,
 # debug/solves), and fails on any non-2xx response, a batch item error, a missing
 # X-Trace-Id, an unretrievable trace, malformed Prometheus exposition,
-# or a missing structured-log start event. Finishes with a SIGTERM to
+# or a missing structured-log start event. Hostile request bodies must
+# answer 400 and leave the server serving. Finishes with a SIGTERM to
 # check the graceful drain path exits cleanly.
 set -euo pipefail
 
@@ -50,6 +51,22 @@ echo "$LAST" | grep -q '"failed":0' || { echo "batch reported item failures: $LA
 
 check lut /v1/lut '{"bench":"ddr3-off","max_per_die":1,"io_levels":[1.0],"probe":{"state":"0-0-0-1","io":1.0}}'
 echo "$LAST" | grep -q '"probe_max_ir_mv"' || { echo "lut response missing probe result" >&2; exit 1; }
+
+# Hostile inputs are request errors, not crashes: a TSV count of 10⁹
+# (the site generators would allocate one point per TSV) on analyze and
+# LUT, and an I/O level outside (0,1] on LUT. check fails on any non-2xx,
+# so these read the status code instead.
+expect_400() {
+  # expect_400 <name> <path> <json-body>
+  local code
+  code=$(curl -s -o /dev/null -w '%{http_code}' -X POST -H 'Content-Type: application/json' -d "$3" "http://$ADDR$2")
+  [ "$code" = 400 ] || { echo "$1: status $code, want 400" >&2; exit 1; }
+  echo "ok: $1 -> $code"
+}
+expect_400 hostile_tsv_analyze /v1/analyze '{"bench":"ddr3-off","state":"0-0-0-1","io":1.0,"tsv":1000000000}'
+expect_400 hostile_tsv_lut /v1/lut '{"bench":"ddr3-off","tsv":1000000000}'
+expect_400 lut_io_level_range /v1/lut '{"bench":"ddr3-off","io_levels":[1.5]}'
+check healthz_after_hostile /healthz
 
 check metrics /metrics
 echo "$LAST" | grep -q 'serve.cache' || { echo "metrics missing serve counters" >&2; exit 1; }
