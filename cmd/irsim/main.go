@@ -6,7 +6,7 @@
 //
 //	irsim -bench ddr3-off [-state 0-0-0-2] [-io 1.0] [-bonding F2F]
 //	      [-tsv 33] [-style E|C|D] [-wirebond] [-dedicated] [-rdl none|interface|all]
-//	      [-align] [-pitch 0.2] [-solver cg-ic0|cg-amg|cg-jacobi|cholesky] [-workers n]
+//	      [-align] [-pitch 0.2] [-solver cg-ic0|cg-amg] [-workers n]
 //	      [-map] [-spice out.sp] [-stats] [-metrics-out file] [-pprof addr]
 package main
 

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	pdn3d -bench ddr3-off [-alpha 0,0.3,1] [-pitch 0.2] [-samples 3] [-grid 9]
-//	      [-workers n] [-solver cg-ic0|cg-amg|cg-jacobi|cholesky]
+//	      [-workers n] [-solver cg-ic0|cg-amg]
 //	      [-stats] [-metrics-out file] [-pprof addr]
 package main
 

@@ -116,7 +116,7 @@ func run(list, regen bool, dir, exportTo, out string, long, conv bool, solvers s
 		}
 		snap.add(rep)
 		status := "cross"
-		if rep.Oracle == solve.MethodCholesky {
+		if rep.Oracle == diff.OracleCholesky {
 			status = "oracle"
 		}
 		fmt.Printf("%-18s %6d nodes %8d nnz  %s  runs=%d  max_rel_err=%.3e  restamp_exact=%v  roundtrip=%.3e\n",
@@ -248,7 +248,7 @@ func (s *Snapshot) add(rep *diff.MeshReport) {
 		s.AllRestampExact, s.AllStructEqual = true, true
 	}
 	s.Meshes++
-	if rep.Oracle == solve.MethodCholesky {
+	if rep.Oracle == diff.OracleCholesky {
 		s.OracleMeshes++
 	}
 	s.SolverRuns += len(rep.Runs)

@@ -23,6 +23,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -66,6 +67,9 @@ func main() {
 	}
 	if *pitch < 0 {
 		fatal(obs.F("error", fmt.Sprintf("-pitch %g must be >= 0", *pitch)))
+	}
+	if methods := solve.Methods(); *solver != "" && !slices.Contains(methods, *solver) {
+		fatal(obs.F("error", fmt.Sprintf("-solver %q is not a registered method (%s)", *solver, strings.Join(methods, ", "))))
 	}
 
 	s := serve.New(serve.Config{

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	tables [-pitch mm] [-requests n] [-only id[,id...]] [-benchmarks names]
-//	       [-workers n] [-solver cg-ic0|cg-amg|cg-jacobi|cholesky]
+//	       [-workers n] [-solver cg-ic0|cg-amg]
 //	       [-stats] [-metrics-out file] [-pprof addr]
 //
 // Experiment ids: table1 metal mounting table2 table3 table4 table5 table6

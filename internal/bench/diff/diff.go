@@ -31,6 +31,10 @@ import (
 // factorizes; larger meshes fall back to solver cross-checking.
 const DefaultOracleMaxN = 2000
 
+// OracleCholesky is the MeshReport/DeckReport Oracle label of the dense
+// exact reference (solve.NewCholesky).
+const OracleCholesky = "cholesky"
+
 // DefaultTol is the iterative-solver relative-residual target the
 // harness solves to. It sits well below OracleRelTol so the comparison
 // measures solver agreement, not the convergence threshold.
@@ -57,7 +61,7 @@ type Options struct {
 	// Tol is the iterative relative-residual target; 0 selects DefaultTol.
 	Tol float64
 	// OracleMaxN caps the dense-oracle system size; 0 selects
-	// DefaultOracleMaxN. The dense method is skipped entirely above it.
+	// DefaultOracleMaxN. Above it the default method is the reference.
 	OracleMaxN int
 	// SkipRoundTrip disables the SPICE netlist round-trip leg (the fuzz
 	// target exercises it separately on a tighter budget).
@@ -94,22 +98,15 @@ type Run struct {
 	// Iterations and Residual are the solver's own convergence story.
 	Iterations int     `json:"iterations"`
 	Residual   float64 `json:"residual"`
-	// Precond names the preconditioner the solver reported actually
-	// running (CGStats.Precond; empty for direct methods), and Fallback
-	// marks a setup-time substitution (IC(0) breakdown → Jacobi). The
-	// harness surfaces both so a silent preconditioner swap shows up as a
-	// diff in the committed snapshot.
-	Precond  string `json:"precond,omitempty"`
-	Fallback bool   `json:"fallback,omitempty"`
 	// RelErr is the ∞-norm relative error against the mesh's reference
 	// solution.
 	RelErr float64 `json:"rel_err"`
 	// CondEst is the CG-Lanczos condition estimate of the preconditioned
-	// operator, captured from the solve flight recorder (0 for direct
-	// methods and degenerate trajectories), and Termination is the
-	// recorder's exit classification. Both are committed into the
-	// convergence snapshot so a conditioning or termination regression
-	// diffs like any other column.
+	// operator, captured from the solve flight recorder (0 for degenerate
+	// trajectories), and Termination is the recorder's exit
+	// classification. Both are committed into the convergence snapshot
+	// so a conditioning or termination regression diffs like any other
+	// column.
 	CondEst     float64 `json:"cond_est,omitempty"`
 	Termination string  `json:"termination,omitempty"`
 }
@@ -176,21 +173,21 @@ func Check(s *gen.Spec, opt Options) (*MeshReport, error) {
 	tol := opt.tol()
 	cg := solve.CGOptions{Tol: tol}
 	var ref []float64
-	dense := m.N() <= opt.oracleMaxN()
-	if dense {
-		rep.Oracle = solve.MethodCholesky
-		x, _, err := m.Solve(rhs, solve.Options{Method: solve.MethodCholesky, Workers: opt.Workers})
+	if m.N() <= opt.oracleMaxN() {
+		rep.Oracle = OracleCholesky
+		c, err := solve.NewCholesky(m.Matrix)
+		if err == nil {
+			ref, err = c.Solve(rhs)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("diff %s: oracle: %w", s.Name, err)
 		}
-		ref = x
 	} else {
 		rep.Oracle = "cross:" + solve.DefaultMethod
-		x, _, err := m.Solve(rhs, solve.Options{Method: solve.DefaultMethod, Workers: opt.Workers, CGOptions: cg})
+		ref, _, err = m.Solve(rhs, solve.Options{Method: solve.DefaultMethod, Workers: opt.Workers, CGOptions: cg})
 		if err != nil {
 			return nil, fmt.Errorf("diff %s: cross-check reference: %w", s.Name, err)
 		}
-		ref = x
 	}
 
 	// Every checked run records into a harness-local flight-recorder
@@ -198,9 +195,6 @@ func Check(s *gen.Spec, opt Options) (*MeshReport, error) {
 	// report alongside the error columns.
 	buf := obs.NewSolveBuffer(1)
 	for _, method := range opt.methods() {
-		if method == solve.MethodCholesky && !dense {
-			continue // O(n³) dense factorization above the oracle cap
-		}
 		for _, warm := range []bool{false, true} {
 			o := cg
 			if warm {
@@ -218,8 +212,6 @@ func Check(s *gen.Spec, opt Options) (*MeshReport, error) {
 				Warm:       warm,
 				Iterations: stats.Iterations,
 				Residual:   stats.Residual,
-				Precond:    stats.Precond,
-				Fallback:   stats.Fallback,
 				RelErr:     RelErr(x, ref),
 			}
 			if recent, _, _ := buf.Snapshot(); len(recent) > 0 {

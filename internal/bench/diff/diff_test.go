@@ -5,6 +5,7 @@ import (
 
 	"pdn3d/internal/bench/diff"
 	"pdn3d/internal/bench/gen"
+	"pdn3d/internal/obs"
 	"pdn3d/internal/solve"
 )
 
@@ -27,7 +28,7 @@ func TestCorpusDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if rep.Oracle != solve.MethodCholesky {
+			if rep.Oracle != diff.OracleCholesky {
 				t.Errorf("oracle is %q — corpus mesh has %d nodes, above the dense cap; shrink the entry",
 					rep.Oracle, rep.Nodes)
 			}
@@ -63,6 +64,27 @@ func TestCorpusDifferential(t *testing.T) {
 				t.Errorf("round-trip voltage error %.3e above %.0e", rt.VoltRelErr, diff.RoundTripVoltTol)
 			}
 		})
+	}
+}
+
+// TestCheckRecordsConvergenceColumns: the harness report's runs must
+// carry the flight-recorder columns — a condition estimate and a
+// converged termination for every run.
+func TestCheckRecordsConvergenceColumns(t *testing.T) {
+	rep, err := diff.Check(&gen.Spec{Name: "cols", Base: "ddr3-off", Pitch: 1.0, Seed: 1},
+		diff.Options{SkipRoundTrip: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rep.Runs {
+		if r.Termination != obs.TermConverged {
+			t.Errorf("%s (warm=%v): termination = %q, want %q", r.Method, r.Warm, r.Termination, obs.TermConverged)
+		}
+		// Warm runs may converge in so few iterations that the Lanczos
+		// tridiagonal is degenerate; cold runs must always estimate.
+		if !r.Warm && r.CondEst <= 1 {
+			t.Errorf("%s cold run cond_est = %g, want > 1", r.Method, r.CondEst)
+		}
 	}
 }
 

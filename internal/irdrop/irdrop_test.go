@@ -169,26 +169,6 @@ func TestValidateRefinementAgreement(t *testing.T) {
 	}
 }
 
-func TestCrossCheckDenseAgreement(t *testing.T) {
-	spec := coarseSpec(t)
-	spec.NumDRAM = 1
-	spec.MeshPitch = 0.8
-	worst, err := CrossCheckDense(spec, powermap.StackedDDR3Power(), memstate.State{Dies: [][]int{{7, 5}}}, 1.0, 3000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if worst > 1e-7 {
-		t.Errorf("CG vs dense Cholesky disagree by %.3e V", worst)
-	}
-}
-
-func TestCrossCheckDenseSizeCap(t *testing.T) {
-	spec := coarseSpec(t)
-	if _, err := CrossCheckDense(spec, powermap.StackedDDR3Power(), state(t, 0, 0, 0, 2), 1.0, 10); err == nil {
-		t.Error("oversized mesh: want error")
-	}
-}
-
 func TestSingleDie2D(t *testing.T) {
 	spec := coarseSpec(t)
 	spec.OnLogic = false

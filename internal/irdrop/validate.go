@@ -8,7 +8,6 @@ import (
 	"pdn3d/internal/memstate"
 	"pdn3d/internal/pdn"
 	"pdn3d/internal/powermap"
-	"pdn3d/internal/solve"
 )
 
 // Validation compares the production R-Mesh against a golden reference, in
@@ -71,58 +70,6 @@ func Validate(spec *pdn.Spec, dramPower *powermap.DRAMModel, logicPower *powerma
 		v.Speedup = float64(fineT) / float64(coarseT)
 	}
 	return v, nil
-}
-
-// CrossCheckDense solves the design's nodal system with every registered
-// solver method and compares each against an exact dense Cholesky
-// factorization, returning the maximum absolute voltage disagreement in
-// volts across all of them. It guards the solver registry itself and is
-// restricted to small meshes (the dense path is O(n³)).
-func CrossCheckDense(spec *pdn.Spec, dramPower *powermap.DRAMModel,
-	state memstate.State, io float64, maxNodes int) (float64, error) {
-
-	a, err := New(spec, dramPower, nil)
-	if err != nil {
-		return 0, err
-	}
-	if a.Model.N() > maxNodes {
-		return 0, fmt.Errorf("irdrop: mesh has %d nodes, dense cross-check capped at %d", a.Model.N(), maxNodes)
-	}
-	m := a.Model
-	rhs := m.BaseRHS()
-	for d := 0; d < spec.NumDRAM; d++ {
-		var banks []int
-		if d < len(state.Dies) {
-			banks = state.Dies[d]
-		}
-		loads, err := dramPower.Loads(spec.DRAM, banks, io)
-		if err != nil {
-			return 0, err
-		}
-		if err := m.AddDRAMLoads(rhs, d, loads); err != nil {
-			return 0, err
-		}
-	}
-	vExact, err := solve.DenseSolve(m.Matrix, rhs)
-	if err != nil {
-		return 0, err
-	}
-	var worst float64
-	for _, method := range solve.Methods() {
-		v, _, err := m.Solve(rhs, solve.Options{
-			Method:    method,
-			CGOptions: solve.CGOptions{Tol: 1e-12, MaxIter: 100000},
-		})
-		if err != nil {
-			return 0, fmt.Errorf("irdrop: %s: %w", method, err)
-		}
-		for i := range v {
-			if d := math.Abs(v[i] - vExact[i]); d > worst {
-				worst = d
-			}
-		}
-	}
-	return worst, nil
 }
 
 // SingleDie2D derives the paper's "2D DDR3" validation design from a stack

@@ -71,10 +71,8 @@ type SolveRecord struct {
 	TraceID string `json:"trace_id,omitempty"`
 	// Method is the registry name of the solver ("cg-ic0", "cg-amg", …).
 	Method string `json:"method,omitempty"`
-	// Precond names the preconditioner that actually ran; Fallback marks
-	// a setup-time substitution (IC(0) breakdown → Jacobi).
-	Precond  string `json:"precond,omitempty"`
-	Fallback bool   `json:"fallback,omitempty"`
+	// Precond names the method's preconditioner ("ic0", "amg").
+	Precond string `json:"precond,omitempty"`
 	// N is the system dimension.
 	N int `json:"n"`
 	// Iterations, Residual, Converged are the solver's own final story.
@@ -87,7 +85,8 @@ type SolveRecord struct {
 	Termination string `json:"termination,omitempty"`
 	// CondEst estimates κ(M⁻¹A) — the condition number of the
 	// preconditioned operator — from the Lanczos tridiagonal the CG α/β
-	// define. 0 means no estimate (direct method, zero-iteration solve).
+	// define. 0 means no estimate (zero-iteration solve, degenerate
+	// tridiagonal).
 	CondEst float64 `json:"cond_est,omitempty"`
 	// Warm marks a warm-started solve; WarmSeedNorm is ‖x₀‖₂.
 	Warm         bool    `json:"warm,omitempty"`
@@ -153,15 +152,13 @@ func (r *SolveRecorder) Begin(n int) {
 	r.rec.N = n
 }
 
-// SetSolver stamps the method and preconditioner identity, including a
-// setup-time fallback substitution. No-op on nil.
-func (r *SolveRecorder) SetSolver(method, precond string, fallback bool) {
+// SetSolver stamps the method and preconditioner identity. No-op on nil.
+func (r *SolveRecorder) SetSolver(method, precond string) {
 	if r == nil {
 		return
 	}
 	r.rec.Method = method
 	r.rec.Precond = precond
-	r.rec.Fallback = fallback
 }
 
 // SetTrace links the record to a request trace. No-op on nil.

@@ -14,7 +14,7 @@ func TestSolveRecorderNilSafe(t *testing.T) {
 		t.Fatalf("nil buffer must hand out a nil recorder, got %v", r)
 	}
 	r.Begin(10)
-	r.SetSolver("cg-ic0", "ic0", false)
+	r.SetSolver("cg-ic0", "ic0")
 	r.SetTrace("t-1")
 	r.Warm(1.5)
 	r.RecordIter(0.5, 1e-3)
@@ -36,7 +36,7 @@ func TestSolveRecorderBasicCommit(t *testing.T) {
 	b := NewSolveBuffer(4)
 	r := b.StartSolveRecord()
 	r.Begin(100)
-	r.SetSolver("cg-ic0", "ic0", true)
+	r.SetSolver("cg-ic0", "ic0")
 	r.SetTrace("trace-abc")
 	r.Warm(2.0)
 	r.RecordIter(0.5, 1e-1)
@@ -46,7 +46,7 @@ func TestSolveRecorderBasicCommit(t *testing.T) {
 	rec := r.Commit()
 
 	if rec.ID == "" || rec.TraceID != "trace-abc" || rec.Method != "cg-ic0" ||
-		rec.Precond != "ic0" || !rec.Fallback || rec.N != 100 {
+		rec.Precond != "ic0" || rec.N != 100 {
 		t.Fatalf("identity fields wrong: %+v", rec)
 	}
 	if rec.Iterations != 2 || rec.Residual != 1e-9 || !rec.Converged || rec.Termination != TermConverged {
@@ -119,7 +119,7 @@ func TestSolveRecorderAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(20, func() {
 		r := b.StartSolveRecord()
 		r.Begin(100)
-		r.SetSolver("cg-amg", "amg", false)
+		r.SetSolver("cg-amg", "amg")
 		for i := 0; i < 400; i++ {
 			r.RecordIter(0.5, 1.0/float64(i+1))
 			r.RecordBeta(0.25)

@@ -54,9 +54,9 @@ type Model struct {
 	permMu     sync.Mutex
 
 	// solvers caches one Solver per (method, workers) so per-matrix setup
-	// (IC(0) or dense factorization) happens exactly once per model, even
-	// when many goroutines request it concurrently. Restamp resets it: the
-	// cached factorizations describe the previous values.
+	// (IC(0) factorization or AMG hierarchy) happens exactly once per
+	// model, even when many goroutines request it concurrently. Restamp
+	// resets it: the cached factorizations describe the previous values.
 	solvers par.Cache[solve.Solver]
 
 	// obs, when non-nil, receives mesh and solver metrics (see BuildObs).

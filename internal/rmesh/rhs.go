@@ -104,9 +104,9 @@ func (m *Model) reorderedMatrix() *sparse.CSR {
 }
 
 // Solve runs the selected solver on the assembled system and returns node
-// voltages. The per-matrix setup (IC(0) or dense factorization) is built
-// once per (method, workers) pair and shared across right-hand sides and
-// goroutines.
+// voltages. The per-matrix setup (IC(0) factorization or AMG hierarchy) is
+// built once per (method, workers) pair and shared across right-hand sides
+// and goroutines.
 func (m *Model) Solve(rhs []float64, opt solve.Options) ([]float64, solve.CGStats, error) {
 	defer m.obs.Timer("rmesh.solve_time").Start()()
 	s, err := m.Solver(opt)

@@ -11,7 +11,7 @@ import (
 // preconditioner for the R-Mesh conductance systems. One V-cycle with
 // weighted-Jacobi smoothing approximates A⁻¹ well enough that CG
 // iteration counts stay nearly flat as the mesh grows, where single-level
-// preconditioners (Jacobi, IC(0)) degrade with the mesh diameter.
+// preconditioners (diagonal scaling, IC(0)) degrade with the mesh diameter.
 //
 // The hierarchy is built once at solver construction:
 //   - greedy aggregation groups each fine node with its strong neighbors
@@ -226,14 +226,9 @@ func (m *AMG) Apply(z, r []float64) {
 
 func (m *AMG) cycle(l int, x, r []float64, s *amgScratch) {
 	if l == len(m.levels) {
-		// Coarsest level: exact dense solve. The factorization was
-		// validated at setup, and Solve only errors on a length mismatch,
-		// which the hierarchy rules out by construction.
-		xc, err := m.coarse.Solve(r)
-		if err != nil {
-			panic(fmt.Sprintf("solve: AMG coarse solve: %v", err))
-		}
-		copy(x, xc)
+		// Coarsest level: exact dense solve in place. The factorization
+		// was validated at setup, and the hierarchy sizes x and r to it.
+		m.coarse.solveInto(x, r)
 		return
 	}
 	lv := &m.levels[l]

@@ -46,8 +46,6 @@ func benchCG(b *testing.B, method string) {
 	}
 }
 
-func BenchmarkCG_Jacobi(b *testing.B) { benchCG(b, MethodCGJacobi) }
-
 func BenchmarkCG_IC0(b *testing.B) { benchCG(b, MethodCGIC0) }
 
 // BenchmarkCG_AMG tracks the multigrid-preconditioned path. Its

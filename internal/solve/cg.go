@@ -1,13 +1,14 @@
-// Package solve provides the linear solvers behind the R-Mesh IR-drop
-// engine. Every method lives behind the Solver interface and is selected
-// through a registry (see solver.go): conjugate gradients with Jacobi or
-// IC(0) preconditioning for the large sparse SPD conductance systems (the
-// production paths, standing in for the paper's HSPICE runs), and a dense
-// Cholesky factorization used as the golden reference on small systems
-// (standing in for Cadence EPS in the Figure 4 style validation). The hot
-// BLAS-1/SpMV kernels are sharded across a bounded worker pool for large
-// systems (see kernels.go); sharding is deterministic, so results do not
-// depend on the worker count.
+// Package solve provides the linear solver behind the R-Mesh IR-drop
+// engine, standing in for the paper's HSPICE runs: conjugate gradients on
+// the sparse SPD conductance system, preconditioned by IC(0) (cg-ic0, the
+// default) or an algebraic-multigrid V-cycle (cg-amg). solve.New(a, opt)
+// builds one through the registry in solver.go, and Solver.Solve is the
+// only way to run it. A dense Cholesky factorization remains as AMG's
+// coarse-level solve and as the exact oracle the differential harness
+// checks every method against. The hot BLAS-1/SpMV kernels are sharded
+// across a bounded worker pool for large systems (see kernels.go);
+// sharding is deterministic, so results do not depend on the worker
+// count.
 package solve
 
 import (
@@ -45,7 +46,7 @@ type CGOptions struct {
 	// memory states). The guess is copied, never mutated. A warm solve
 	// converges to the same tolerance as a cold one but follows a
 	// different floating-point trajectory, so callers that promise
-	// byte-identical outputs must leave X0 nil. Direct methods ignore it.
+	// byte-identical outputs must leave X0 nil.
 	X0 []float64
 	// Rec, when non-nil, is the flight recorder for this solve: the CG
 	// core feeds it the per-iteration α/β coefficients and residual
@@ -63,15 +64,6 @@ type CGStats struct {
 	Iterations int
 	Residual   float64 // final relative residual
 	Converged  bool
-	// Precond names the preconditioner that actually ran ("ic0",
-	// "jacobi", "amg"; empty for direct methods and for callers driving
-	// the CG core directly). It is set by the registry solvers and by
-	// PCG — not inside the CG core — so a solve that silently swapped
-	// preconditioners at setup is visible to traces and the diff harness.
-	Precond string
-	// Fallback reports that the method's preferred preconditioner broke
-	// down at setup and a substitute ran instead (IC(0) → Jacobi).
-	Fallback bool
 }
 
 // DegenerateDiagonalError reports a zero, negative, NaN, or missing
@@ -102,25 +94,11 @@ type Preconditioner interface {
 	Apply(z, r []float64)
 }
 
-// Jacobi is the diagonal (Jacobi) preconditioner M = diag(A).
-type Jacobi struct {
-	invD []float64
-}
-
-// NewJacobi builds the Jacobi preconditioner. A zero, negative, NaN, or
-// missing diagonal (CSR.Diag reports missing entries as 0) yields a typed
-// *DegenerateDiagonalError naming the node instead of a divide-by-zero
-// that would surface as NaN voltages much later.
-func NewJacobi(a *sparse.CSR) (*Jacobi, error) {
-	invD, err := invDiag(a)
-	if err != nil {
-		return nil, err
-	}
-	return &Jacobi{invD: invD}, nil
-}
-
-// invDiag extracts 1/diag(A), failing with a typed error on any diagonal
-// a preconditioner must not divide by. The !(d > 0) form also rejects NaN.
+// invDiag extracts 1/diag(A). Every preconditioner setup runs it first:
+// a zero, negative, NaN, or missing diagonal (CSR.Diag reports missing
+// entries as 0) yields a typed *DegenerateDiagonalError naming the node
+// instead of a divide-by-zero that would surface as NaN voltages much
+// later. The !(d > 0) form also rejects NaN.
 func invDiag(a *sparse.CSR) ([]float64, error) {
 	invD := a.Diag()
 	for i, d := range invD {
@@ -130,20 +108,6 @@ func invDiag(a *sparse.CSR) ([]float64, error) {
 		invD[i] = 1 / d
 	}
 	return invD, nil
-}
-
-// Apply computes z = diag(A)⁻¹ · r.
-func (j *Jacobi) Apply(z, r []float64) { hadamard(z, j.invD, r) }
-
-// CG solves A·x = b for SPD A with Jacobi (diagonal) preconditioning and
-// returns the solution with convergence statistics. A zero right-hand side
-// short-circuits to the zero vector.
-func CG(a *sparse.CSR, b []float64, opt CGOptions) ([]float64, CGStats, error) {
-	pre, err := NewJacobi(a)
-	if err != nil {
-		return nil, CGStats{}, err
-	}
-	return pcg(a, pre, b, opt, kernels{workers: 1})
 }
 
 // pcg is the shared preconditioned conjugate-gradient core behind every
@@ -273,18 +237,9 @@ func dot(a, b []float64) float64 {
 	return s
 }
 
-func norm2(a []float64) float64 { return math.Sqrt(dot(a, a)) }
-
 // axpy computes y += alpha*x in place.
 func axpy(y []float64, alpha float64, x []float64) {
 	for i := range y {
 		y[i] += alpha * x[i]
-	}
-}
-
-// hadamard computes z = d .* r elementwise.
-func hadamard(z, d, r []float64) {
-	for i := range z {
-		z[i] = d[i] * r[i]
 	}
 }

@@ -8,9 +8,9 @@ import (
 )
 
 // Cholesky is a dense lower-triangular Cholesky factorization A = L·Lᵀ.
-// It is the exact reference solver used to validate the CG path (Figure 4
-// style R-Mesh vs. golden comparison); its O(n³) cost restricts it to small
-// meshes.
+// It closes the AMG V-cycle on the coarsest level, and it is the exact
+// oracle the differential harness (internal/bench/diff) checks every
+// registered method against; its O(n³) cost restricts it to small systems.
 type Cholesky struct {
 	n int
 	l [][]float64 // lower triangle, row i holds entries 0..i
@@ -46,32 +46,28 @@ func (c *Cholesky) Solve(b []float64) ([]float64, error) {
 	if len(b) != c.n {
 		return nil, fmt.Errorf("solve: rhs length %d != matrix dim %d", len(b), c.n)
 	}
-	// Forward substitution L·y = b.
-	y := make([]float64, c.n)
+	x := make([]float64, c.n)
+	c.solveInto(x, b)
+	return x, nil
+}
+
+// solveInto writes the solution of A·x = b into x (len n, distinct from
+// b) without allocating: the forward substitution L·y = b stores y in x,
+// and the backward substitution Lᵀ·x = y then overwrites it from the last
+// entry down, reading only entries it has already finalized.
+func (c *Cholesky) solveInto(x, b []float64) {
 	for i := 0; i < c.n; i++ {
 		s := b[i]
 		for k := 0; k < i; k++ {
-			s -= c.l[i][k] * y[k]
+			s -= c.l[i][k] * x[k]
 		}
-		y[i] = s / c.l[i][i]
+		x[i] = s / c.l[i][i]
 	}
-	// Backward substitution Lᵀ·x = y.
-	x := make([]float64, c.n)
 	for i := c.n - 1; i >= 0; i-- {
-		s := y[i]
+		s := x[i]
 		for k := i + 1; k < c.n; k++ {
 			s -= c.l[k][i] * x[k]
 		}
 		x[i] = s / c.l[i][i]
 	}
-	return x, nil
-}
-
-// DenseSolve is a one-shot helper: factorize and solve.
-func DenseSolve(a *sparse.CSR, b []float64) ([]float64, error) {
-	c, err := NewCholesky(a)
-	if err != nil {
-		return nil, err
-	}
-	return c.Solve(b)
 }

@@ -10,7 +10,7 @@ import (
 // ICPreconditioner is a zero-fill incomplete Cholesky factorization
 // M = L·Lᵀ of an SPD matrix, used to precondition CG. On the R-Mesh
 // conductance systems it typically cuts the iteration count several-fold
-// versus Jacobi scaling.
+// versus diagonal scaling.
 type ICPreconditioner struct {
 	n      int
 	rowPtr []int32 // CSR of the strictly-lower triangle of L
@@ -19,11 +19,16 @@ type ICPreconditioner struct {
 	diag   []float64 // diagonal of L
 }
 
-// NewIC builds an IC(0) factorization of a. If a pivot collapses (the
-// incomplete factorization of an SPD matrix can still break down), the
-// factorization restarts with a progressively larger diagonal shift
-// α·diag(A); it gives up after a few attempts.
+// NewIC builds an IC(0) factorization of a. A zero, negative, NaN, or
+// missing diagonal fails first with a typed *DegenerateDiagonalError, as
+// in NewAMG. If a pivot collapses (the incomplete factorization of an SPD
+// matrix can still break down), the factorization restarts with a
+// progressively larger diagonal shift α·diag(A); it gives up after a few
+// attempts.
 func NewIC(a *sparse.CSR) (*ICPreconditioner, error) {
+	if _, err := invDiag(a); err != nil {
+		return nil, err
+	}
 	shifts := []float64{0, 1e-3, 1e-2, 1e-1, 0.5}
 	var err error
 	for _, s := range shifts {
@@ -109,28 +114,4 @@ func (p *ICPreconditioner) Apply(z, r []float64) {
 			z[p.col[q]] -= p.val[q] * zi
 		}
 	}
-}
-
-// PCG solves A·x = b with IC(0) preconditioning. It falls back to the
-// Jacobi-preconditioned CG when the factorization breaks down; the swap is
-// not silent — the returned CGStats carry Precond = "jacobi" and
-// Fallback = true so callers can see which preconditioner actually ran.
-func PCG(a *sparse.CSR, b []float64, opt CGOptions) ([]float64, CGStats, error) {
-	pre, err := NewIC(a)
-	if err != nil {
-		x, st, cgErr := CG(a, b, opt)
-		st.Precond = precondJacobi
-		st.Fallback = true
-		return x, st, cgErr
-	}
-	x, st, err := PCGWith(a, pre, b, opt)
-	st.Precond = precondIC0
-	return x, st, err
-}
-
-// PCGWith runs preconditioned CG with a previously-built preconditioner —
-// the fast path when many right-hand sides share one matrix (LUT builds,
-// design-space sampling).
-func PCGWith(a *sparse.CSR, pre Preconditioner, b []float64, opt CGOptions) ([]float64, CGStats, error) {
-	return pcg(a, pre, b, opt, kernels{workers: 1})
 }

@@ -35,7 +35,7 @@ func TestRecorderConvergedSolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.N != 256 || rec.Method != MethodCGIC0 || rec.Precond != precondIC0 || rec.Fallback {
+	if rec.N != 256 || rec.Method != MethodCGIC0 || rec.Precond != precondIC0 {
 		t.Fatalf("identity fields wrong: %+v", rec)
 	}
 	if rec.Iterations != stats.Iterations || rec.Residual != stats.Residual || !rec.Converged {
@@ -62,7 +62,7 @@ func TestRecorderConvergedSolve(t *testing.T) {
 }
 
 func TestRecorderMaxIterAndStagnation(t *testing.T) {
-	stats, rec, err := recordedSolve(t, MethodCGJacobi, benchRHS(256), CGOptions{Tol: 1e-30, MaxIter: 5})
+	stats, rec, err := recordedSolve(t, MethodCGIC0, benchRHS(256), CGOptions{Tol: 1e-30, MaxIter: 5})
 	if !errors.Is(err, ErrNotConverged) {
 		t.Fatalf("err = %v, want ErrNotConverged", err)
 	}
@@ -110,7 +110,7 @@ func TestRecorderStagnatedSolve(t *testing.T) {
 func TestRecorderCancelledSolve(t *testing.T) {
 	cancelled := errors.New("ctx done")
 	calls := 0
-	_, rec, err := recordedSolve(t, MethodCGJacobi, benchRHS(256), CGOptions{
+	_, rec, err := recordedSolve(t, MethodCGIC0, benchRHS(256), CGOptions{
 		Cancel: func() error {
 			calls++
 			if calls > 3 {
@@ -154,22 +154,6 @@ func TestRecorderWarmStart(t *testing.T) {
 	}
 	if r.Iterations != 0 || r.Termination != obs.TermConverged {
 		t.Fatalf("warm exact-seed solve: %+v, want 0 iterations converged", r)
-	}
-}
-
-func TestRecorderCholesky(t *testing.T) {
-	stats, rec, err := recordedSolve(t, MethodCholesky, benchRHS(256), CGOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Method != MethodCholesky || rec.N != 256 {
-		t.Fatalf("identity fields wrong: %+v", rec)
-	}
-	if !rec.Converged || rec.Termination != obs.TermConverged || rec.Residual != stats.Residual {
-		t.Fatalf("final stats wrong: rec=%+v stats=%+v", rec, stats)
-	}
-	if len(rec.Alphas) != 0 || len(rec.Betas) != 0 || rec.CondEst != 0 {
-		t.Fatalf("direct solve must carry no trajectory: %+v", rec)
 	}
 }
 

@@ -36,6 +36,16 @@ func randomSPD(n int, rng *rand.Rand) *sparse.CSR {
 	return b.Compress()
 }
 
+// defaultSolve builds the default method for a and runs one solve: the
+// solve.New(a, Options{}).Solve(b, opt) every caller goes through.
+func defaultSolve(a *sparse.CSR, b []float64, opt CGOptions) ([]float64, CGStats, error) {
+	s, err := New(a, Options{})
+	if err != nil {
+		return nil, CGStats{}, err
+	}
+	return s.Solve(b, opt)
+}
+
 func TestCGSolvesLadderExactly(t *testing.T) {
 	// Ladder with unit current injected at the far end: voltage drop
 	// accumulates 1/g per segment plus 1/gTie at the tie.
@@ -44,7 +54,7 @@ func TestCGSolvesLadderExactly(t *testing.T) {
 	a := ladder(n, g, gTie)
 	rhs := make([]float64, n)
 	rhs[n-1] = 1 // 1 A into the last node
-	x, st, err := CG(a, rhs, CGOptions{})
+	x, st, err := defaultSolve(a, rhs, CGOptions{})
 	if err != nil {
 		t.Fatalf("CG: %v", err)
 	}
@@ -61,7 +71,7 @@ func TestCGSolvesLadderExactly(t *testing.T) {
 
 func TestCGZeroRHS(t *testing.T) {
 	a := ladder(5, 1, 1)
-	x, st, err := CG(a, make([]float64, 5), CGOptions{})
+	x, st, err := defaultSolve(a, make([]float64, 5), CGOptions{})
 	if err != nil || !st.Converged {
 		t.Fatalf("zero rhs: err=%v converged=%v", err, st.Converged)
 	}
@@ -77,21 +87,23 @@ func TestCGZeroRHS(t *testing.T) {
 
 func TestCGDimensionMismatch(t *testing.T) {
 	a := ladder(5, 1, 1)
-	if _, _, err := CG(a, make([]float64, 4), CGOptions{}); err == nil {
+	if _, _, err := defaultSolve(a, make([]float64, 4), CGOptions{}); err == nil {
 		t.Error("want dimension error")
 	}
 }
 
 func TestCGRejectsSingular(t *testing.T) {
 	// A floating ladder (no ground tie) is singular: the zero diagonal of
-	// an isolated node, or stagnation, must surface as an error.
+	// an isolated node must surface as the typed setup error.
 	b := sparse.NewBuilder(3)
 	b.AddConductance(0, 1, 1)
 	// node 2 isolated: zero diagonal
 	a := b.Compress()
 	rhs := []float64{1, -1, 0}
-	if _, _, err := CG(a, rhs, CGOptions{MaxIter: 50}); err == nil {
-		t.Error("want error for singular system")
+	_, _, err := defaultSolve(a, rhs, CGOptions{MaxIter: 50})
+	var dde *DegenerateDiagonalError
+	if !errors.As(err, &dde) || dde.Node != 2 {
+		t.Errorf("err = %v, want *DegenerateDiagonalError at node 2", err)
 	}
 }
 
@@ -102,7 +114,7 @@ func TestCGNotConvergedError(t *testing.T) {
 	for i := range rhs {
 		rhs[i] = rng.NormFloat64()
 	}
-	_, _, err := CG(a, rhs, CGOptions{MaxIter: 1, Tol: 1e-14})
+	_, _, err := defaultSolve(a, rhs, CGOptions{MaxIter: 1, Tol: 1e-14})
 	if !errors.Is(err, ErrNotConverged) {
 		t.Errorf("err = %v, want ErrNotConverged", err)
 	}
@@ -117,11 +129,15 @@ func TestCholeskyMatchesCG(t *testing.T) {
 		for i := range rhs {
 			rhs[i] = rng.NormFloat64()
 		}
-		xc, err := DenseSolve(a, rhs)
+		c, err := NewCholesky(a)
 		if err != nil {
-			t.Fatalf("DenseSolve: %v", err)
+			t.Fatalf("NewCholesky: %v", err)
 		}
-		xg, _, err := CG(a, rhs, CGOptions{Tol: 1e-12})
+		xc, err := c.Solve(rhs)
+		if err != nil {
+			t.Fatalf("Cholesky.Solve: %v", err)
+		}
+		xg, _, err := defaultSolve(a, rhs, CGOptions{Tol: 1e-12})
 		if err != nil {
 			t.Fatalf("CG: %v", err)
 		}
@@ -142,7 +158,11 @@ func TestCholeskyResidualIsTiny(t *testing.T) {
 		for i := range rhs {
 			rhs[i] = rng.NormFloat64()
 		}
-		x, err := DenseSolve(a, rhs)
+		c, err := NewCholesky(a)
+		if err != nil {
+			return false
+		}
+		x, err := c.Solve(rhs)
 		if err != nil {
 			return false
 		}
@@ -205,8 +225,8 @@ func TestMoreMetalNeverRaisesVoltage(t *testing.T) {
 		for i := range rhs {
 			rhs[i] = rng.Float64() // non-negative loads
 		}
-		xb, _, err1 := CG(base.Compress(), rhs, CGOptions{Tol: 1e-12})
-		xe, _, err2 := CG(extra.Compress(), rhs, CGOptions{Tol: 1e-12})
+		xb, _, err1 := defaultSolve(base.Compress(), rhs, CGOptions{Tol: 1e-12})
+		xe, _, err2 := defaultSolve(extra.Compress(), rhs, CGOptions{Tol: 1e-12})
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -231,11 +251,11 @@ func TestPCGMatchesCG(t *testing.T) {
 		for i := range rhs {
 			rhs[i] = rng.NormFloat64()
 		}
-		xp, sp, err := PCG(a, rhs, CGOptions{Tol: 1e-11})
+		xp, sp, err := defaultSolve(a, rhs, CGOptions{Tol: 1e-11})
 		if err != nil {
 			t.Fatalf("PCG: %v", err)
 		}
-		xc, sc, err := CG(a, rhs, CGOptions{Tol: 1e-11})
+		xc, sc, err := diagCG(a, rhs, CGOptions{Tol: 1e-11})
 		if err != nil {
 			t.Fatalf("CG: %v", err)
 		}
@@ -269,16 +289,16 @@ func TestPCGConvergesFasterOnMesh(t *testing.T) {
 	a := b.Compress()
 	rhs := make([]float64, a.N)
 	rhs[a.N-1] = 0.1
-	_, sCG, err := CG(a, rhs, CGOptions{Tol: 1e-10})
+	_, sCG, err := diagCG(a, rhs, CGOptions{Tol: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, sPCG, err := PCG(a, rhs, CGOptions{Tol: 1e-10})
+	_, sPCG, err := defaultSolve(a, rhs, CGOptions{Tol: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sPCG.Iterations >= sCG.Iterations {
-		t.Errorf("IC(0) PCG took %d iterations, Jacobi CG %d — expected a reduction",
+		t.Errorf("IC(0) PCG took %d iterations, diagonal CG %d — expected a reduction",
 			sPCG.Iterations, sCG.Iterations)
 	}
 	t.Logf("mesh 40x40: CG %d iters, PCG %d iters", sCG.Iterations, sPCG.Iterations)
@@ -317,13 +337,13 @@ func TestICApplyIsSPDAction(t *testing.T) {
 // after k iterations aborts with the cause wrapped; a nil / never-firing
 // Cancel changes nothing.
 func TestCGCancel(t *testing.T) {
-	a := ladder(200, 1, 1)
-	b := make([]float64, 200)
-	b[199] = 1
+	a := grid2D(20, 20)
+	b := make([]float64, a.N)
+	b[a.N-1] = 1
 
 	cause := errors.New("deadline exceeded")
 	calls := 0
-	_, stats, err := CG(a, b, CGOptions{Cancel: func() error {
+	_, stats, err := defaultSolve(a, b, CGOptions{Cancel: func() error {
 		calls++
 		if calls > 3 {
 			return cause
@@ -338,11 +358,11 @@ func TestCGCancel(t *testing.T) {
 	}
 
 	// A cancel hook that never fires must not perturb the solution.
-	plain, _, err := CG(a, b, CGOptions{})
+	plain, _, err := defaultSolve(a, b, CGOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hooked, _, err := CG(a, b, CGOptions{Cancel: func() error { return nil }})
+	hooked, _, err := defaultSolve(a, b, CGOptions{Cancel: func() error { return nil }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,23 +370,5 @@ func TestCGCancel(t *testing.T) {
 		if plain[i] != hooked[i] {
 			t.Fatalf("cancel hook changed the solution at %d: %g vs %g", i, plain[i], hooked[i])
 		}
-	}
-}
-
-// The dense path honors a pre-tripped Cancel before factorized solves.
-func TestCholeskyCancel(t *testing.T) {
-	a := ladder(16, 1, 1)
-	s, err := New(a, Options{Method: MethodCholesky})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := make([]float64, 16)
-	b[15] = 1
-	cause := errors.New("client went away")
-	if _, _, err := s.Solve(b, CGOptions{Cancel: func() error { return cause }}); !errors.Is(err, cause) {
-		t.Fatalf("Solve = %v, want wrapped %v", err, cause)
-	}
-	if _, _, err := s.Solve(b, CGOptions{}); err != nil {
-		t.Fatalf("uncanceled solve failed: %v", err)
 	}
 }

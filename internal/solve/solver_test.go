@@ -3,6 +3,7 @@ package solve
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pdn3d/internal/sparse"
@@ -28,14 +29,8 @@ func grid2D(nx, ny int) *sparse.CSR {
 }
 
 func TestRegistryListsBuiltins(t *testing.T) {
-	have := map[string]bool{}
-	for _, m := range Methods() {
-		have[m] = true
-	}
-	for _, want := range []string{MethodCGIC0, MethodCGJacobi, MethodCholesky} {
-		if !have[want] {
-			t.Errorf("method %q not registered (have %v)", want, Methods())
-		}
+	if got, want := Methods(), []string{MethodCGAMG, MethodCGIC0}; !slices.Equal(got, want) {
+		t.Errorf("Methods() = %v, want %v", got, want)
 	}
 }
 
@@ -65,7 +60,11 @@ func TestAllMethodsAgree(t *testing.T) {
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
-	ref, err := DenseSolve(a, b)
+	c, err := NewCholesky(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := c.Solve(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,6 +112,32 @@ func TestSolverReusableAcrossRHS(t *testing.T) {
 				t.Fatalf("trial %d: residual %g at %d", trial, ax[i]-b[i], i)
 			}
 		}
+	}
+}
+
+// diagPre is the diagonal preconditioner M = diag(A). No registered method
+// uses it; it stays in the tests as the textbook reference the fused-norm
+// oracle and the κ pin are written against.
+type diagPre struct{ invD []float64 }
+
+func (p diagPre) Apply(z, r []float64) { hadamard(z, p.invD, r) }
+
+// diagCG runs the CG core with diagonal preconditioning on the serial
+// kernels.
+func diagCG(a *sparse.CSR, b []float64, opt CGOptions) ([]float64, CGStats, error) {
+	invD, err := invDiag(a)
+	if err != nil {
+		return nil, CGStats{}, err
+	}
+	return pcg(a, diagPre{invD}, b, opt, kernels{workers: 1})
+}
+
+func norm2(a []float64) float64 { return math.Sqrt(dot(a, a)) }
+
+// hadamard computes z = d .* r elementwise.
+func hadamard(z, d, r []float64) {
+	for i := range z {
+		z[i] = d[i] * r[i]
 	}
 }
 
@@ -182,7 +207,7 @@ func TestFusedNormIdenticalConvergence(t *testing.T) {
 			b[i] = rng.NormFloat64()
 		}
 		want, wantSt, errW := referenceCG(a, b, CGOptions{Tol: 1e-10})
-		got, gotSt, errG := CG(a, b, CGOptions{Tol: 1e-10})
+		got, gotSt, errG := diagCG(a, b, CGOptions{Tol: 1e-10})
 		if (errW == nil) != (errG == nil) {
 			t.Fatalf("trial %d: error mismatch: %v vs %v", trial, errW, errG)
 		}
@@ -203,7 +228,7 @@ func TestFusedNormIdenticalConvergence(t *testing.T) {
 	b := make([]float64, a.N)
 	b[a.N-1] = 0.1
 	_, wantSt, _ := referenceCG(a, b, CGOptions{Tol: 1e-10})
-	_, gotSt, _ := CG(a, b, CGOptions{Tol: 1e-10})
+	_, gotSt, _ := diagCG(a, b, CGOptions{Tol: 1e-10})
 	if wantSt != gotSt {
 		t.Fatalf("grid stats %+v vs reference %+v", gotSt, wantSt)
 	}
@@ -245,25 +270,5 @@ func TestShardedKernelsDeterministicAcrossWorkers(t *testing.T) {
 				t.Fatalf("workers=%d: x[%d] differs (must be bit-identical)", workers, i)
 			}
 		}
-	}
-}
-
-func TestCholeskySolverReportsResidual(t *testing.T) {
-	a := ladder(12, 2, 5)
-	s, err := New(a, Options{Method: MethodCholesky})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := make([]float64, 12)
-	b[11] = 1
-	_, st, err := s.Solve(b, CGOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.Converged {
-		t.Error("direct solve must report convergence")
-	}
-	if st.Residual > 1e-10 {
-		t.Errorf("direct solve residual %g too large", st.Residual)
 	}
 }

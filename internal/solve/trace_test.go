@@ -12,13 +12,11 @@ import (
 // core annotated onto the span.
 func solveSpanAttrs(t *testing.T, opt CGOptions) (CGStats, map[string]string, error) {
 	t.Helper()
-	a := ladder(50, 2.0, 5.0)
-	rhs := make([]float64, 50)
-	rhs[49] = 1
+	a := grid2D(10, 10)
 	tr := obs.NewTrace("")
 	sp := tr.Span("solve")
 	opt.Span = sp
-	_, st, err := CG(a, rhs, opt)
+	_, st, err := defaultSolve(a, benchRHS(a.N), opt)
 	sp.End()
 	snap := tr.Snapshot()
 	if len(snap.Spans) != 1 {
@@ -45,7 +43,7 @@ func TestCGAnnotatesSpan(t *testing.T) {
 }
 
 func TestCGAnnotatesSpanOnFailure(t *testing.T) {
-	// One iteration on a 50-node ladder cannot converge at 1e-12.
+	// One iteration on a 100-node grid cannot converge at 1e-12.
 	st, attrs, err := solveSpanAttrs(t, CGOptions{Tol: 1e-12, MaxIter: 1})
 	if !errors.Is(err, ErrNotConverged) {
 		t.Fatalf("err = %v, want ErrNotConverged", err)
@@ -56,16 +54,15 @@ func TestCGAnnotatesSpanOnFailure(t *testing.T) {
 }
 
 func TestCGNilSpanUnchangedResults(t *testing.T) {
-	a := ladder(50, 2.0, 5.0)
-	rhs := make([]float64, 50)
-	rhs[49] = 1
-	xPlain, stPlain, err := CG(a, rhs, CGOptions{})
+	a := grid2D(10, 10)
+	rhs := benchRHS(a.N)
+	xPlain, stPlain, err := defaultSolve(a, rhs, CGOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr := obs.NewTrace("")
 	sp := tr.Span("solve")
-	xTraced, stTraced, err := CG(a, rhs, CGOptions{Span: sp})
+	xTraced, stTraced, err := defaultSolve(a, rhs, CGOptions{Span: sp})
 	sp.End()
 	if err != nil {
 		t.Fatal(err)

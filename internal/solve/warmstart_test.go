@@ -3,7 +3,6 @@ package solve
 import (
 	"errors"
 	"math"
-	"strings"
 	"testing"
 
 	"pdn3d/internal/obs"
@@ -16,7 +15,7 @@ func warmSystem(t *testing.T) ([]float64, []float64) {
 	b := make([]float64, a.N)
 	b[a.N-1] = 1
 	b[a.N/2] = 0.5
-	x, st, err := CG(a, b, CGOptions{Tol: 1e-10})
+	x, st, err := defaultSolve(a, b, CGOptions{Tol: 1e-10})
 	if err != nil || !st.Converged {
 		t.Fatalf("cold reference solve: %v (converged=%v)", err, st.Converged)
 	}
@@ -31,11 +30,11 @@ func TestWarmStartZeroGuessMatchesColdBitwise(t *testing.T) {
 	a := grid2D(20, 20)
 	b := make([]float64, a.N)
 	b[a.N-1] = 1
-	cold, cst, err := CG(a, b, CGOptions{Tol: 1e-10})
+	cold, cst, err := defaultSolve(a, b, CGOptions{Tol: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, wst, err := CG(a, b, CGOptions{Tol: 1e-10, X0: make([]float64, a.N)})
+	warm, wst, err := defaultSolve(a, b, CGOptions{Tol: 1e-10, X0: make([]float64, a.N)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +53,7 @@ func TestWarmStartZeroGuessMatchesColdBitwise(t *testing.T) {
 func TestWarmStartExactGuessConvergesImmediately(t *testing.T) {
 	a := grid2D(20, 20)
 	b, x := warmSystem(t)
-	got, st, err := CG(a, b, CGOptions{Tol: 1e-9, X0: x})
+	got, st, err := defaultSolve(a, b, CGOptions{Tol: 1e-9, X0: x})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,11 +79,11 @@ func TestWarmStartNearbyGuessConvergesFaster(t *testing.T) {
 		guess[i] = x[i] * (1 + 1e-6*float64(i%7))
 	}
 	copy(saved, guess)
-	_, cold, err := CG(a, b, CGOptions{Tol: 1e-10})
+	_, cold, err := defaultSolve(a, b, CGOptions{Tol: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, warm, err := CG(a, b, CGOptions{Tol: 1e-10, X0: guess})
+	got, warm, err := defaultSolve(a, b, CGOptions{Tol: 1e-10, X0: guess})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +100,7 @@ func TestWarmStartNearbyGuessConvergesFaster(t *testing.T) {
 	}
 	// Same tolerance: the warm answer matches the cold trajectory's answer
 	// to solver accuracy even though the float paths differ.
-	coldX, _, err := CG(a, b, CGOptions{Tol: 1e-10})
+	coldX, _, err := defaultSolve(a, b, CGOptions{Tol: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,13 +117,13 @@ func TestWarmStartLengthMismatch(t *testing.T) {
 	a := grid2D(4, 4)
 	b := make([]float64, a.N)
 	b[0] = 1
-	if _, _, err := CG(a, b, CGOptions{X0: make([]float64, a.N-1)}); err == nil {
+	if _, _, err := defaultSolve(a, b, CGOptions{X0: make([]float64, a.N-1)}); err == nil {
 		t.Error("want error for short X0")
 	}
 }
 
 // TestWarmStartCounter: registry-built CG solvers count warm-started
-// solves under solve.<method>.warm_starts; direct Cholesky ignores X0.
+// solves under solve.<method>.warm_starts.
 func TestWarmStartCounter(t *testing.T) {
 	reg := obs.NewRegistry()
 	a := grid2D(8, 8)
@@ -144,28 +143,6 @@ func TestWarmStartCounter(t *testing.T) {
 	snap := reg.Snapshot()
 	if got := snap.Counters["solve.cg-ic0.warm_starts"]; got != 1 {
 		t.Errorf("warm_starts = %d, want 1 (one of two solves was seeded)", got)
-	}
-
-	ch, err := New(a, Options{Method: MethodCholesky, Obs: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	xc, st, err := ch.Solve(b, CGOptions{X0: x})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.Converged {
-		t.Error("cholesky not converged")
-	}
-	for i := range xc {
-		if math.Abs(xc[i]-x[i]) > 1e-7 {
-			t.Fatalf("cholesky with X0 diverges from CG at %d", i)
-		}
-	}
-	for name := range snap.Counters {
-		if strings.Contains(name, "cholesky.warm_starts") && snap.Counters[name] != 0 {
-			t.Errorf("cholesky counted a warm start: %s = %d", name, snap.Counters[name])
-		}
 	}
 }
 
@@ -192,7 +169,7 @@ func TestWarmStartCancelPublishesNothing(t *testing.T) {
 		}
 		return nil
 	}
-	got, _, err := CG(a, b, CGOptions{Tol: 1e-12, X0: guess, Cancel: cancel})
+	got, _, err := defaultSolve(a, b, CGOptions{Tol: 1e-12, X0: guess, Cancel: cancel})
 	if !errors.Is(err, stop) {
 		t.Fatalf("err = %v, want wrapped cancellation cause", err)
 	}

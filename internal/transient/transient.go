@@ -70,8 +70,8 @@ type Sim struct {
 	model *rmesh.Model
 	cfg   Config
 
-	a      *sparse.CSR // G + C/dt + companions
-	pre    *solve.ICPreconditioner
+	// solver runs CG on the stepped matrix G + C/dt + companions.
+	solver solve.Solver
 	cap    []float64 // per-node capacitance (diagonal C)
 	decapG []float64 // companion conductance per decap
 	vc     []float64 // decap internal capacitor voltages (state)
@@ -172,12 +172,13 @@ func New(model *rmesh.Model, cfg Config, rhsInit []float64) (*Sim, error) {
 		b.Add(d.Node, d.Node, s.decapG[k])
 		s.vc[k] = model.VDD
 	}
-	s.a = b.Compress()
-	pre, err := solve.NewIC(s.a)
+	// The stepped system is factored once and reused by every Step; one
+	// worker runs each step's kernels on the caller's goroutine.
+	solver, err := solve.New(b.Compress(), solve.Options{Method: solve.MethodCGIC0, Workers: 1})
 	if err != nil {
 		return nil, fmt.Errorf("transient: preconditioner: %w", err)
 	}
-	s.pre = pre
+	s.solver = solver
 
 	// Initial condition: DC solve of the init state on the original G;
 	// inductor currents start at their DC values.
@@ -237,7 +238,7 @@ func (s *Sim) Step(rhs []float64) error {
 	for k, node := range s.indNode {
 		b[node] += -s.indG0[k]*vdd + s.indG[k]*(vdd+s.indLdt[k]*s.iL[k])
 	}
-	v, _, err := solve.PCGWith(s.a, s.pre, b, solve.CGOptions{Tol: s.tol(), MaxIter: 20 * n})
+	v, _, err := s.solver.Solve(b, solve.CGOptions{Tol: s.tol(), MaxIter: 20 * n})
 	if err != nil {
 		return err
 	}

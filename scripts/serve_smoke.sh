@@ -4,7 +4,8 @@
 # debug/solves), and fails on any non-2xx response, a batch item error, a missing
 # X-Trace-Id, an unretrievable trace, malformed Prometheus exposition,
 # or a missing structured-log start event. Hostile request bodies must
-# answer 400 and leave the server serving. Finishes with a SIGTERM to
+# answer 400 and leave the server serving, and an unknown -solver must
+# stop the server at startup. Finishes with a SIGTERM to
 # check the graceful drain path exits cleanly.
 set -euo pipefail
 
@@ -14,6 +15,19 @@ BIN="$(mktemp -d)/pdnserve"
 go build -o "$BIN" ./cmd/pdnserve
 
 ADDR="127.0.0.1:18080"
+
+# An unknown -solver is a startup error, not a server that answers every
+# analyze with a 500: the process must exit non-zero by itself (124 means
+# timeout had to kill a server that booted) and name the registered
+# methods.
+status=0
+out=$(timeout 10 "$BIN" -addr "$ADDR" -solver cg-jacobi 2>&1) || status=$?
+if [ "$status" = 0 ] || [ "$status" = 124 ] || ! echo "$out" | grep -q 'cg-ic0'; then
+  echo "pdnserve -solver cg-jacobi: exit $status, want a startup failure naming cg-ic0: $out" >&2
+  exit 1
+fi
+echo "ok: unknown -solver refused at startup (exit $status)"
+
 LOG="$(mktemp)"
 # Coarse mesh pitch keeps smoke solves fast; determinism is unaffected.
 "$BIN" -addr "$ADDR" -pitch 0.5 -log-format=json 2>"$LOG" &
