@@ -3,11 +3,13 @@
 // system for a memory state, and reports the per-die and stack-wide maximum
 // IR drops that every experiment in the paper is built on.
 //
-// An Analyzer reuses its conductance matrix across memory states (only the
-// right-hand side changes) and memoizes results by state, which is what
-// makes look-up-table generation and design-space sweeps tractable — the
-// same property the paper exploits by replacing EPS extraction with the
-// R-Mesh (§2.2).
+// An Analyzer reuses its conductance matrix and solver set-up across
+// memory states (only the right-hand side changes) and memoizes results by
+// state, which keeps design-space sweeps cheap — the same property the
+// paper exploits by replacing EPS extraction with the R-Mesh (§2.2).
+// Look-up-table generation goes further: the mesh is linear, so
+// ResponseCtx solves one response per die and bank count and the table's
+// states are sums of those responses.
 package irdrop
 
 import (
@@ -218,6 +220,58 @@ func (a *Analyzer) AnalyzeCtx(ctx context.Context, state memstate.State, io floa
 	return a.analyzeOpts(ctx, state, io, opts)
 }
 
+// ResponseCtx returns an IR-drop response: the per-node vector r with
+// G·r = i(to) − i(from), the change in IR drop when the stack's loads move
+// from state from to state to at per-die I/O activity io. i(s) is the load
+// current state s draws, the fixed logic load included, so between two
+// states the logic load cancels; a nil from stands for no load at all,
+// which makes ResponseCtx(ctx, nil, s, io) state s's full IR-drop vector.
+// The mesh is linear, so responses add: IR(s) = IR(idle) + Σ_d of the
+// response to die d alone leaving idle for its banks in s.
+//
+// The system is solved in IR space. The supply ties are the only
+// conductances to the folded reference, so G·(VDD·1) = BaseRHS and
+// VDD·1 − v = G⁻¹·i: the right-hand side carries load current alone, and
+// the solver's relative-residual target is taken against it rather than
+// against the much larger tie currents in Analyze's right-hand side.
+//
+// Like AnalyzeCtx, ResponseCtx polls ctx at every solver iteration,
+// records "stamp" and "solve" spans under ctx's span and commits a solve
+// record. It keeps nothing in the per-state memo, and it neither reads nor
+// publishes Warm: a warm seed holds node voltages, a different system's
+// solution.
+func (a *Analyzer) ResponseCtx(ctx context.Context, from *memstate.State, to memstate.State, io float64) ([]float64, error) {
+	n := a.Model.N()
+	stamp := obs.SpanFrom(ctx).Child("stamp")
+	rhs := make([]float64, n)
+	err := a.stampLoads(to, io, rhs, &Result{})
+	var base []float64
+	if err == nil && from != nil {
+		base = make([]float64, n)
+		err = a.stampLoads(*from, io, base, &Result{})
+	}
+	stamp.End()
+	if err != nil {
+		return nil, err
+	}
+	// stampLoads subtracts the current each load draws. A die whose banks
+	// agree in both states stamps identical values, which cancel exactly.
+	for k := range rhs {
+		rhs[k] = -rhs[k]
+		if base != nil {
+			rhs[k] += base[k]
+		}
+	}
+	opts := a.Opts
+	opts.Cancel = ctx.Err
+	a.solves.Add(1)
+	r, _, err := a.solveTraced(ctx, rhs, opts)
+	if err != nil {
+		return nil, fmt.Errorf("irdrop: %s response to state %s: %w", a.Spec().Name, to, err)
+	}
+	return r, nil
+}
+
 // AnalyzeCounts is Analyze for a bare per-die count vector using the
 // worst-case edge placement (paper §5.1).
 func (a *Analyzer) AnalyzeCounts(counts []int, io float64) (*Result, error) {
@@ -270,6 +324,9 @@ func (a *Analyzer) analyze(state memstate.State, io float64) (*Result, error) {
 // error paths too.
 func (a *Analyzer) stampLoads(state memstate.State, io float64, rhs []float64, res *Result) error {
 	spec := a.Spec()
+	if state.NumDies() > spec.NumDRAM {
+		return fmt.Errorf("irdrop: state has %d dies, design has %d", state.NumDies(), spec.NumDRAM)
+	}
 	for d := 0; d < spec.NumDRAM; d++ {
 		var banks []int
 		if d < len(state.Dies) {
@@ -303,35 +360,19 @@ func (a *Analyzer) stampLoads(state memstate.State, io float64, rhs []float64, r
 func (a *Analyzer) analyzeOpts(ctx context.Context, state memstate.State, io float64, opts solve.Options) (*Result, error) {
 	defer a.obs.Timer("irdrop.analyze_time").Start()()
 	spec := a.Spec()
-	if state.NumDies() > spec.NumDRAM {
-		return nil, fmt.Errorf("irdrop: state has %d dies, design has %d", state.NumDies(), spec.NumDRAM)
-	}
-	parent := obs.SpanFrom(ctx)
 	m := a.Model
 	rhs := m.BaseRHS()
 	res := &Result{State: state, IO: io, PerDie: make([]float64, spec.NumDRAM)}
-	stamp := parent.Child("stamp")
+	stamp := obs.SpanFrom(ctx).Child("stamp")
 	err := a.stampLoads(state, io, rhs, res)
 	stamp.End()
 	if err != nil {
 		return nil, err
 	}
-	solveSpan := parent.Child("solve")
-	opts.Span = solveSpan
 	if opts.X0 == nil {
-		if seed := a.Warm.Seed(m.N()); seed != nil {
-			opts.X0 = seed
-			solveSpan.Annotate(obs.A("warm", true))
-		}
+		opts.X0 = a.Warm.Seed(m.N())
 	}
-	rec := a.SolveRecords.StartSolveRecord()
-	rec.SetTrace(obs.TraceFrom(ctx).ID())
-	opts.Rec = rec
-	v, stats, err := m.Solve(rhs, opts)
-	solveSpan.End()
-	// Commit on the error path too: a failed or cancelled solve is exactly
-	// the record /debug/solves exists to surface.
-	rec.Commit()
+	v, stats, err := a.solveTraced(ctx, rhs, opts)
 	if err != nil {
 		return nil, fmt.Errorf("irdrop: %s state %s: %w", spec.Name, state, err)
 	}
@@ -352,6 +393,25 @@ func (a *Analyzer) analyzeOpts(ctx context.Context, state memstate.State, io flo
 	// Max over all analyzed states: order-independent, so deterministic.
 	a.obs.Gauge("irdrop.max_ir_v").SetMax(res.MaxIR)
 	return res, nil
+}
+
+// solveTraced runs one nodal solve under a "solve" child of ctx's span,
+// annotated when opts warm-starts it, and commits the solve's flight
+// record on the error path too: a failed or cancelled solve is exactly the
+// record /debug/solves exists to surface.
+func (a *Analyzer) solveTraced(ctx context.Context, rhs []float64, opts solve.Options) ([]float64, solve.CGStats, error) {
+	sp := obs.SpanFrom(ctx).Child("solve")
+	if opts.X0 != nil {
+		sp.Annotate(obs.A("warm", true))
+	}
+	opts.Span = sp
+	rec := a.SolveRecords.StartSolveRecord()
+	rec.SetTrace(obs.TraceFrom(ctx).ID())
+	opts.Rec = rec
+	v, stats, err := a.Model.Solve(rhs, opts)
+	sp.End()
+	rec.Commit()
+	return v, stats, err
 }
 
 // MaxIRmV returns the stack maximum IR drop in millivolts.

@@ -3,9 +3,16 @@
 // active-bank counts) and a set of per-die I/O activity levels, the maximum
 // IR drop is pre-computed with the R-Mesh engine and stored for O(1)
 // queries by the memory controller.
+//
+// The R-Mesh is linear and a die's loads depend only on its own banks and
+// the I/O level, so a state's IR-drop vector is the idle stack's plus one
+// response per active die. A build solves those 1 + D·maxPerDie responses
+// per I/O level and sums them for each of the (maxPerDie+1)^D states,
+// instead of solving every state.
 package lut
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -67,17 +74,90 @@ type Table struct {
 // these levels cover stacks of up to four dies exactly.
 func DefaultIOLevels() []float64 { return []float64{0.25, 0.5, 1.0} }
 
-// Build pre-computes the table with the given analyzer using one worker
-// per CPU. The analyzer's design defines the die and bank counts; states
-// use the worst-case edge placement like the paper's Table 5.
-func Build(a *irdrop.Analyzer, maxPerDie int, ioLevels []float64) (*Table, error) {
-	return BuildWith(a, maxPerDie, ioLevels, 0)
+// BuildWith is BuildCtx without cancellation.
+func BuildWith(a *irdrop.Analyzer, maxPerDie int, ioLevels []float64, workers int) (*Table, error) {
+	return BuildCtx(context.Background(), a, maxPerDie, ioLevels, workers)
 }
 
-// BuildWith is Build with an explicit worker budget (<= 0 selects
-// GOMAXPROCS). Design points fan out across the pool; the table contents
-// are identical for every worker count.
-func BuildWith(a *irdrop.Analyzer, maxPerDie int, ioLevels []float64, workers int) (*Table, error) {
+// BuildCtx pre-computes the table for the analyzer's design: every state
+// of at most maxPerDie active banks per die, placed worst-case at the die
+// edge like the paper's Table 5, at every level in ioLevels. Solves and
+// sums fan out on at most workers goroutines (<= 0 selects GOMAXPROCS);
+// the table is identical for every worker count. ctx is polled at every
+// solver iteration, so a cancelled build stops with ctx's error.
+//
+// At each level the build solves 1 + D·maxPerDie IR-drop responses — the
+// idle stack, and die d alone running c banks for every d and c — and
+// keeps only that level's responses (D = dies). A state's entry is the
+// maximum over DRAM-die nodes of IR(idle) + Σ_d Δ_d(c_d), summed in die
+// order by one worker, so entries do not depend on scheduling.
+func BuildCtx(ctx context.Context, a *irdrop.Analyzer, maxPerDie int, ioLevels []float64, workers int) (*Table, error) {
+	levels, err := checkGrid(maxPerDie, ioLevels)
+	if err != nil {
+		return nil, err
+	}
+	spec := a.Spec()
+	dies := spec.NumDRAM
+	place := memstate.WorstCaseEdge(spec.DRAM.NumBanks)
+	// unit[0] is the idle stack; unit[d*maxPerDie+c] is die d running c
+	// banks with every other die idle.
+	unit := make([]memstate.State, 1+dies*maxPerDie)
+	for k := range unit {
+		counts := make([]int, dies)
+		if k > 0 {
+			counts[(k-1)/maxPerDie] = (k-1)%maxPerDie + 1
+		}
+		if unit[k], err = memstate.FromCounts(counts, place); err != nil {
+			return nil, err
+		}
+	}
+	states := memstate.EnumerateCounts(dies, maxPerDie)
+	t := &Table{
+		Dies:      dies,
+		MaxPerDie: maxPerDie,
+		IOLevels:  levels,
+		entries:   make(map[string]float64, len(states)*len(levels)),
+	}
+	// basis[0] is IR(idle) and basis[k] the response to unit[k] leaving
+	// idle, for the level at hand.
+	basis := make([][]float64, len(unit))
+	maxIR := make([]float64, len(states))
+	for _, io := range levels {
+		err := par.Sweep(workers, len(unit), func(k int) error {
+			var from *memstate.State
+			if k > 0 {
+				from = &unit[0]
+			}
+			var err error
+			basis[k], err = a.ResponseCtx(ctx, from, unit[k], io)
+			return err
+		})
+		if err != nil {
+			return nil, err
+		}
+		err = par.Sweep(workers, len(states), func(i int) error {
+			terms := make([][]float64, 1, 1+dies)
+			terms[0] = basis[0]
+			for d, c := range states[i] {
+				if c > 0 {
+					terms = append(terms, basis[d*maxPerDie+c])
+				}
+			}
+			maxIR[i] = a.Model.SumMaxIR(terms)
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		for i, c := range states {
+			t.entries[key(c, io)] = maxIR[i]
+		}
+	}
+	return t, nil
+}
+
+// checkGrid validates a table grid and returns its I/O levels sorted.
+func checkGrid(maxPerDie int, ioLevels []float64) ([]float64, error) {
 	if maxPerDie < 1 {
 		return nil, fmt.Errorf("lut: maxPerDie %d must be >= 1", maxPerDie)
 	}
@@ -91,54 +171,7 @@ func BuildWith(a *irdrop.Analyzer, maxPerDie int, ioLevels []float64, workers in
 			return nil, fmt.Errorf("lut: IO level %g out of (0,1]", io)
 		}
 	}
-	dies := a.Spec().NumDRAM
-	t := &Table{
-		Dies:      dies,
-		MaxPerDie: maxPerDie,
-		IOLevels:  levels,
-		entries:   make(map[string]float64),
-	}
-	// Enumerate all count vectors, then fan the solves out across the
-	// worker pool: each solve only reads the shared conductance matrix,
-	// and Analyze is safe for concurrent use. Each design point writes its
-	// own result slot, so no channels or locks are needed.
-	var states [][]int
-	counts := make([]int, dies)
-	var rec func(d int)
-	rec = func(d int) {
-		if d == dies {
-			states = append(states, append([]int(nil), counts...))
-			return
-		}
-		for c := 0; c <= maxPerDie; c++ {
-			counts[d] = c
-			rec(d + 1)
-		}
-		counts[d] = 0
-	}
-	rec(0)
-
-	irs := make([][]float64, len(states))
-	err := par.Sweep(workers, len(states), func(i int) error {
-		irs[i] = make([]float64, len(levels))
-		for li, io := range levels {
-			r, err := a.AnalyzeCounts(states[i], io)
-			if err != nil {
-				return err
-			}
-			irs[i][li] = r.MaxIR
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, c := range states {
-		for li, io := range levels {
-			t.entries[key(c, io)] = irs[i][li]
-		}
-	}
-	return t, nil
+	return levels, nil
 }
 
 // FromPoints assembles a table from explicit grid points — the inverse of
@@ -148,18 +181,9 @@ func FromPoints(dies, maxPerDie int, ioLevels []float64, pts []Point) (*Table, e
 	if dies < 1 {
 		return nil, fmt.Errorf("lut: dies %d must be >= 1", dies)
 	}
-	if maxPerDie < 1 {
-		return nil, fmt.Errorf("lut: maxPerDie %d must be >= 1", maxPerDie)
-	}
-	if len(ioLevels) == 0 {
-		return nil, fmt.Errorf("lut: no IO levels")
-	}
-	levels := append([]float64(nil), ioLevels...)
-	sort.Float64s(levels)
-	for _, io := range levels {
-		if io <= 0 || io > 1 {
-			return nil, fmt.Errorf("lut: IO level %g out of (0,1]", io)
-		}
+	levels, err := checkGrid(maxPerDie, ioLevels)
+	if err != nil {
+		return nil, err
 	}
 	t := &Table{
 		Dies:      dies,

@@ -24,8 +24,8 @@ func coarseAnalyzer(t testing.TB) *irdrop.Analyzer {
 	return sharedAnalyzer
 }
 
-// sharedTableFor builds the default table once; the expensive 243 solves
-// dominate this package's test time otherwise.
+// sharedTableFor builds the default table once; its 27 response solves
+// would otherwise be repeated by every test that reads it.
 func sharedTableFor(t testing.TB) *Table {
 	t.Helper()
 	sharedSetup(t)
@@ -46,7 +46,7 @@ func sharedSetup(t testing.TB) {
 		if sharedErr != nil {
 			return
 		}
-		sharedTable, sharedErr = Build(sharedAnalyzer, 2, DefaultIOLevels())
+		sharedTable, sharedErr = BuildWith(sharedAnalyzer, 2, DefaultIOLevels(), 0)
 	})
 	if sharedErr != nil {
 		t.Fatal(sharedErr)
@@ -174,16 +174,16 @@ func TestPointsDeterministicAndComplete(t *testing.T) {
 
 func TestBuildValidation(t *testing.T) {
 	a := coarseAnalyzer(t)
-	if _, err := Build(a, 0, DefaultIOLevels()); err == nil {
+	if _, err := BuildWith(a, 0, DefaultIOLevels(), 0); err == nil {
 		t.Error("maxPerDie 0: want error")
 	}
-	if _, err := Build(a, 2, nil); err == nil {
+	if _, err := BuildWith(a, 2, nil, 0); err == nil {
 		t.Error("no IO levels: want error")
 	}
-	if _, err := Build(a, 2, []float64{0, 0.5}); err == nil {
+	if _, err := BuildWith(a, 2, []float64{0, 0.5}, 0); err == nil {
 		t.Error("IO level 0: want error")
 	}
-	if _, err := Build(a, 2, []float64{0.5, 1.5}); err == nil {
+	if _, err := BuildWith(a, 2, []float64{0.5, 1.5}, 0); err == nil {
 		t.Error("IO level > 1: want error")
 	}
 }

@@ -3,8 +3,6 @@ package par
 import (
 	"container/list"
 	"context"
-	"fmt"
-	"runtime/debug"
 	"sync"
 
 	"pdn3d/internal/obs"
@@ -52,18 +50,6 @@ type flight[V any] struct {
 	err   error
 	rerun bool // the leader failed after its context ended
 }
-
-// PanicError is the error every caller of a flight whose fn panicked
-// receives.
-type PanicError struct {
-	// Value is the value fn panicked with (nil when fn called
-	// runtime.Goexit).
-	Value any
-	// Stack is the panicking goroutine's stack trace.
-	Stack []byte
-}
-
-func (e *PanicError) Error() string { return fmt.Sprintf("par: cached call panicked: %v", e.Value) }
 
 // NewCache returns a cache keeping at most capacity values
 // (capacity <= 0 keeps every value).
@@ -124,7 +110,7 @@ func (c *Cache[V]) run(ctx context.Context, key string, f *flight[V], fn func() 
 	returned := false
 	defer func() {
 		if !returned {
-			f.err = &PanicError{Value: recover(), Stack: debug.Stack()}
+			f.err = asPanicError(recover())
 		}
 		c.mu.Lock()
 		delete(c.inflight, key)

@@ -4,16 +4,46 @@
 // (kernel sharding), and Cache, the one bounded, panic-safe singleflight
 // cache behind every memoizing layer (served results, analyzers, LUTs,
 // topologies, per-state results, and per-matrix solvers).
+//
+// No panic escapes a pool worker: Sweep returns a task's panic as that
+// task's *PanicError, and Blocks re-raises a worker's panic on the
+// calling goroutine, where an enclosing Cache flight turns it into an
+// error. A panic on a worker goroutine would otherwise end the process.
 package par
 
 import (
 	"context"
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
 	"pdn3d/internal/obs"
 )
+
+// PanicError is a recovered panic: the error a Sweep task that panicked
+// returns, the value Blocks re-panics with, and the error every caller of
+// a Cache flight whose fn panicked receives.
+type PanicError struct {
+	// Value is the value passed to panic (nil when a Cache fn called
+	// runtime.Goexit).
+	Value any
+	// Stack is the panicking goroutine's stack trace.
+	Stack []byte
+}
+
+func (e *PanicError) Error() string { return fmt.Sprintf("par: panic: %v", e.Value) }
+
+// asPanicError wraps a recovered value with the current stack. A value
+// that already is a *PanicError — Blocks re-raising a worker's panic — is
+// kept, so the stack still names the goroutine that first panicked.
+func asPanicError(v any) *PanicError {
+	if pe, ok := v.(*PanicError); ok {
+		return pe
+	}
+	return &PanicError{Value: v, Stack: debug.Stack()}
+}
 
 // Workers resolves a worker-count knob: values <= 0 select GOMAXPROCS.
 func Workers(n int) int {
@@ -25,9 +55,10 @@ func Workers(n int) int {
 
 // Sweep runs fn(i) for every i in [0, n) on at most workers goroutines
 // (<= 0 selects GOMAXPROCS) and returns the error of the lowest-indexed
-// failing call. After the first failure no new indices are started, so a
-// sweep over independent design points cancels promptly; calls already in
-// flight run to completion.
+// failing call. A call that panics fails with a *PanicError. After the
+// first failure no new indices are started, so a sweep over independent
+// design points cancels promptly; calls already in flight run to
+// completion.
 func Sweep(workers, n int, fn func(i int) error) error {
 	return SweepWith(workers, n, nil, fn)
 }
@@ -47,8 +78,13 @@ func SweepWith(workers, n int, m *obs.SweepMetrics, fn func(i int) error) error 
 	}
 	run := m.Begin(workers)
 	defer run.End()
-	call := func(i int) error {
+	call := func(i int) (err error) {
 		defer run.TaskStart()()
+		defer func() {
+			if v := recover(); v != nil {
+				err = asPanicError(v)
+			}
+		}()
 		return fn(i)
 	}
 	if workers == 1 {
@@ -115,6 +151,9 @@ func SweepCtx(ctx context.Context, workers, n int, m *obs.SweepMetrics, name str
 // partitioning depends only on n and block — never on workers — so
 // block-indexed reductions (partial sums gathered per block and combined
 // in block order) are bit-for-bit deterministic for any worker count.
+// When fn panics, Blocks still waits for every worker and then panics on
+// the calling goroutine, re-raising a pool worker's panic as a
+// *PanicError.
 func Blocks(workers, n, block int, fn func(b, lo, hi int)) {
 	if n <= 0 {
 		return
@@ -141,22 +180,35 @@ func Blocks(workers, n, block int, fn func(b, lo, hi int)) {
 		}
 		return
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
+	// One shared struct, so the pool state is one allocation per call:
+	// the sharded kernels call Blocks several times per CG iteration.
+	var pool struct {
+		next     atomic.Int64
+		wg       sync.WaitGroup
+		panicked atomic.Pointer[PanicError]
+	}
 	worker := func() {
-		defer wg.Done()
+		defer pool.wg.Done()
+		defer func() {
+			if v := recover(); v != nil {
+				pool.panicked.CompareAndSwap(nil, asPanicError(v))
+			}
+		}()
 		for {
-			b := int(next.Add(1)) - 1
+			b := int(pool.next.Add(1)) - 1
 			if b >= nb {
 				return
 			}
 			run(b)
 		}
 	}
-	wg.Add(workers)
+	pool.wg.Add(workers)
 	for w := 1; w < workers; w++ {
 		go worker()
 	}
 	worker()
-	wg.Wait()
+	pool.wg.Wait()
+	if pe := pool.panicked.Load(); pe != nil {
+		panic(pe)
+	}
 }

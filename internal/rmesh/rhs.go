@@ -137,6 +137,28 @@ func (m *Model) LayerMaxIR(ir []float64, l *Layer) float64 {
 	return mx
 }
 
+// SumMaxIR returns the maximum IR drop over the DRAM dies' nodes of the
+// sum of the given IR-drop vectors, each node's terms added in order: the
+// largest DieMaxIR of the summed vector, without materializing it.
+func (m *Model) SumMaxIR(terms [][]float64) float64 {
+	var mx float64
+	for _, l := range m.Layers {
+		if l.Die < 0 {
+			continue
+		}
+		for n := l.Offset; n < l.Offset+l.Grid.N(); n++ {
+			s := terms[0][n]
+			for _, t := range terms[1:] {
+				s += t[n]
+			}
+			if s > mx {
+				mx = s
+			}
+		}
+	}
+	return mx
+}
+
 // DieMaxIR returns the maximum IR drop over all layers of DRAM die d.
 func (m *Model) DieMaxIR(ir []float64, d int) float64 {
 	var mx float64

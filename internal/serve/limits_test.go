@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -200,6 +201,40 @@ func TestPanickingSolveAnswers500(t *testing.T) {
 	}
 	if resp, body := getBody(t, ts.URL+"/healthz"); resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz after the panics: status %d, body %s", resp.StatusCode, body)
+	}
+}
+
+// panicSolver panics in Solve once two solves have entered it, so the
+// two run on distinct goroutines of the build's pool and at least one
+// panic happens on a worker other than the request's own goroutine.
+type panicSolver struct {
+	entered *atomic.Int64
+	both    chan struct{}
+}
+
+func (panicSolver) Method() string { return "test-panic-solve" }
+
+func (p panicSolver) Solve([]float64, solve.CGOptions) ([]float64, solve.CGStats, error) {
+	if p.entered.Add(1) == 2 {
+		close(p.both)
+	}
+	<-p.both
+	panic("solve exploded")
+}
+
+// TestPanickingLUTSolveAnswers500: solves that panic on the worker pool of
+// a LUT build make the request a 500 carrying the panic value, and the
+// server keeps serving.
+func TestPanickingLUTSolveAnswers500(t *testing.T) {
+	ps := panicSolver{entered: new(atomic.Int64), both: make(chan struct{})}
+	solve.Register("test-panic-solve", func(*sparse.CSR, solve.Options) (solve.Solver, error) { return ps, nil })
+	_, ts := newTestServer(t, Config{Solver: "test-panic-solve", Workers: 4})
+	resp, body := post(t, ts.URL+"/v1/lut", `{"bench":"ddr3-off"}`)
+	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(errorText(t, body), "solve exploded") {
+		t.Fatalf("status %d, body %s; want 500 carrying the panic", resp.StatusCode, body)
+	}
+	if resp, body := getBody(t, ts.URL+"/healthz"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after the panic: status %d, body %s", resp.StatusCode, body)
 	}
 }
 

@@ -20,11 +20,12 @@
 //     entry, repeat queries never re-solve, and concurrent misses on one
 //     key collapse to a single solve. Analyzers and LUTs sit in two more
 //     bounded caches keyed by design.
-//   - Cancellation: each solve runs under the request context through
-//     irdrop.AnalyzeCtx, so an abandoned connection stops burning CPU at
-//     the next solver-iteration boundary. A caller waiting on another
-//     request's solve waits on its own context, and a solve abandoned by
-//     its own caller is re-run for the callers still waiting.
+//   - Cancellation: each solve runs under the request context, through
+//     irdrop.AnalyzeCtx or a LUT's lut.BuildCtx, so an abandoned
+//     connection stops burning CPU at the next solver-iteration
+//     boundary. A caller waiting on another request's solve waits on its
+//     own context, and a solve abandoned by its own caller is re-run for
+//     the callers still waiting.
 //
 // Responses carry only deterministic fields (no timings, no timestamps):
 // for a given request the body is byte-identical across runs and across
@@ -69,7 +70,7 @@ const (
 	maxBodyBytes = 1 << 20
 	// bodyReadTimeout bounds reading a request body; a slower one gets 408.
 	bodyReadTimeout = 10 * time.Second
-	// maxLUTPoints caps the solves one /v1/lut grid may ask for
+	// maxLUTPoints caps the points one /v1/lut grid may ask for
 	// (deduplicated I/O levels x (max_per_die+1)^dies); a larger grid
 	// gets 413, as an oversized batch does.
 	maxLUTPoints = 4096
@@ -704,7 +705,8 @@ func (s *Server) handleLUT(w http.ResponseWriter, req *http.Request) {
 	// repeated level costs nothing.
 	slices.Sort(levels)
 	levels = slices.Compact(levels)
-	// Every level multiplies the solve count by (maxPerDie+1)^dies; the
+	// Every level multiplies the point count by (maxPerDie+1)^dies, though
+	// a build solves only 1 + dies·maxPerDie responses per level; the
 	// product is taken in floating point so no input can overflow it.
 	if points := float64(len(levels)) * math.Pow(float64(maxPerDie)+1, float64(r.Spec.NumDRAM)); points > maxLUTPoints {
 		writeErr(w, http.StatusRequestEntityTooLarge,
@@ -750,7 +752,8 @@ func (s *Server) handleLUT(w http.ResponseWriter, req *http.Request) {
 }
 
 // lutFor returns the cached table for the design grid, building at most
-// one per key.
+// one per key under the caller's context: a build abandoned by its
+// client stops solving, and a request waiting on it builds anew.
 func (s *Server) lutFor(ctx context.Context, r *query.Resolved, maxPerDie int, levels []float64) (*lut.Table, error) {
 	var kb speckey.Builder
 	kb.Str(r.SpecKey())
@@ -763,7 +766,7 @@ func (s *Server) lutFor(ctx context.Context, r *query.Resolved, maxPerDie int, l
 		if err != nil {
 			return nil, err
 		}
-		return lut.BuildWith(a, maxPerDie, levels, s.cfg.Workers)
+		return lut.BuildCtx(ctx, a, maxPerDie, levels, s.cfg.Workers)
 	})
 }
 

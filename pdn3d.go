@@ -117,9 +117,10 @@ func NewAnalyzer(spec *Spec, dramPower *DRAMPowerModel, logicPower *LogicPowerMo
 }
 
 // BuildLUT precomputes the IR-drop look-up table for the IR-aware read
-// policies (≤ maxBanksPerDie open banks per die, the default I/O levels).
+// policies (≤ maxBanksPerDie open banks per die, the default I/O levels),
+// using one worker per CPU.
 func BuildLUT(a *Analyzer, maxBanksPerDie int) (*LUT, error) {
-	return lut.Build(a, maxBanksPerDie, lut.DefaultIOLevels())
+	return lut.BuildWith(a, maxBanksPerDie, lut.DefaultIOLevels(), 0)
 }
 
 // NewControllerConfig returns the paper's controller setup for the given
