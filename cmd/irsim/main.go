@@ -6,7 +6,7 @@
 //
 //	irsim -bench ddr3-off [-state 0-0-0-2] [-io 1.0] [-bonding F2F]
 //	      [-tsv 33] [-style E|C|D] [-wirebond] [-dedicated] [-rdl none|interface|all]
-//	      [-align] [-pitch 0.2] [-solver cg-ic0|cg-amg] [-workers n]
+//	      [-align] [-pitch 0.2] [-workers n]
 //	      [-map] [-spice out.sp] [-stats] [-metrics-out file] [-pprof addr]
 package main
 
@@ -22,7 +22,6 @@ import (
 	"pdn3d/internal/obs"
 	"pdn3d/internal/query"
 	"pdn3d/internal/rmesh"
-	"pdn3d/internal/solve"
 	"pdn3d/internal/spice"
 )
 
@@ -40,7 +39,6 @@ func main() {
 	rdl := flag.String("rdl", "", "override RDL: none, interface, all")
 	align := flag.Bool("align", false, "align TSVs to C4 bumps (on-chip)")
 	pitch := flag.Float64("pitch", 0, "R-Mesh pitch in mm (0 = default)")
-	solver := flag.String("solver", "", "nodal solver: "+strings.Join(solve.Methods(), ", ")+" (default "+solve.DefaultMethod+")")
 	workers := flag.Int("workers", 0, "worker pool size for solver kernels (0 = GOMAXPROCS)")
 	dumpMap := flag.Bool("map", false, "print an ASCII IR map per layer")
 	spiceOut := flag.String("spice", "", "write an HSPICE-style netlist to this file")
@@ -74,9 +72,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	a.Opts.Method = *solver
 	a.Opts.Workers = *workers
 	res, err := a.Analyze(state, *io)
+	if err != nil {
+		log.Fatal(err)
+	}
+	// The model caches its solver, so this names the one that answered.
+	s, err := a.Model.Solver(a.Opts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -85,7 +87,8 @@ func main() {
 		spec.Name, spec.Bonding, spec.TSVStyle, spec.TSVCount, spec.RDL, spec.WireBond)
 	fmt.Printf("mesh:          %d nodes, %d resistors\n", a.Model.N(), a.Model.Resistors)
 	fmt.Printf("state:         %s @ %.0f%% I/O, stack power %.1f mW\n", state, *io*100, res.TotalPower)
-	fmt.Printf("solve:         %d CG iterations, residual %.2e\n", res.Stats.Iterations, res.Stats.Residual)
+	fmt.Printf("solve:         %s, %d CG iterations, residual %.2e, balance %.2e\n",
+		s.Method(), res.Stats.Iterations, res.Stats.Residual, res.Balance)
 	fmt.Printf("max IR drop:   %.2f mV\n", res.MaxIRmV())
 	for d, v := range res.PerDie {
 		fmt.Printf("  DRAM%d:       %.2f mV\n", d+1, v*1000)

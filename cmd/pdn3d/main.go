@@ -7,8 +7,7 @@
 // Usage:
 //
 //	pdn3d -bench ddr3-off [-alpha 0,0.3,1] [-pitch 0.2] [-samples 3] [-grid 9]
-//	      [-workers n] [-solver cg-ic0|cg-amg]
-//	      [-stats] [-metrics-out file] [-pprof addr]
+//	      [-workers n] [-stats] [-metrics-out file] [-pprof addr]
 package main
 
 import (
@@ -23,7 +22,6 @@ import (
 	"pdn3d/internal/obs"
 	"pdn3d/internal/opt"
 	"pdn3d/internal/report"
-	"pdn3d/internal/solve"
 )
 
 func main() {
@@ -35,7 +33,6 @@ func main() {
 	samples := flag.Int("samples", 0, "regression samples per continuous axis (0 = 3)")
 	grid := flag.Int("grid", 0, "search grid steps per axis (0 = 9)")
 	workers := flag.Int("workers", 0, "worker pool size for sampling sweeps (0 = GOMAXPROCS)")
-	solver := flag.String("solver", "", "nodal solver: "+strings.Join(solve.Methods(), ", ")+" (default "+solve.DefaultMethod+")")
 	obsFlags := obs.BindFlags(flag.CommandLine)
 	flag.Parse()
 	reg := obsFlags.Setup(log.Printf)
@@ -50,7 +47,6 @@ func main() {
 		ContinuousSamples: *samples,
 		GridSteps:         *grid,
 		Workers:           *workers,
-		Solver:            *solver,
 		Obs:               reg,
 	}
 	start := time.Now()

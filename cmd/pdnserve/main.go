@@ -23,14 +23,11 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"slices"
-	"strings"
 	"syscall"
 	"time"
 
 	"pdn3d/internal/obs"
 	"pdn3d/internal/serve"
-	"pdn3d/internal/solve"
 )
 
 // idleTimeout closes a keep-alive connection idle this long.
@@ -39,8 +36,6 @@ const idleTimeout = 2 * time.Minute
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address")
 	workers := flag.Int("workers", 0, "solver/batch worker pool size (<= 0: GOMAXPROCS)")
-	solver := flag.String("solver", "", fmt.Sprintf("solve method (%s; empty: %s)",
-		strings.Join(solve.Methods(), ", "), solve.DefaultMethod))
 	pitch := flag.Float64("pitch", 0, "mesh pitch in mm applied to queries without their own override (0: benchmark defaults)")
 	maxInflight := flag.Int("max-inflight", 0, "max concurrently admitted requests (<= 0: 2 x GOMAXPROCS)")
 	queueWait := flag.Duration("queue-wait", time.Second, "max wait for an admission slot before 429")
@@ -68,13 +63,9 @@ func main() {
 	if *pitch < 0 {
 		fatal(obs.F("error", fmt.Sprintf("-pitch %g must be >= 0", *pitch)))
 	}
-	if methods := solve.Methods(); *solver != "" && !slices.Contains(methods, *solver) {
-		fatal(obs.F("error", fmt.Sprintf("-solver %q is not a registered method (%s)", *solver, strings.Join(methods, ", "))))
-	}
 
 	s := serve.New(serve.Config{
 		Workers:             *workers,
-		Solver:              *solver,
 		MeshPitch:           *pitch,
 		MaxInFlight:         *maxInflight,
 		QueueWait:           *queueWait,

@@ -4,8 +4,7 @@
 // Usage:
 //
 //	tables [-pitch mm] [-requests n] [-only id[,id...]] [-benchmarks names]
-//	       [-workers n] [-solver cg-ic0|cg-amg]
-//	       [-stats] [-metrics-out file] [-pprof addr]
+//	       [-workers n] [-stats] [-metrics-out file] [-pprof addr]
 //
 // Experiment ids: table1 metal mounting table2 table3 table4 table5 table6
 // table7 table8 table9 fig4 fig5 fig9 regression crowding failure policyall ac. The default runs all of
@@ -26,7 +25,6 @@ import (
 	"pdn3d/internal/exp"
 	"pdn3d/internal/obs"
 	"pdn3d/internal/report"
-	"pdn3d/internal/solve"
 )
 
 func main() {
@@ -35,13 +33,12 @@ func main() {
 	only := flag.String("only", "", "comma-separated experiment ids to run (default: all)")
 	benches := flag.String("benchmarks", "ddr3-off,ddr3-on,wideio,hmc", "benchmarks for table9/regression")
 	workers := flag.Int("workers", 0, "worker pool size for sweeps and solver kernels (0 = GOMAXPROCS)")
-	solver := flag.String("solver", "", "nodal solver: "+strings.Join(solve.Methods(), ", ")+" (default "+solve.DefaultMethod+")")
 	obsFlags := obs.BindFlags(flag.CommandLine)
 	flag.Parse()
 
 	errlog := func(format string, args ...interface{}) { fmt.Fprintf(os.Stderr, format+"\n", args...) }
 	reg := obsFlags.Setup(errlog)
-	r := exp.NewRunner(exp.Config{MeshPitch: *pitch, Requests: *requests, Workers: *workers, Solver: *solver, Obs: reg})
+	r := exp.NewRunner(exp.Config{MeshPitch: *pitch, Requests: *requests, Workers: *workers, Obs: reg})
 	sel := map[string]bool{}
 	if *only != "" {
 		for _, id := range strings.Split(*only, ",") {

@@ -94,8 +94,9 @@ func CheckDeck(path string, opt Options) (*DeckReport, error) {
 			return nil, fileErr(path, StageSolve, err)
 		}
 	} else {
-		rep.Oracle = "cross:" + solve.DefaultMethod
-		s, err := solve.New(a, solve.Options{Workers: opt.Workers})
+		method := solve.MethodFor("", a.N)
+		rep.Oracle = "cross:" + method
+		s, err := solve.New(a, solve.Options{Method: method, Workers: opt.Workers})
 		if err == nil {
 			ref, _, err = s.Solve(rhs, cg)
 		}

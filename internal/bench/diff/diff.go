@@ -169,7 +169,7 @@ func Check(s *gen.Spec, opt Options) (*MeshReport, error) {
 	rep.RestampExact = restampExact
 
 	// Reference solution: dense Cholesky on oracle-sized systems, the
-	// default iterative method otherwise.
+	// method solve.MethodFor picks for the mesh's size otherwise.
 	tol := opt.tol()
 	cg := solve.CGOptions{Tol: tol}
 	var ref []float64
@@ -183,8 +183,9 @@ func Check(s *gen.Spec, opt Options) (*MeshReport, error) {
 			return nil, fmt.Errorf("diff %s: oracle: %w", s.Name, err)
 		}
 	} else {
-		rep.Oracle = "cross:" + solve.DefaultMethod
-		ref, _, err = m.Solve(rhs, solve.Options{Method: solve.DefaultMethod, Workers: opt.Workers, CGOptions: cg})
+		method := solve.MethodFor("", m.N())
+		rep.Oracle = "cross:" + method
+		ref, _, err = m.Solve(rhs, solve.Options{Method: method, Workers: opt.Workers, CGOptions: cg})
 		if err != nil {
 			return nil, fmt.Errorf("diff %s: cross-check reference: %w", s.Name, err)
 		}

@@ -35,8 +35,6 @@ type Config struct {
 	// pool). <= 0 selects GOMAXPROCS. Outputs are identical for every
 	// value.
 	Workers int
-	// Solver selects the nodal solver method ("" = solve.DefaultMethod).
-	Solver string
 	// Obs, when non-nil, receives run metrics and, on its run trace, a
 	// span per experiment: mesh/solver instrumentation from the layers
 	// below, sweep pool metrics under "exp.sweep.*", and analyzer/LUT
@@ -174,7 +172,6 @@ func (r *Runner) analyzer(spec *pdn.Spec, dram *powermap.DRAMModel, logic *power
 		if err != nil {
 			return nil, err
 		}
-		a.Opts.Method = r.Cfg.Solver
 		a.Opts.Workers = r.Cfg.Workers
 		return a, nil
 	})

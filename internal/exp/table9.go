@@ -43,7 +43,7 @@ func (r *Runner) Table9(benchName string) (*report.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	o := &opt.Optimizer{Bench: b, MeshPitch: r.Cfg.MeshPitch, Workers: r.Cfg.Workers, Solver: r.Cfg.Solver, Obs: r.Cfg.Obs}
+	o := &opt.Optimizer{Bench: b, MeshPitch: r.Cfg.MeshPitch, Workers: r.Cfg.Workers, Obs: r.Cfg.Obs}
 	if err := o.FitModels(); err != nil {
 		return nil, err
 	}
@@ -92,7 +92,7 @@ func (r *Runner) RegressionStudy(benchName string) (*report.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	o := &opt.Optimizer{Bench: b, MeshPitch: r.Cfg.MeshPitch, Workers: r.Cfg.Workers, Solver: r.Cfg.Solver, Obs: r.Cfg.Obs}
+	o := &opt.Optimizer{Bench: b, MeshPitch: r.Cfg.MeshPitch, Workers: r.Cfg.Workers, Obs: r.Cfg.Obs}
 	if err := o.FitModels(); err != nil {
 		return nil, err
 	}

@@ -109,6 +109,10 @@ type Result struct {
 	ActiveDiePower float64
 	// Stats reports the solve.
 	Stats solve.CGStats
+	// Balance is the answer's relative Kirchhoff current-balance error:
+	// how far the current the supply ties deliver is from the current the
+	// loads draw (rmesh.Model.Balance).
+	Balance float64
 	// IR holds the full per-node IR-drop vector (volts) for map export.
 	IR []float64
 }
@@ -244,11 +248,11 @@ func (a *Analyzer) ResponseCtx(ctx context.Context, from *memstate.State, to mem
 	n := a.Model.N()
 	stamp := obs.SpanFrom(ctx).Child("stamp")
 	rhs := make([]float64, n)
-	err := a.stampLoads(to, io, rhs, &Result{})
+	_, err := a.stampLoads(to, io, rhs, &Result{})
 	var base []float64
 	if err == nil && from != nil {
 		base = make([]float64, n)
-		err = a.stampLoads(*from, io, base, &Result{})
+		_, err = a.stampLoads(*from, io, base, &Result{})
 	}
 	stamp.End()
 	if err != nil {
@@ -265,7 +269,7 @@ func (a *Analyzer) ResponseCtx(ctx context.Context, from *memstate.State, to mem
 	opts := a.Opts
 	opts.Cancel = ctx.Err
 	a.solves.Add(1)
-	r, _, err := a.solveTraced(ctx, rhs, opts)
+	r, _, _, err := a.solveTraced(ctx, rhs, opts, 0)
 	if err != nil {
 		return nil, fmt.Errorf("irdrop: %s response to state %s: %w", a.Spec().Name, to, err)
 	}
@@ -319,14 +323,15 @@ func (a *Analyzer) analyze(state memstate.State, io float64) (*Result, error) {
 }
 
 // stampLoads folds state's DRAM and logic loads into rhs, accumulating
-// the power bookkeeping fields of res. Split out of analyzeOpts so the
-// "stamp" trace span brackets exactly this work and is closed on the
-// error paths too.
-func (a *Analyzer) stampLoads(state memstate.State, io float64, rhs []float64, res *Result) error {
+// the power bookkeeping fields of res, and returns the current in amps
+// the loads draw. Split out of analyzeOpts so the "stamp" trace span
+// brackets exactly this work and is closed on the error paths too.
+func (a *Analyzer) stampLoads(state memstate.State, io float64, rhs []float64, res *Result) (float64, error) {
 	spec := a.Spec()
 	if state.NumDies() > spec.NumDRAM {
-		return fmt.Errorf("irdrop: state has %d dies, design has %d", state.NumDies(), spec.NumDRAM)
+		return 0, fmt.Errorf("irdrop: state has %d dies, design has %d", state.NumDies(), spec.NumDRAM)
 	}
+	var power float64 // mW, logic included
 	for d := 0; d < spec.NumDRAM; d++ {
 		var banks []int
 		if d < len(state.Dies) {
@@ -334,27 +339,29 @@ func (a *Analyzer) stampLoads(state memstate.State, io float64, rhs []float64, r
 		}
 		loads, err := a.DRAMPower.Loads(spec.DRAM, banks, io)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		p := powermap.TotalPower(loads)
 		res.TotalPower += p
+		power += p
 		if len(banks) > 0 {
 			res.ActiveDiePower = p
 		}
 		if err := a.Model.AddDRAMLoads(rhs, d, loads); err != nil {
-			return err
+			return 0, err
 		}
 	}
 	if a.LogicPower != nil {
 		loads, err := a.LogicPower.Loads(spec.Logic)
 		if err != nil {
-			return err
+			return 0, err
 		}
+		power += powermap.TotalPower(loads)
 		if err := a.Model.AddLogicLoads(rhs, loads); err != nil {
-			return err
+			return 0, err
 		}
 	}
-	return nil
+	return power / 1000 / a.Model.VDD, nil
 }
 
 func (a *Analyzer) analyzeOpts(ctx context.Context, state memstate.State, io float64, opts solve.Options) (*Result, error) {
@@ -364,7 +371,7 @@ func (a *Analyzer) analyzeOpts(ctx context.Context, state memstate.State, io flo
 	rhs := m.BaseRHS()
 	res := &Result{State: state, IO: io, PerDie: make([]float64, spec.NumDRAM)}
 	stamp := obs.SpanFrom(ctx).Child("stamp")
-	err := a.stampLoads(state, io, rhs, res)
+	load, err := a.stampLoads(state, io, rhs, res)
 	stamp.End()
 	if err != nil {
 		return nil, err
@@ -372,7 +379,7 @@ func (a *Analyzer) analyzeOpts(ctx context.Context, state memstate.State, io flo
 	if opts.X0 == nil {
 		opts.X0 = a.Warm.Seed(m.N())
 	}
-	v, stats, err := a.solveTraced(ctx, rhs, opts)
+	v, stats, balance, err := a.solveTraced(ctx, rhs, opts, load)
 	if err != nil {
 		return nil, fmt.Errorf("irdrop: %s state %s: %w", spec.Name, state, err)
 	}
@@ -380,6 +387,7 @@ func (a *Analyzer) analyzeOpts(ctx context.Context, state memstate.State, io flo
 	// a fresh slice), so later seeds read an immutable solution.
 	a.Warm.Publish(v)
 	res.Stats = stats
+	res.Balance = balance
 	res.IR = m.IRDrop(v)
 	for d := 0; d < spec.NumDRAM; d++ {
 		res.PerDie[d] = m.DieMaxIR(res.IR, d)
@@ -398,8 +406,11 @@ func (a *Analyzer) analyzeOpts(ctx context.Context, state memstate.State, io flo
 // solveTraced runs one nodal solve under a "solve" child of ctx's span,
 // annotated when opts warm-starts it, and commits the solve's flight
 // record on the error path too: a failed or cancelled solve is exactly the
-// record /debug/solves exists to surface.
-func (a *Analyzer) solveTraced(ctx context.Context, rhs []float64, opts solve.Options) ([]float64, solve.CGStats, error) {
+// record /debug/solves exists to surface. When load, the current in amps
+// the right-hand side's loads draw, is positive, rhs is a voltage-space
+// right-hand side and the solution's Kirchhoff balance against load is
+// returned and recorded.
+func (a *Analyzer) solveTraced(ctx context.Context, rhs []float64, opts solve.Options, load float64) ([]float64, solve.CGStats, float64, error) {
 	sp := obs.SpanFrom(ctx).Child("solve")
 	if opts.X0 != nil {
 		sp.Annotate(obs.A("warm", true))
@@ -410,8 +421,13 @@ func (a *Analyzer) solveTraced(ctx context.Context, rhs []float64, opts solve.Op
 	opts.Rec = rec
 	v, stats, err := a.Model.Solve(rhs, opts)
 	sp.End()
+	var balance float64
+	if err == nil {
+		balance = a.Model.Balance(v, load)
+		rec.SetBalance(balance)
+	}
 	rec.Commit()
-	return v, stats, err
+	return v, stats, balance, err
 }
 
 // MaxIRmV returns the stack maximum IR drop in millivolts.

@@ -83,6 +83,9 @@ type SolveRecord struct {
 	// stagnated, or error. Empty when the solve never reached the
 	// iteration loop.
 	Termination string `json:"termination,omitempty"`
+	// Balance is the answer's relative Kirchhoff current-balance error,
+	// set by callers that know the load current (irdrop's Analyze path).
+	Balance float64 `json:"balance,omitempty"`
 	// CondEst estimates κ(M⁻¹A) — the condition number of the
 	// preconditioned operator — from the Lanczos tridiagonal the CG α/β
 	// define. 0 means no estimate (zero-iteration solve, degenerate
@@ -167,6 +170,15 @@ func (r *SolveRecorder) SetTrace(id string) {
 		return
 	}
 	r.rec.TraceID = id
+}
+
+// SetBalance stamps the solution's relative Kirchhoff current-balance
+// error. No-op on nil.
+func (r *SolveRecorder) SetBalance(b float64) {
+	if r == nil {
+		return
+	}
+	r.rec.Balance = b
 }
 
 // Warm marks the solve warm-started from a seed with the given 2-norm.

@@ -98,8 +98,6 @@ type Optimizer struct {
 	GridSteps int
 	// Workers bounds the sampling worker pool (<= 0 selects GOMAXPROCS).
 	Workers int
-	// Solver selects the nodal solver method ("" = the default).
-	Solver string
 	// Obs, when non-nil, receives sampling metrics: the mesh/solver
 	// instrumentation of every R-Mesh evaluation plus a span around the
 	// model fit on its run trace. Optimization results are identical
@@ -187,7 +185,6 @@ func (o *Optimizer) measure(c Candidate) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	a.Opts.Method = o.Solver
 	n := spec.NumDRAM
 	worst := 0.0
 	states := [][]int{topDie(n, 2)}

@@ -2,7 +2,6 @@ package rmesh
 
 import (
 	"fmt"
-	"sync"
 
 	"pdn3d/internal/geom"
 	"pdn3d/internal/obs"
@@ -46,12 +45,6 @@ type Model struct {
 	// stampBuf is the reusable raw stamp stream (one value per stamp in
 	// stamping order); Restamp refills it in place.
 	stampBuf []float64
-
-	// permMatrix is the RCM-reordered matrix, materialized lazily on the
-	// first reordering-aware solve (cg-amg) and kept in sync by restamp.
-	// permMu serializes the first materialization across goroutines.
-	permMatrix *sparse.CSR
-	permMu     sync.Mutex
 
 	// solvers caches one Solver per (method, workers) so per-matrix setup
 	// (IC(0) factorization or AMG hierarchy) happens exactly once per
@@ -339,24 +332,13 @@ func buildBoth(spec *pdn.Spec, reg *obs.Registry) (*Topology, *Model, error) {
 	reg.Counter("rmesh.resistors_total").Add(int64(m.Resistors))
 	reg.Histogram("rmesh.nodes", nodeBounds).Observe(float64(m.n))
 
-	// RCM reordering: computed at freeze time so every model over this
-	// topology replays it for free. The permuted pattern shares the raw
-	// stamp stream with the natural-order pattern, so restamps keep both
-	// matrices in sync from one stream.
-	stopPerm := reg.Timer("rmesh.reorder_time").Start()
-	perm := pat.Permutation()
-	permPat := pat.Permute(perm)
-	stopPerm()
-
 	t := &Topology{
-		key:         speckey.Topology(spec),
-		pattern:     pat,
-		n:           m.n,
-		stamps:      b.NNZStamps(),
-		layers:      cloneLayers(m.Layers),
-		logicLoad:   -1,
-		perm:        perm,
-		permPattern: permPat,
+		key:       speckey.Topology(spec),
+		pattern:   pat,
+		n:         m.n,
+		stamps:    b.NNZStamps(),
+		layers:    cloneLayers(m.Layers),
+		logicLoad: -1,
 	}
 	t.dramLoad = make([]int, len(m.dramLoad))
 	for i := range m.Layers {

@@ -3,11 +3,11 @@ package rmesh
 import (
 	"context"
 	"fmt"
+	"math"
 	"strconv"
 
 	"pdn3d/internal/powermap"
 	"pdn3d/internal/solve"
-	"pdn3d/internal/sparse"
 )
 
 // BaseRHS returns the right-hand side of the folded nodal system with no
@@ -62,45 +62,19 @@ func addLoads(rhs []float64, l *Layer, loads []powermap.Load, vdd float64) error
 }
 
 // Solver returns the model's solver for the method and worker budget named
-// in opt, building it on first use. Construction is deduplicated: when many
+// in opt, building it on first use; an empty method is resolved by
+// solve.MethodFor from the mesh's node count, so it shares its cache entry
+// with the method it names. Construction is deduplicated: when many
 // goroutines request the same (method, workers) pair concurrently, exactly
-// one factorization runs and the rest share it.
-//
-// Reordering-aware methods (cg-amg) are built on the RCM-reordered matrix
-// and wrapped so callers see the original node ordering: right-hand sides
-// and warm-start guesses in, voltages out — all in mesh numbering.
+// one set-up runs and the rest share it.
 func (m *Model) Solver(opt solve.Options) (solve.Solver, error) {
-	method := opt.Method
-	if method == "" {
-		method = solve.DefaultMethod
-	}
+	opt.Method = solve.MethodFor(opt.Method, m.n)
 	if opt.Obs == nil {
 		opt.Obs = m.obs // an instrumented model instruments its solvers
 	}
-	return m.solvers.Do(context.TODO(), method+"/"+strconv.Itoa(opt.Workers), nil, func() (solve.Solver, error) {
-		if solve.UsesReordering(method) {
-			inner, err := solve.New(m.reorderedMatrix(), opt)
-			if err != nil {
-				return nil, err
-			}
-			return solve.Reordered(inner, m.topo.Perm()), nil
-		}
+	return m.solvers.Do(context.TODO(), opt.Method+"/"+strconv.Itoa(opt.Workers), nil, func() (solve.Solver, error) {
 		return solve.New(m.Matrix, opt)
 	})
-}
-
-// reorderedMatrix materializes the RCM-reordered conductance matrix on
-// first use by scattering the current stamp stream through the topology's
-// permuted pattern. Later restamps keep it in sync (see restamp).
-func (m *Model) reorderedMatrix() *sparse.CSR {
-	m.permMu.Lock()
-	defer m.permMu.Unlock()
-	if m.permMatrix == nil {
-		pm := m.topo.permPattern.NewCSR()
-		m.topo.permPattern.Scatter(pm.Val, m.stampBuf)
-		m.permMatrix = pm
-	}
-	return m.permMatrix
 }
 
 // Solve runs the selected solver on the assembled system and returns node
@@ -115,6 +89,23 @@ func (m *Model) Solve(rhs []float64, opt solve.Options) ([]float64, solve.CGStat
 	}
 	m.obs.Counter("rmesh.solves").Add(1)
 	return s.Solve(rhs, opt.CGOptions)
+}
+
+// Balance returns the relative Kirchhoff current-balance error of node
+// voltages v against load, the current in amps the right-hand side's
+// loads draw: |Σ_t g_t·(VDD − v_t) − load| / load, where the sum is the
+// current the supply ties deliver. An exact solution balances to
+// rounding, so the value measures the solve, not the physics. It is 0
+// when load is not positive.
+func (m *Model) Balance(v []float64, load float64) float64 {
+	if load <= 0 {
+		return 0
+	}
+	var tie float64
+	for _, t := range m.Ties {
+		tie += t.G * (m.VDD - v[t.Node])
+	}
+	return math.Abs(tie-load) / load
 }
 
 // IRDrop converts node voltages to IR drops (VDD − v).

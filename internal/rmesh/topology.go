@@ -40,20 +40,6 @@ type Topology struct {
 	layers    []*Layer
 	dramLoad  []int // layer index of each DRAM die's load layer
 	logicLoad int   // layer index of the logic load layer, -1 off-chip
-	// perm is the RCM (reverse Cuthill-McKee) ordering of the mesh graph,
-	// perm[new] = old, computed once at freeze time. permPattern is the
-	// pattern permuted by it: the same raw stamp stream scatters into the
-	// bandwidth-reduced matrix that reordering-aware solvers (cg-amg)
-	// consume, so a restamp refreshes both matrices from one stream.
-	perm        []int32
-	permPattern *sparse.Pattern
-}
-
-// Perm returns a copy of the topology's RCM ordering (perm[new] = old).
-func (t *Topology) Perm() []int32 {
-	out := make([]int32, len(t.perm))
-	copy(out, t.perm)
-	return out
 }
 
 // Key returns the topology's speckey.Topology fingerprint.
@@ -178,13 +164,6 @@ func (m *Model) restamp() error {
 	}
 	m.stampBuf = rec.vals
 	m.topo.pattern.Scatter(m.Matrix.Val, rec.vals)
-	// The reordered matrix, if a reordering-aware solver materialized it,
-	// replays the same stream through the permuted pattern. Restamp is
-	// documented as never concurrent with Solve, so the unlocked write is
-	// safe; reorderedMatrix's lock only serializes concurrent first builds.
-	if m.permMatrix != nil {
-		m.topo.permPattern.Scatter(m.permMatrix.Val, rec.vals)
-	}
 	m.solvers.Reset()
 	m.obs.Counter("rmesh.restamps").Add(1)
 	return nil

@@ -192,7 +192,7 @@ func TestPanickingSolveAnswers500(t *testing.T) {
 	solve.Register("test-panic", func(*sparse.CSR, solve.Options) (solve.Solver, error) {
 		panic("solver set-up exploded")
 	})
-	_, ts := newTestServer(t, Config{Solver: "test-panic"})
+	_, ts := newTestServer(t, Config{method: "test-panic"})
 	for attempt := 0; attempt < 2; attempt++ {
 		resp, body := post(t, ts.URL+"/v1/analyze", goodQuery)
 		if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(errorText(t, body), "solver set-up exploded") {
@@ -228,7 +228,7 @@ func (p panicSolver) Solve([]float64, solve.CGOptions) ([]float64, solve.CGStats
 func TestPanickingLUTSolveAnswers500(t *testing.T) {
 	ps := panicSolver{entered: new(atomic.Int64), both: make(chan struct{})}
 	solve.Register("test-panic-solve", func(*sparse.CSR, solve.Options) (solve.Solver, error) { return ps, nil })
-	_, ts := newTestServer(t, Config{Solver: "test-panic-solve", Workers: 4})
+	_, ts := newTestServer(t, Config{method: "test-panic-solve", Workers: 4})
 	resp, body := post(t, ts.URL+"/v1/lut", `{"bench":"ddr3-off"}`)
 	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(errorText(t, body), "solve exploded") {
 		t.Fatalf("status %d, body %s; want 500 carrying the panic", resp.StatusCode, body)

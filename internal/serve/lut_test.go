@@ -84,7 +84,7 @@ func TestLUTCancelStopsSolving(t *testing.T) {
 		}
 		return holdSolver{Solver: inner, armed: &armed, parked: parked}, nil
 	})
-	s, ts := newTestServer(t, Config{Solver: "test-lut-hold", Workers: 1})
+	s, ts := newTestServer(t, Config{method: "test-lut-hold", Workers: 1})
 	const body = `{"bench":"ddr3-off"}` // the default grid: 3 levels x 81 states
 	const fullBuild = 3 * (1 + 4*2)
 

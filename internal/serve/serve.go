@@ -81,8 +81,6 @@ type Config struct {
 	// Workers bounds the solver kernels and the batch fan-out pool.
 	// <= 0 selects GOMAXPROCS. Results are identical for every value.
 	Workers int
-	// Solver names the solve method (empty selects the default).
-	Solver string
 	// MeshPitch, when > 0, is the mesh pitch (mm) applied to queries that
 	// do not override the pitch themselves — the server-wide
 	// fidelity/latency knob.
@@ -133,6 +131,11 @@ type Config struct {
 	// Reg receives serving metrics; nil allocates a private registry (the
 	// /metrics endpoint works either way).
 	Reg *obs.Registry
+
+	// method, when set, names the solve method every design uses in place
+	// of solve.MethodFor's size rule. Only this package's tests set it, to
+	// substitute a fault-injecting solver.
+	method string
 }
 
 // Server is the HTTP handler. Create with New; it is safe for concurrent
@@ -538,7 +541,7 @@ func (s *Server) analyzerFor(ctx context.Context, r *query.Resolved) (*irdrop.An
 		if err != nil {
 			return nil, err
 		}
-		a.Opts.Method = s.cfg.Solver
+		a.Opts.Method = s.cfg.method
 		a.Opts.Workers = s.cfg.Workers
 		if s.cfg.WarmStart {
 			a.Warm = &irdrop.WarmStart{}

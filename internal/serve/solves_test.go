@@ -39,6 +39,9 @@ func TestDebugSolvesEndpoint(t *testing.T) {
 	if rec.CondEst <= 1 {
 		t.Fatalf("cond_est = %g, want > 1", rec.CondEst)
 	}
+	if !(rec.Balance > 0 && rec.Balance <= 1e-6) {
+		t.Fatalf("balance = %g, want the answer's Kirchhoff balance in (0, 1e-6]", rec.Balance)
+	}
 	if len(rec.Alphas) != rec.Iterations || len(rec.Residuals) == 0 {
 		t.Fatalf("trajectory missing: %d alphas, %d residuals for %d iterations",
 			len(rec.Alphas), len(rec.Residuals), rec.Iterations)

@@ -256,83 +256,3 @@ func TestAMGApplyAllocatesNothing(t *testing.T) {
 		t.Errorf("AMG.Apply allocates %.0f times per call, want 0", allocs)
 	}
 }
-
-// denseSolver puts the dense oracle behind the Solver interface, so a
-// test can run an exact solve through Reordered.
-type denseSolver struct{ c *Cholesky }
-
-func (denseSolver) Method() string { return "dense" }
-
-func (d denseSolver) Solve(b []float64, _ CGOptions) ([]float64, CGStats, error) {
-	x, err := d.c.Solve(b)
-	return x, CGStats{Converged: err == nil}, err
-}
-
-// Reordered must hand back solutions (and accept warm starts) in the
-// original node ordering while the inner solver runs on the permuted
-// system.
-func TestReorderedSolverRoundTrip(t *testing.T) {
-	b := sparse.NewBuilder(30 * 20)
-	idx := func(i, j int) int { return j*30 + i }
-	for j := 0; j < 20; j++ {
-		for i := 0; i < 30; i++ {
-			if i+1 < 30 {
-				b.AddConductance(idx(i, j), idx(i+1, j), 1+0.1*float64(i))
-			}
-			if j+1 < 20 {
-				b.AddConductance(idx(i, j), idx(i, j+1), 2)
-			}
-		}
-	}
-	b.AddToGround(5, 4)
-	p := b.Freeze()
-	a := p.NewCSR()
-	p.Scatter(a.Val, b.RawVals())
-	perm := p.Permutation()
-	pa := a.Permute(perm)
-
-	rhs := make([]float64, a.N)
-	for i := range rhs {
-		rhs[i] = math.Sin(float64(i) * 0.7)
-	}
-
-	direct, err := NewCholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := direct.Solve(rhs)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	inner, err := NewCholesky(pa)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, st, err := Reordered(denseSolver{inner}, perm).Solve(rhs, CGOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.Converged {
-		t.Fatal("reordered solve not converged")
-	}
-	for i := range want {
-		if d := math.Abs(got[i] - want[i]); d > 1e-12*(1+math.Abs(want[i])) {
-			t.Fatalf("x[%d] = %g vs unpermuted %g", i, got[i], want[i])
-		}
-	}
-
-	// Warm start passes through the permutation: seeding with the exact
-	// solution must converge instantly on an iterative method.
-	innerCG, err := New(pa, Options{Method: MethodCGAMG})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, st, err = Reordered(innerCG, perm).Solve(rhs, CGOptions{Tol: 1e-9, X0: want})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Iterations != 0 {
-		t.Errorf("exact warm start took %d iterations, want 0", st.Iterations)
-	}
-}

@@ -1,9 +1,9 @@
 // Package solve provides the linear solver behind the R-Mesh IR-drop
 // engine, standing in for the paper's HSPICE runs: conjugate gradients on
-// the sparse SPD conductance system, preconditioned by IC(0) (cg-ic0, the
-// default) or an algebraic-multigrid V-cycle (cg-amg). solve.New(a, opt)
-// builds one through the registry in solver.go, and Solver.Solve is the
-// only way to run it. A dense Cholesky factorization remains as AMG's
+// the sparse SPD conductance system, preconditioned by IC(0) (cg-ic0) or
+// an algebraic-multigrid V-cycle (cg-amg), which MethodFor picks by system
+// size. solve.New(a, opt) builds one through the registry in solver.go,
+// and Solver.Solve is the only way to run it. A dense Cholesky factorization remains as AMG's
 // coarse-level solve and as the exact oracle the differential harness
 // checks every method against. The hot BLAS-1/SpMV kernels are sharded
 // across a bounded worker pool for large systems (see kernels.go);

@@ -24,7 +24,7 @@ type Solver interface {
 // Options selects and tunes a solver built through the registry.
 type Options struct {
 	// Method is the registry name: "cg-ic0" or "cg-amg" (plus anything
-	// registered by tests). Empty selects DefaultMethod.
+	// registered by tests). Empty lets MethodFor pick by system size.
 	Method string
 	// Workers bounds the worker pool the BLAS-1/SpMV kernels shard
 	// across on large systems. <= 0 selects GOMAXPROCS. Results are
@@ -42,11 +42,11 @@ type Options struct {
 
 // Method names built in to the registry.
 const (
-	// MethodCGIC0 is IC(0)-preconditioned CG — the production default.
+	// MethodCGIC0 is IC(0)-preconditioned CG, the default below
+	// AMGMinNodes.
 	MethodCGIC0 = "cg-ic0"
 	// MethodCGAMG is CG preconditioned by an aggregation-based algebraic
-	// multigrid V-cycle (see amg.go). Callers that hold an rmesh model
-	// additionally run it on the RCM-reordered system.
+	// multigrid V-cycle (see amg.go), the default from AMGMinNodes up.
 	MethodCGAMG = "cg-amg"
 )
 
@@ -56,20 +56,27 @@ const (
 	precondAMG = "amg"
 )
 
-// UsesReordering reports whether a method solves the RCM-reordered
-// system. Only cg-amg does, and not merely to keep cg-ic0's outputs
-// byte-pinned: IC(0) converges slower on the RCM order. With the
-// gate forced on, the 243 solves of `tables -only table6` took 31,676
-// summed IC(0) iterations instead of 23,850 (+33%). Making cg-amg the
-// default instead (perfbench, median of 3 runs on a 2-vCPU Xeon) cut
-// lut-policy wall_s from 8.00 to 5.58 s but raised design-sweep setup_s
-// from 0.152 to 0.189 s and peak_rss_mb from 252 to 318 MB. So the gate
-// can go only together with cg-ic0, once a size threshold picks the
-// method.
-func UsesReordering(method string) bool { return method == MethodCGAMG }
+// AMGMinNodes is the system size from which an empty Options.Method
+// resolves to cg-amg instead of cg-ic0. A pitch sweep of ddr3-off
+// (DESIGN §5h) timed a cold set-up plus one solve under each: the two
+// cross within 3 % between 13k and 15k nodes, and cg-amg leads from
+// here up. It sits above the largest paper design at its default pitch
+// (wideio, 16,093 nodes), so those keep cg-ic0's cheaper set-up.
+const AMGMinNodes = 16_928
 
-// DefaultMethod is used when Options.Method is empty.
-const DefaultMethod = MethodCGIC0
+// MethodFor resolves the method an n-node system is solved with: method
+// itself when set, otherwise cg-ic0 below AMGMinNodes and cg-amg at or
+// above it.
+func MethodFor(method string, n int) string {
+	switch {
+	case method != "":
+		return method
+	case n < AMGMinNodes:
+		return MethodCGIC0
+	default:
+		return MethodCGAMG
+	}
+}
 
 // Factory builds a Solver for one matrix.
 type Factory func(a *sparse.CSR, opt Options) (Solver, error)
@@ -99,13 +106,10 @@ func Methods() []string {
 	return out
 }
 
-// New builds a solver for the matrix using the method named in opt
-// (DefaultMethod when empty).
+// New builds a solver for the matrix using the method named in opt, or
+// the one MethodFor picks for the matrix's size when that is empty.
 func New(a *sparse.CSR, opt Options) (Solver, error) {
-	method := opt.Method
-	if method == "" {
-		method = DefaultMethod
-	}
+	method := MethodFor(opt.Method, a.N)
 	regMu.RLock()
 	f, ok := registry[method]
 	regMu.RUnlock()

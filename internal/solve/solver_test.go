@@ -50,6 +50,35 @@ func TestNewDefaultsToIC0(t *testing.T) {
 	}
 }
 
+// MethodFor keeps a named method and resolves an empty one by size:
+// cg-ic0 below AMGMinNodes, cg-amg from it up. New follows the rule.
+func TestMethodForSizeRule(t *testing.T) {
+	for _, tc := range []struct {
+		method string
+		n      int
+		want   string
+	}{
+		{"", 1, MethodCGIC0},
+		{"", AMGMinNodes - 1, MethodCGIC0},
+		{"", AMGMinNodes, MethodCGAMG},
+		{"", 10 * AMGMinNodes, MethodCGAMG},
+		{MethodCGAMG, 1, MethodCGAMG},
+		{MethodCGIC0, AMGMinNodes, MethodCGIC0},
+	} {
+		if got := MethodFor(tc.method, tc.n); got != tc.want {
+			t.Errorf("MethodFor(%q, %d) = %q, want %q", tc.method, tc.n, got, tc.want)
+		}
+	}
+	nx := int(math.Ceil(math.Sqrt(AMGMinNodes)))
+	s, err := New(grid2D(nx, nx), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Method() != MethodCGAMG {
+		t.Errorf("New on %d nodes picked %q, want %q", nx*nx, s.Method(), MethodCGAMG)
+	}
+}
+
 // All registered methods must agree on the same system within the
 // validation tolerance used by internal/irdrop (dense cross-checks pass at
 // <1e-7 V); this is the solver-level half of that guarantee.
