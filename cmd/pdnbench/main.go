@@ -173,15 +173,14 @@ type Snapshot struct {
 	AllRestampExact    bool     `json:"all_restamp_exact"`
 	AllStructEqual     bool     `json:"all_roundtrip_struct_equal"`
 	// Convergence is the per-family × per-method envelope of the solve
-	// flight recorder's columns (-convergence mode only): the worst cold
+	// flight recorder's columns (-convergence mode only): the worst
 	// iteration count and condition estimate per corpus family, so a
 	// conditioning regression in one design family diffs as its own row.
 	Convergence []FamilyConvergence `json:"convergence,omitempty"`
 	Reports     []*diff.MeshReport  `json:"meshes"`
 }
 
-// FamilyConvergence is one convergence-section row. Cold runs only: warm
-// iteration counts depend on the seeding scenario, not the operator.
+// FamilyConvergence is one convergence-section row.
 type FamilyConvergence struct {
 	Family     string  `json:"family"`
 	Method     string  `json:"method"`
@@ -190,7 +189,7 @@ type FamilyConvergence struct {
 	MaxCondEst float64 `json:"max_cond_est"`
 }
 
-// convergenceRows aggregates the reports' cold runs by corpus family and
+// convergenceRows aggregates the reports' runs by corpus family and
 // solver method, sorted for a stable committed snapshot.
 func convergenceRows(reports []*diff.MeshReport) []FamilyConvergence {
 	type key struct{ family, method string }
@@ -198,9 +197,6 @@ func convergenceRows(reports []*diff.MeshReport) []FamilyConvergence {
 	for _, rep := range reports {
 		fam := familyOf(rep.Name)
 		for _, r := range rep.Runs {
-			if r.Warm {
-				continue
-			}
 			k := key{fam, r.Method}
 			row := rows[k]
 			if row == nil {

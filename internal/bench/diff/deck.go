@@ -49,8 +49,8 @@ func fileErr(file, stage string, err error) *FileError {
 
 // DeckReport is the differential outcome for one imported deck. It
 // mirrors MeshReport minus the legs that need a live rmesh model (restamp
-// replay, warm seeds from a perturbed sibling): an external deck is a
-// standalone system, so every run is cold.
+// replay and the SPICE round trip): an external deck is a standalone
+// system.
 type DeckReport struct {
 	File   string `json:"file"`
 	Title  string `json:"title,omitempty"`

@@ -3,12 +3,12 @@
 // the solve registry against a shared oracle. On small systems the oracle
 // is the dense Cholesky factorization; on systems too large to factor
 // densely the solvers cross-check each other against the default method.
-// Each mesh additionally re-proves two standing bit-exactness claims —
-// a restamped matrix is identical to a full build, and warm-started
-// solves agree with cold ones — and round-trips through the SPICE
-// netlist interchange (internal/spice), so a solver regression, a stamp
-// regression, or an interchange regression all surface as one failing
-// differential report.
+// Each mesh additionally re-proves the standing bit-exactness claim that
+// a restamped matrix is identical to a full build, for the mesh's own
+// spec and for a value-perturbed sibling, and round-trips through the
+// SPICE netlist interchange (internal/spice), so a solver regression, a
+// stamp regression, or an interchange regression all surface as one
+// failing differential report.
 package diff
 
 import (
@@ -93,8 +93,6 @@ func (o Options) methods() []string {
 type Run struct {
 	// Method is the registry name of the solver.
 	Method string `json:"method"`
-	// Warm reports whether the solve was seeded with a nearby solution.
-	Warm bool `json:"warm"`
 	// Iterations and Residual are the solver's own convergence story.
 	Iterations int     `json:"iterations"`
 	Residual   float64 `json:"residual"`
@@ -135,7 +133,7 @@ type MeshReport struct {
 	// Oracle names the reference: "cholesky" for the dense exact oracle,
 	// "cross:<method>" when the mesh is too large to factor densely.
 	Oracle string `json:"oracle"`
-	// Runs lists every solver execution (cold and warm) and its error
+	// Runs lists every solver execution, one per method, and its error
 	// against the reference.
 	Runs []Run `json:"runs"`
 	// MaxRelErr is the worst RelErr over Runs.
@@ -149,8 +147,8 @@ type MeshReport struct {
 }
 
 // Check expands one corpus entry and runs the full differential suite on
-// it: every registered solver cold and warm against the mesh's reference
-// solution, restamp-vs-full-build bit equality, and the SPICE round trip.
+// it: every registered solver against the mesh's reference solution,
+// restamp-vs-full-build bit equality, and the SPICE round trip.
 func Check(s *gen.Spec, opt Options) (*MeshReport, error) {
 	inst, err := s.Build()
 	if err != nil {
@@ -162,11 +160,10 @@ func Check(s *gen.Spec, opt Options) (*MeshReport, error) {
 	}
 	rep := &MeshReport{Name: s.Name, Nodes: m.N(), NNZ: m.Matrix.NNZ()}
 
-	restampExact, warmSeed, err := restampCheck(inst, m)
+	rep.RestampExact, err = restampCheck(inst, m)
 	if err != nil {
 		return nil, err
 	}
-	rep.RestampExact = restampExact
 
 	// Reference solution: dense Cholesky on oracle-sized systems, the
 	// method solve.MethodFor picks for the mesh's size otherwise.
@@ -196,33 +193,27 @@ func Check(s *gen.Spec, opt Options) (*MeshReport, error) {
 	// report alongside the error columns.
 	buf := obs.NewSolveBuffer(1)
 	for _, method := range opt.methods() {
-		for _, warm := range []bool{false, true} {
-			o := cg
-			if warm {
-				o.X0 = warmSeed
-			}
-			rec := buf.StartSolveRecord()
-			o.Rec = rec
-			x, stats, err := m.Solve(rhs, solve.Options{Method: method, Workers: opt.Workers, CGOptions: o})
-			rec.Commit()
-			if err != nil {
-				return nil, fmt.Errorf("diff %s: %s (warm=%v): %w", s.Name, method, warm, err)
-			}
-			run := Run{
-				Method:     method,
-				Warm:       warm,
-				Iterations: stats.Iterations,
-				Residual:   stats.Residual,
-				RelErr:     RelErr(x, ref),
-			}
-			if recent, _, _ := buf.Snapshot(); len(recent) > 0 {
-				run.CondEst = recent[0].CondEst
-				run.Termination = recent[0].Termination
-			}
-			rep.Runs = append(rep.Runs, run)
-			if run.RelErr > rep.MaxRelErr {
-				rep.MaxRelErr = run.RelErr
-			}
+		o := cg
+		rec := buf.StartSolveRecord()
+		o.Rec = rec
+		x, stats, err := m.Solve(rhs, solve.Options{Method: method, Workers: opt.Workers, CGOptions: o})
+		rec.Commit()
+		if err != nil {
+			return nil, fmt.Errorf("diff %s: %s: %w", s.Name, method, err)
+		}
+		run := Run{
+			Method:     method,
+			Iterations: stats.Iterations,
+			Residual:   stats.Residual,
+			RelErr:     RelErr(x, ref),
+		}
+		if recent, _, _ := buf.Snapshot(); len(recent) > 0 {
+			run.CondEst = recent[0].CondEst
+			run.Termination = recent[0].Termination
+		}
+		rep.Runs = append(rep.Runs, run)
+		if run.RelErr > rep.MaxRelErr {
+			rep.MaxRelErr = run.RelErr
 		}
 	}
 
@@ -261,14 +252,12 @@ func Assemble(inst *gen.Instance) (*rmesh.Model, []float64, error) {
 // restampCheck re-proves the two-phase mesh pipeline's bit-exactness
 // claim on this mesh: restamping the same spec over the frozen topology,
 // and restamping a value-perturbed sibling, must both reproduce the
-// matrices a cold rmesh.Build produces bit for bit. It returns the
-// perturbed sibling's solution as the warm-start seed for the warm runs —
-// a genuinely nearby but non-identical guess, the value-sweep scenario.
-func restampCheck(inst *gen.Instance, m *rmesh.Model) (bool, []float64, error) {
+// matrices a cold rmesh.Build produces bit for bit.
+func restampCheck(inst *gen.Instance, m *rmesh.Model) (bool, error) {
 	spec := inst.Spec
 	same, err := m.Topology().NewModel(spec)
 	if err != nil {
-		return false, nil, err
+		return false, err
 	}
 	exact := bitsEqual(m.Matrix.Val, same.Matrix.Val)
 
@@ -281,60 +270,17 @@ func restampCheck(inst *gen.Instance, m *rmesh.Model) (bool, []float64, error) {
 	pg.UsageScale *= 0.8
 	pinst, err := pg.Build()
 	if err != nil {
-		return false, nil, err
+		return false, err
 	}
 	full, err := rmesh.Build(pinst.Spec)
 	if err != nil {
-		return false, nil, err
+		return false, err
 	}
 	restamped, err := m.Topology().NewModel(pinst.Spec)
 	if err != nil {
-		return false, nil, err
+		return false, err
 	}
-	exact = exact && bitsEqual(full.Matrix.Val, restamped.Matrix.Val)
-
-	prhs, err := pinstRHS(pinst, full)
-	if err != nil {
-		return false, nil, err
-	}
-	seed, _, err := full.Solve(prhs, solve.Options{CGOptions: solve.CGOptions{Tol: 1e-10}})
-	if err != nil {
-		return false, nil, err
-	}
-	return exact, seed, nil
-}
-
-// pinstRHS loads the perturbed sibling's right-hand side onto its own
-// mesh (the tie conductances changed with the values).
-func pinstRHS(inst *gen.Instance, m *rmesh.Model) ([]float64, error) {
-	st, err := memstate.FromCounts(inst.Counts, memstate.WorstCaseEdge(inst.Spec.DRAM.NumBanks))
-	if err != nil {
-		return nil, err
-	}
-	rhs := m.BaseRHS()
-	for d := 0; d < inst.Spec.NumDRAM; d++ {
-		var banks []int
-		if d < len(st.Dies) {
-			banks = st.Dies[d]
-		}
-		loads, err := inst.Bench.DRAMPower.Loads(inst.Spec.DRAM, banks, inst.IO)
-		if err != nil {
-			return nil, err
-		}
-		if err := m.AddDRAMLoads(rhs, d, loads); err != nil {
-			return nil, err
-		}
-	}
-	if inst.Spec.OnLogic && inst.Bench.LogicPower != nil {
-		loads, err := inst.Bench.LogicPower.Loads(inst.Spec.Logic)
-		if err != nil {
-			return nil, err
-		}
-		if err := m.AddLogicLoads(rhs, loads); err != nil {
-			return nil, err
-		}
-	}
-	return rhs, nil
+	return exact && bitsEqual(full.Matrix.Val, restamped.Matrix.Val), nil
 }
 
 // roundTrip writes the mesh as a SPICE deck, re-parses it, and compares

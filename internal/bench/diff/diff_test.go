@@ -11,8 +11,8 @@ import (
 
 // TestCorpusDifferential is the acceptance gate of the benchmark corpus:
 // every committed golden mesh is small enough for the dense Cholesky
-// oracle, every registered solver (cold and warm) must agree with the
-// oracle within OracleRelTol, restamping must be bit-exact, and the SPICE
+// oracle, every registered solver must agree with the oracle within
+// OracleRelTol, restamping must be bit-exact, and the SPICE
 // netlist round trip must reproduce the exact sparsity pattern with
 // voltages inside RoundTripVoltTol.
 func TestCorpusDifferential(t *testing.T) {
@@ -38,13 +38,13 @@ func TestCorpusDifferential(t *testing.T) {
 			if !rep.RestampExact {
 				t.Error("restamped matrix not bit-identical to full build")
 			}
-			// Every registered method ran cold and warm.
-			if want := 2 * len(solve.Methods()); len(rep.Runs) != want {
-				t.Errorf("%d solver runs, want %d (cold+warm per method)", len(rep.Runs), want)
+			// Every registered method ran once.
+			if want := len(solve.Methods()); len(rep.Runs) != want {
+				t.Errorf("%d solver runs, want %d (one per method)", len(rep.Runs), want)
 			}
 			for _, r := range rep.Runs {
 				if r.RelErr > diff.OracleRelTol {
-					t.Errorf("%s (warm=%v): rel err %.3e above %.0e", r.Method, r.Warm, r.RelErr, diff.OracleRelTol)
+					t.Errorf("%s: rel err %.3e above %.0e", r.Method, r.RelErr, diff.OracleRelTol)
 				}
 			}
 			rt := rep.RoundTrip
@@ -78,12 +78,10 @@ func TestCheckRecordsConvergenceColumns(t *testing.T) {
 	}
 	for _, r := range rep.Runs {
 		if r.Termination != obs.TermConverged {
-			t.Errorf("%s (warm=%v): termination = %q, want %q", r.Method, r.Warm, r.Termination, obs.TermConverged)
+			t.Errorf("%s: termination = %q, want %q", r.Method, r.Termination, obs.TermConverged)
 		}
-		// Warm runs may converge in so few iterations that the Lanczos
-		// tridiagonal is degenerate; cold runs must always estimate.
-		if !r.Warm && r.CondEst <= 1 {
-			t.Errorf("%s cold run cond_est = %g, want > 1", r.Method, r.CondEst)
+		if r.CondEst <= 1 {
+			t.Errorf("%s: cond_est = %g, want > 1", r.Method, r.CondEst)
 		}
 	}
 }

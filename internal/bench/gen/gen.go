@@ -48,8 +48,7 @@ type Spec struct {
 	Seed uint64 `json:"seed"`
 	// UsageScale scales every PDN metal usage (the value-only axis: it
 	// changes conductance magnitudes but not the mesh topology, so it is
-	// the knob the restamp/warm-start differential checks sweep). 0 means
-	// 1.0.
+	// the knob the restamp differential check sweeps). 0 means 1.0.
 	UsageScale float64 `json:"usage_scale,omitempty"`
 	// Rails selects the supply-network coupling: 0 inherits the base,
 	// 1 strips the logic die (single-rail stand-alone stack), 2 requires

@@ -189,12 +189,6 @@ func (r *Runner) lutFor(spec *pdn.Spec, dram *powermap.DRAMModel, logic *powerma
 	})
 }
 
-// analyzeCounts is a convenience wrapper: analyze a count state at the
-// paper's default worst-case placement.
-func analyzeCounts(a *irdrop.Analyzer, counts []int, io float64) (*irdrop.Result, error) {
-	return a.AnalyzeCounts(counts, io)
-}
-
 // policyRun simulates one (policy, scheduler) pair on a fresh workload.
 func (r *Runner) policyRun(b *bench3d.Benchmark, table *lut.Table,
 	policy memctrl.IRPolicy, sched memctrl.Scheduler, irLimitV float64) (*memctrl.Result, error) {

@@ -40,13 +40,6 @@ type Analyzer struct {
 	// method with tolerances good for millivolt-accurate results. Set it
 	// before the first Analyze call; it must not change afterwards.
 	Opts solve.Options
-	// Warm, when non-nil, seeds every solve with the most recent solution
-	// published to the cell and publishes each completed solution back.
-	// Warm-started solves converge to the same tolerance but are NOT
-	// byte-identical to cold ones — leave Warm nil wherever bit-stable
-	// outputs are promised (golden tables, the serve determinism
-	// contract). Set it before the first Analyze call.
-	Warm *WarmStart
 	// SolveRecords, when non-nil, receives a flight record of every nodal
 	// solve this analyzer runs — trajectory, coefficients, condition
 	// estimate, termination — linked to the request trace when one is in
@@ -57,37 +50,6 @@ type Analyzer struct {
 	results par.Cache[*Result]
 	solves  atomic.Int64
 	obs     *obs.Registry
-}
-
-// WarmStart is a shared warm-start cell: consecutive solves over
-// near-identical systems (a value sweep over one topology) publish their
-// solutions and seed from the latest one. The zero value is ready to use;
-// a nil *WarmStart is inert. Safe for concurrent use — readers get some
-// recent complete solution, never a torn one.
-type WarmStart struct {
-	v atomic.Pointer[[]float64]
-}
-
-// Seed returns the latest published solution if it matches dimension n,
-// nil otherwise. The returned slice must be treated as read-only.
-func (w *WarmStart) Seed(n int) []float64 {
-	if w == nil {
-		return nil
-	}
-	p := w.v.Load()
-	if p == nil || len(*p) != n {
-		return nil
-	}
-	return *p
-}
-
-// Publish stores x as the latest solution. The caller must not mutate x
-// afterwards.
-func (w *WarmStart) Publish(x []float64) {
-	if w == nil || x == nil {
-		return
-	}
-	w.v.Store(&x)
 }
 
 // Result is one IR-drop analysis outcome.
@@ -189,16 +151,15 @@ func newAnalyzer(m *rmesh.Model, dramPower *powermap.DRAMModel, logicPower *powe
 // Spec returns the analyzed design.
 func (a *Analyzer) Spec() *pdn.Spec { return a.Model.Spec }
 
-// Analyze solves the design under the given memory state and I/O activity.
-// Results are memoized by (state, io). Analyze is safe for concurrent use:
-// the conductance matrix is immutable after Build, each solve works on its
-// own vectors, and concurrent misses on the same key are deduplicated so
-// every (state, io) pair is solved exactly once.
+// Analyze is AnalyzeCtx without cancellation, memoized by (state, io).
+// Analyze is safe for concurrent use: the conductance matrix is immutable
+// after Build, each solve works on its own vectors, and concurrent misses
+// on the same key are deduplicated so every (state, io) pair is solved
+// exactly once.
 func (a *Analyzer) Analyze(state memstate.State, io float64) (*Result, error) {
 	key := state.Key() + "@" + strconv.FormatFloat(io, 'g', -1, 64)
 	return a.results.Do(context.TODO(), key, nil, func() (*Result, error) {
-		a.solves.Add(1)
-		return a.analyze(state, io)
+		return a.AnalyzeCtx(context.Background(), state, io)
 	})
 }
 
@@ -207,21 +168,48 @@ func (a *Analyzer) Analyze(state memstate.State, io float64) (*Result, error) {
 // exactly-once concurrency tests and solve-count accounting.
 func (a *Analyzer) Solves() int { return int(a.solves.Load()) }
 
-// AnalyzeCtx is Analyze with cooperative cancellation and WITHOUT the
-// analyzer's unbounded memoization: ctx is polled at every solver
-// iteration, so an abandoned request stops at the next iteration boundary.
-// The serving layer uses this — it brings its own bounded cache, and
-// per-request cancellation must not poison a shared memo entry that
-// other callers would then retry. When ctx carries a
-// request-trace span (obs.WithSpan), the analysis records "stamp" and
-// "solve" child spans under it, the latter annotated with the solver's
-// iteration count; with no span in ctx tracing is a no-op. A completed
-// solve returns values identical to Analyze's.
+// AnalyzeCtx solves the design under the given memory state and I/O
+// activity, with cooperative cancellation and WITHOUT the analyzer's
+// unbounded memoization: ctx is polled at every solver iteration, so an
+// abandoned request stops at the next iteration boundary. The serving
+// layer uses this — it brings its own bounded cache, and per-request
+// cancellation must not poison a shared memo entry that other callers
+// would then retry. When ctx carries a request-trace span (obs.WithSpan),
+// the analysis records "stamp" and "solve" child spans under it, the
+// latter annotated with the solver's iteration count; with no span in ctx
+// tracing is a no-op. Every solve starts from zero, so a completed solve
+// returns values identical to Analyze's.
 func (a *Analyzer) AnalyzeCtx(ctx context.Context, state memstate.State, io float64) (*Result, error) {
-	opts := a.Opts
-	opts.Cancel = ctx.Err
-	a.solves.Add(1)
-	return a.analyzeOpts(ctx, state, io, opts)
+	defer a.obs.Timer("irdrop.analyze_time").Start()()
+	spec := a.Spec()
+	m := a.Model
+	rhs := m.BaseRHS()
+	res := &Result{State: state, IO: io, PerDie: make([]float64, spec.NumDRAM)}
+	stamp := obs.SpanFrom(ctx).Child("stamp")
+	load, err := a.stampLoads(state, io, rhs, res)
+	stamp.End()
+	if err != nil {
+		return nil, err
+	}
+	v, stats, balance, err := a.solveTraced(ctx, rhs, load)
+	if err != nil {
+		return nil, fmt.Errorf("irdrop: %s state %s: %w", spec.Name, state, err)
+	}
+	res.Stats = stats
+	res.Balance = balance
+	res.IR = m.IRDrop(v)
+	for d := 0; d < spec.NumDRAM; d++ {
+		res.PerDie[d] = m.DieMaxIR(res.IR, d)
+		if res.PerDie[d] > res.MaxIR {
+			res.MaxIR = res.PerDie[d]
+		}
+	}
+	if spec.OnLogic {
+		res.LogicIR = m.DieMaxIR(res.IR, rmesh.DieLogic)
+	}
+	// Max over all analyzed states: order-independent, so deterministic.
+	a.obs.Gauge("irdrop.max_ir_v").SetMax(res.MaxIR)
+	return res, nil
 }
 
 // ResponseCtx returns an IR-drop response: the per-node vector r with
@@ -241,9 +229,7 @@ func (a *Analyzer) AnalyzeCtx(ctx context.Context, state memstate.State, io floa
 //
 // Like AnalyzeCtx, ResponseCtx polls ctx at every solver iteration,
 // records "stamp" and "solve" spans under ctx's span and commits a solve
-// record. It keeps nothing in the per-state memo, and it neither reads nor
-// publishes Warm: a warm seed holds node voltages, a different system's
-// solution.
+// record. It keeps nothing in the per-state memo.
 func (a *Analyzer) ResponseCtx(ctx context.Context, from *memstate.State, to memstate.State, io float64) ([]float64, error) {
 	n := a.Model.N()
 	stamp := obs.SpanFrom(ctx).Child("stamp")
@@ -266,10 +252,7 @@ func (a *Analyzer) ResponseCtx(ctx context.Context, from *memstate.State, to mem
 			rhs[k] += base[k]
 		}
 	}
-	opts := a.Opts
-	opts.Cancel = ctx.Err
-	a.solves.Add(1)
-	r, _, _, err := a.solveTraced(ctx, rhs, opts, 0)
+	r, _, _, err := a.solveTraced(ctx, rhs, 0)
 	if err != nil {
 		return nil, fmt.Errorf("irdrop: %s response to state %s: %w", a.Spec().Name, to, err)
 	}
@@ -287,45 +270,21 @@ func (a *Analyzer) AnalyzeCounts(counts []int, io float64) (*Result, error) {
 }
 
 // LoadedRHS assembles the folded right-hand side for a state without
-// solving — ties plus all DRAM and logic loads. Used by the netlist
-// exporter.
+// solving — ties plus all DRAM and logic loads, exactly what AnalyzeCtx
+// solves. Used by the netlist exporter.
 func (a *Analyzer) LoadedRHS(state memstate.State, io float64) ([]float64, error) {
-	spec := a.Spec()
-	m := a.Model
-	rhs := m.BaseRHS()
-	for d := 0; d < spec.NumDRAM; d++ {
-		var banks []int
-		if d < len(state.Dies) {
-			banks = state.Dies[d]
-		}
-		loads, err := a.DRAMPower.Loads(spec.DRAM, banks, io)
-		if err != nil {
-			return nil, err
-		}
-		if err := m.AddDRAMLoads(rhs, d, loads); err != nil {
-			return nil, err
-		}
-	}
-	if a.LogicPower != nil {
-		loads, err := a.LogicPower.Loads(spec.Logic)
-		if err != nil {
-			return nil, err
-		}
-		if err := m.AddLogicLoads(rhs, loads); err != nil {
-			return nil, err
-		}
+	rhs := a.Model.BaseRHS()
+	if _, err := a.stampLoads(state, io, rhs, &Result{}); err != nil {
+		return nil, err
 	}
 	return rhs, nil
 }
 
-func (a *Analyzer) analyze(state memstate.State, io float64) (*Result, error) {
-	return a.analyzeOpts(context.Background(), state, io, a.Opts)
-}
-
 // stampLoads folds state's DRAM and logic loads into rhs, accumulating
 // the power bookkeeping fields of res, and returns the current in amps
-// the loads draw. Split out of analyzeOpts so the "stamp" trace span
-// brackets exactly this work and is closed on the error paths too.
+// the loads draw. It is the one place a state's loads are stamped, and a
+// function of its own so the "stamp" trace span brackets exactly this
+// work and is closed on the error paths too.
 func (a *Analyzer) stampLoads(state memstate.State, io float64, rhs []float64, res *Result) (float64, error) {
 	spec := a.Spec()
 	if state.NumDies() > spec.NumDRAM {
@@ -364,57 +323,18 @@ func (a *Analyzer) stampLoads(state memstate.State, io float64, rhs []float64, r
 	return power / 1000 / a.Model.VDD, nil
 }
 
-func (a *Analyzer) analyzeOpts(ctx context.Context, state memstate.State, io float64, opts solve.Options) (*Result, error) {
-	defer a.obs.Timer("irdrop.analyze_time").Start()()
-	spec := a.Spec()
-	m := a.Model
-	rhs := m.BaseRHS()
-	res := &Result{State: state, IO: io, PerDie: make([]float64, spec.NumDRAM)}
-	stamp := obs.SpanFrom(ctx).Child("stamp")
-	load, err := a.stampLoads(state, io, rhs, res)
-	stamp.End()
-	if err != nil {
-		return nil, err
-	}
-	if opts.X0 == nil {
-		opts.X0 = a.Warm.Seed(m.N())
-	}
-	v, stats, balance, err := a.solveTraced(ctx, rhs, opts, load)
-	if err != nil {
-		return nil, fmt.Errorf("irdrop: %s state %s: %w", spec.Name, state, err)
-	}
-	// Publish after success: v is not retained anywhere else (IR below is
-	// a fresh slice), so later seeds read an immutable solution.
-	a.Warm.Publish(v)
-	res.Stats = stats
-	res.Balance = balance
-	res.IR = m.IRDrop(v)
-	for d := 0; d < spec.NumDRAM; d++ {
-		res.PerDie[d] = m.DieMaxIR(res.IR, d)
-		if res.PerDie[d] > res.MaxIR {
-			res.MaxIR = res.PerDie[d]
-		}
-	}
-	if spec.OnLogic {
-		res.LogicIR = m.DieMaxIR(res.IR, rmesh.DieLogic)
-	}
-	// Max over all analyzed states: order-independent, so deterministic.
-	a.obs.Gauge("irdrop.max_ir_v").SetMax(res.MaxIR)
-	return res, nil
-}
-
-// solveTraced runs one nodal solve under a "solve" child of ctx's span,
-// annotated when opts warm-starts it, and commits the solve's flight
-// record on the error path too: a failed or cancelled solve is exactly the
-// record /debug/solves exists to surface. When load, the current in amps
-// the right-hand side's loads draw, is positive, rhs is a voltage-space
-// right-hand side and the solution's Kirchhoff balance against load is
-// returned and recorded.
-func (a *Analyzer) solveTraced(ctx context.Context, rhs []float64, opts solve.Options, load float64) ([]float64, solve.CGStats, float64, error) {
+// solveTraced runs one nodal solve with a.Opts, polling ctx at every
+// iteration, under a "solve" child of ctx's span, and commits the solve's
+// flight record on the error path too: a failed or cancelled solve is
+// exactly the record /debug/solves exists to surface. When load, the
+// current in amps the right-hand side's loads draw, is positive, rhs is a
+// voltage-space right-hand side and the solution's Kirchhoff balance
+// against load is returned and recorded.
+func (a *Analyzer) solveTraced(ctx context.Context, rhs []float64, load float64) ([]float64, solve.CGStats, float64, error) {
+	a.solves.Add(1)
+	opts := a.Opts
+	opts.Cancel = ctx.Err
 	sp := obs.SpanFrom(ctx).Child("solve")
-	if opts.X0 != nil {
-		sp.Annotate(obs.A("warm", true))
-	}
 	opts.Span = sp
 	rec := a.SolveRecords.StartSolveRecord()
 	rec.SetTrace(obs.TraceFrom(ctx).ID())

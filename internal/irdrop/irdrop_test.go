@@ -107,8 +107,12 @@ func TestAnalyzeRejectsBadState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.Analyze(memstate.State{Dies: make([][]int, 9)}, 1.0); err == nil {
+	tooMany := memstate.State{Dies: make([][]int, 9)}
+	if _, err := a.Analyze(tooMany, 1.0); err == nil {
 		t.Error("too many dies: want error")
+	}
+	if _, err := a.LoadedRHS(tooMany, 1.0); err == nil {
+		t.Error("LoadedRHS with too many dies: want error")
 	}
 }
 

@@ -137,37 +137,6 @@ func TestPointsIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// A build neither reads nor publishes the analyzer's warm-start cell: the
-// cell's seed is a node-voltage vector, and the build solves in IR space.
-func TestBuildLeavesWarmSeed(t *testing.T) {
-	b, err := bench3d.StackedDDR3Off()
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := analyzerFor(t, b, 0.6)
-	a.Warm = &irdrop.WarmStart{}
-	if _, err := a.AnalyzeCounts([]int{1, 0, 0, 0}, 1.0); err != nil {
-		t.Fatal(err)
-	}
-	seed0 := a.Warm.Seed(a.Model.N())
-	if seed0 == nil {
-		t.Fatal("priming solve did not publish a warm seed")
-	}
-	table, err := BuildWith(a, 2, DefaultIOLevels(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seed1 := a.Warm.Seed(a.Model.N()); seed1 == nil || &seed1[0] != &seed0[0] {
-		t.Error("the build replaced the warm-start seed")
-	}
-	cold := sharedTableFor(t)
-	for _, p := range cold.Points() {
-		if v, err := table.MaxIR(p.Counts, p.IO); err != nil || math.Float64bits(v) != math.Float64bits(p.MaxIR) {
-			t.Fatalf("%v@%g: %g with a warm cell, %g without (%v)", p.Counts, p.IO, v, p.MaxIR, err)
-		}
-	}
-}
-
 // A cancelled build stops solving and returns the context's error.
 func TestBuildCtxCancelled(t *testing.T) {
 	a := coarseAnalyzer(t)

@@ -4,11 +4,11 @@ package obs
 // record of how an iterative solve actually went — the decimated
 // residual trajectory, the CG α/β coefficients (which define the Lanczos
 // tridiagonal and therefore a free condition-number estimate), the
-// preconditioner that really ran, the warm-start seed, and a classified
-// termination reason. SolveBuffer retains finished records in a Retain
-// ranked by iterations: the N most recent plus the N worst, each
-// bounded, so a long-running server holds a fixed amount of solve
-// forensics no matter how much traffic it serves.
+// preconditioner that really ran, and a classified termination reason.
+// SolveBuffer retains finished records in a Retain ranked by iterations:
+// the N most recent plus the N worst, each bounded, so a long-running
+// server holds a fixed amount of solve forensics no matter how much
+// traffic it serves.
 //
 // Everything a record carries is derived from the solver's deterministic
 // kernels, so for one workload the record shapes (residual histories,
@@ -91,9 +91,6 @@ type SolveRecord struct {
 	// define. 0 means no estimate (zero-iteration solve, degenerate
 	// tridiagonal).
 	CondEst float64 `json:"cond_est,omitempty"`
-	// Warm marks a warm-started solve; WarmSeedNorm is ‖x₀‖₂.
-	Warm         bool    `json:"warm,omitempty"`
-	WarmSeedNorm float64 `json:"warm_seed_norm,omitempty"`
 	// Residuals is the decimated relative-residual history: one sample
 	// every ResidualStride iterations (approximately — the stride doubles
 	// each time the ring fills, and already-retained samples keep their
@@ -179,16 +176,6 @@ func (r *SolveRecorder) SetBalance(b float64) {
 		return
 	}
 	r.rec.Balance = b
-}
-
-// Warm marks the solve warm-started from a seed with the given 2-norm.
-// No-op on nil.
-func (r *SolveRecorder) Warm(seedNorm float64) {
-	if r == nil {
-		return
-	}
-	r.rec.Warm = true
-	r.rec.WarmSeedNorm = seedNorm
 }
 
 // RecordIter captures one CG iteration: the step length α and the

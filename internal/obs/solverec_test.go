@@ -16,7 +16,6 @@ func TestSolveRecorderNilSafe(t *testing.T) {
 	r.Begin(10)
 	r.SetSolver("cg-ic0", "ic0")
 	r.SetTrace("t-1")
-	r.Warm(1.5)
 	r.RecordIter(0.5, 1e-3)
 	r.RecordBeta(0.25)
 	r.Finish(1, 1e-3, true, TermConverged)
@@ -38,7 +37,6 @@ func TestSolveRecorderBasicCommit(t *testing.T) {
 	r.Begin(100)
 	r.SetSolver("cg-ic0", "ic0")
 	r.SetTrace("trace-abc")
-	r.Warm(2.0)
 	r.RecordIter(0.5, 1e-1)
 	r.RecordBeta(0.25)
 	r.RecordIter(0.4, 1e-9)
@@ -51,9 +49,6 @@ func TestSolveRecorderBasicCommit(t *testing.T) {
 	}
 	if rec.Iterations != 2 || rec.Residual != 1e-9 || !rec.Converged || rec.Termination != TermConverged {
 		t.Fatalf("final stats wrong: %+v", rec)
-	}
-	if !rec.Warm || rec.WarmSeedNorm != 2.0 {
-		t.Fatalf("warm fields wrong: %+v", rec)
 	}
 	if want := []float64{0.5, 0.4}; len(rec.Alphas) != 2 || rec.Alphas[0] != want[0] || rec.Alphas[1] != want[1] {
 		t.Fatalf("alphas = %v, want %v", rec.Alphas, want)

@@ -327,6 +327,9 @@ func buildBoth(spec *pdn.Spec, reg *obs.Registry) (*Topology, *Model, error) {
 	m.Matrix = pat.NewCSR()
 	pat.Scatter(m.Matrix.Val, b.RawVals())
 	stopStamp()
+	if err := m.checkTied(); err != nil {
+		return nil, nil, err
+	}
 	reg.Counter("rmesh.builds").Add(1)
 	reg.Counter("rmesh.nodes_total").Add(int64(m.n))
 	reg.Counter("rmesh.resistors_total").Add(int64(m.Resistors))
@@ -354,6 +357,65 @@ func buildBoth(spec *pdn.Spec, reg *obs.Registry) (*Topology, *Model, error) {
 	m.topo = t
 	m.stampBuf = b.RawVals()
 	return t, m, nil
+}
+
+// FloatingError reports mesh nodes with no conductance path to a supply
+// tie. Such a system is singular: an iterative solve would leave the
+// island at 0 V and report the whole VDD as its IR drop, so the build
+// refuses the design instead.
+type FloatingError struct {
+	// Nodes is the number of nodes no tie reaches.
+	Nodes int
+	// Layer is the key of the layer holding the first such node.
+	Layer string
+}
+
+func (e *FloatingError) Error() string {
+	return fmt.Sprintf("rmesh: %d nodes have no path to a supply tie (first in layer %s)", e.Nodes, e.Layer)
+}
+
+// checkTied walks the matrix graph from every tie node and returns a
+// *FloatingError when a node is left unreached. It is O(n + nnz) and runs
+// once per topology: a restamp keeps the pattern, and with it every path.
+func (m *Model) checkTied() error {
+	a := m.Matrix
+	reached := make([]bool, a.N)
+	stack := make([]int32, 0, len(m.Ties))
+	for _, t := range m.Ties {
+		if !reached[t.Node] {
+			reached[t.Node] = true
+			stack = append(stack, int32(t.Node))
+		}
+	}
+	for len(stack) > 0 {
+		i := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, j := range a.Col[a.RowPtr[i]:a.RowPtr[i+1]] {
+			if !reached[j] {
+				reached[j] = true
+				stack = append(stack, j)
+			}
+		}
+	}
+	first, count := -1, 0
+	for n, ok := range reached {
+		if !ok {
+			if first < 0 {
+				first = n
+			}
+			count++
+		}
+	}
+	if count == 0 {
+		return nil
+	}
+	err := &FloatingError{Nodes: count}
+	for _, l := range m.Layers {
+		if l.Contains(first) {
+			err.Layer = l.Key
+		}
+	}
+	return err
 }
 
 // orderedLayers returns the PDN layer names of a technology in stack order

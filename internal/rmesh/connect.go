@@ -147,6 +147,8 @@ func (m *Model) stampConnections(b stamper) error {
 	}
 
 	// --- DRAM inter-die interfaces ---
+	// wired marks the dies whose backside RDL an interface links up.
+	wired := make([]bool, spec.NumDRAM)
 	for i := 0; i+1 < spec.NumDRAM; i++ {
 		lo, err := top(i)
 		if err != nil {
@@ -175,6 +177,7 @@ func (m *Model) stampConnections(b stamper) error {
 		if rdl := backRDL(i); rdl != nil {
 			// Backside RDL splits the vertical link and adds lateral
 			// spreading between the dies.
+			wired[i] = true
 			for k, p := range memSites {
 				if !alive(k) {
 					continue
@@ -193,6 +196,28 @@ func (m *Model) stampConnections(b stamper) error {
 				continue
 			}
 			link(kind, lo.NodeAt(p), hi.NodeAt(p), rTSV+rUp)
+		}
+	}
+
+	// --- Backside RDLs no interface links ---
+	// A die's backside RDL reaches its face metal through the die's own
+	// TSVs. The top die, and the face-up die of an F2F pair, have no
+	// interface that does this, so they get that TSV leg alone; without
+	// it their RDL would float.
+	for d := 0; d < spec.NumDRAM; d++ {
+		rdl := backRDL(d)
+		if rdl == nil || wired[d] {
+			continue
+		}
+		face, err := top(d)
+		if err != nil {
+			return err
+		}
+		for k, p := range memSites {
+			if !alive(k) {
+				continue
+			}
+			link(LinkTSV, face.NodeAt(p), rdl.NodeAt(p), dt.PGTSV.R)
 		}
 	}
 

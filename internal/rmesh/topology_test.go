@@ -1,10 +1,13 @@
 package rmesh
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
+	"pdn3d/internal/geom"
 	"pdn3d/internal/pdn"
+	"pdn3d/internal/sparse"
 )
 
 func countLinks(m *Model, k LinkKind) int {
@@ -90,12 +93,65 @@ func TestRDLAllTopology(t *testing.T) {
 	if rdlLayers != 4 {
 		t.Errorf("backside RDL layers = %d, want one per die", rdlLayers)
 	}
-	// Each of the 3 interfaces splits into TSV (down) + RDL (up) legs.
-	if got := countLinks(m, LinkTSV); got != 3*33 {
-		t.Errorf("TSV legs = %d, want 99", got)
+	// Each of the 3 interfaces splits into TSV (down) + RDL (up) legs,
+	// and the top die's RDL joins its face metal through its own TSVs.
+	if got := countLinks(m, LinkTSV); got != 4*33 {
+		t.Errorf("TSV legs = %d, want 132", got)
 	}
 	if got := countLinks(m, LinkRDL); got != 3*33 {
 		t.Errorf("RDL legs = %d, want 99", got)
+	}
+}
+
+// Every die's backside RDL reaches a supply tie under either bonding,
+// with or without bond wires: the build's tie walk would refuse the
+// design otherwise.
+func TestRDLAllReachesTies(t *testing.T) {
+	for _, bonding := range []pdn.Bonding{pdn.F2B, pdn.F2F} {
+		for _, wire := range []bool{false, true} {
+			spec := offChipSpec(t)
+			spec.RDL = pdn.RDLAll
+			spec.Bonding = bonding
+			spec.WireBond = wire
+			if _, err := Build(spec); err != nil {
+				t.Errorf("%v wirebond=%v: %v", bonding, wire, err)
+			}
+		}
+	}
+}
+
+// checkTied on a hand-built four-node model: a tied pair and a pair joined
+// only to each other. The loose pair is a floating island, reported with
+// its size and layer; one link from it to the tied pair clears the error.
+func TestCheckTiedFindsFloatingPair(t *testing.T) {
+	build := func(bridge bool) *Model {
+		b := sparse.NewBuilder(4)
+		b.AddToGround(0, 1)
+		b.AddConductance(0, 1, 1)
+		b.AddConductance(2, 3, 1)
+		if bridge {
+			b.AddConductance(1, 2, 1)
+		}
+		pair := geom.Grid{NX: 2, NY: 1}
+		return &Model{
+			Matrix: b.Compress(),
+			Ties:   []Tie{{Node: 0, G: 1}},
+			Layers: []*Layer{
+				{Key: "dram0/M1", Grid: pair, Offset: 0},
+				{Key: "dram0/RDL", Grid: pair, Offset: 2},
+			},
+		}
+	}
+	err := build(false).checkTied()
+	var fe *FloatingError
+	if !errors.As(err, &fe) {
+		t.Fatalf("checkTied = %v, want a *FloatingError", err)
+	}
+	if fe.Nodes != 2 || fe.Layer != "dram0/RDL" {
+		t.Errorf("FloatingError = %+v, want 2 nodes in dram0/RDL", fe)
+	}
+	if err := build(true).checkTied(); err != nil {
+		t.Errorf("bridged model: %v", err)
 	}
 }
 

@@ -42,25 +42,11 @@ func BenchmarkAnalyzeCacheHit(b *testing.B) {
 	}
 }
 
-// BenchmarkAnalyzeColdState exercises the solve path with a warm analyzer:
+// BenchmarkAnalyzeColdState exercises the solve path with a cached analyzer:
 // every request is a new (state, io) on a cached design, so each pays RHS
 // assembly plus one CG solve but no mesh work.
 func BenchmarkAnalyzeColdState(b *testing.B) {
 	ts := newBenchServer(b, Config{CacheSize: 1})
-	benchPost(b, ts.URL+"/v1/analyze", goodQuery)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		io := 0.5 + 0.4*float64(i%1000)/1000
-		benchPost(b, ts.URL+"/v1/analyze",
-			fmt.Sprintf(`{"bench":"ddr3-off","state":"0-0-0-2","io":%.4f}`, io))
-	}
-}
-
-// BenchmarkAnalyzeWarmStart is BenchmarkAnalyzeColdState with the
-// warm-start opt-in: consecutive solves on the design seed each other.
-func BenchmarkAnalyzeWarmStart(b *testing.B) {
-	ts := newBenchServer(b, Config{CacheSize: 1, WarmStart: true})
 	benchPost(b, ts.URL+"/v1/analyze", goodQuery)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -25,9 +25,9 @@ var latencyBoundsMS = []float64{0.5, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2
 // solveIterBounds and solveCondBounds are the fixed bucket bounds of the
 // per-solve iteration-count and condition-estimate histograms
 // ("serve.solve.iterations" / "serve.solve.cond_est"). Iterations span
-// warm-start zero-iteration hits through stalled runs; condition
-// estimates are log-spaced across the well-conditioned-to-pathological
-// range the corpus produces.
+// single-iteration solves through stalled runs; condition estimates are
+// log-spaced across the well-conditioned-to-pathological range the corpus
+// produces.
 var (
 	solveIterBounds = []float64{1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000}
 	solveCondBounds = []float64{1, 3, 10, 30, 100, 300, 1e3, 3e3, 1e4, 3e4, 1e5, 1e6}

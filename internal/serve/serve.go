@@ -27,11 +27,10 @@
 //     own context, and a solve abandoned by its own caller is re-run for
 //     the callers still waiting.
 //
-// Responses carry only deterministic fields (no timings, no timestamps):
-// for a given request the body is byte-identical across runs and across
-// worker counts, which is what makes the cache sound and the service
-// regression-testable. (Config.WarmStart trades this byte-stability for
-// throughput; it is off by default.)
+// Responses carry only deterministic fields (no timings, no timestamps),
+// and every solve starts from zero: for a given request the body is
+// byte-identical across runs, request orders and worker counts, which is
+// what makes the cache sound and the service regression-testable.
 package serve
 
 import (
@@ -98,12 +97,6 @@ type Config struct {
 	// DesignCacheSize bounds the analyzer and LUT caches (distinct designs
 	// held in memory); <= 0 selects 64.
 	DesignCacheSize int
-	// WarmStart seeds each design's solves with the latest solution
-	// published for that design. Warm solves converge to the same
-	// tolerance but are NOT byte-identical to cold ones, so this breaks
-	// the byte-determinism contract on response bodies — off by default,
-	// opt in when throughput matters more than bit-stability.
-	WarmStart bool
 	// MaxBatch caps queries per /v1/batch request; <= 0 selects 256.
 	MaxBatch int
 	// TraceBufSize bounds each /debug/requests retention class (the N
@@ -543,9 +536,6 @@ func (s *Server) analyzerFor(ctx context.Context, r *query.Resolved) (*irdrop.An
 		}
 		a.Opts.Method = s.cfg.method
 		a.Opts.Workers = s.cfg.Workers
-		if s.cfg.WarmStart {
-			a.Warm = &irdrop.WarmStart{}
-		}
 		// All designs share the server's one solve buffer (nil when
 		// recording is disabled — the analyzer's no-op path).
 		a.SolveRecords = s.solves

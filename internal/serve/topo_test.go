@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math"
 	"net/http"
 	"testing"
 
@@ -51,55 +50,6 @@ func TestAnalyzerEvictionRebuilds(t *testing.T) {
 	}
 	if meshes != 1 {
 		t.Errorf("third request recorded %d mesh spans, want 1", meshes)
-	}
-}
-
-// TestWarmStartOptIn: with Config.WarmStart on, solves for one design seed
-// each other. The answers are no longer byte-guaranteed — the documented
-// trade — but must stay within solver tolerance of a cold server's.
-func TestWarmStartOptIn(t *testing.T) {
-	warmS, warmTS := newTestServer(t, Config{WarmStart: true})
-	_, coldTS := newTestServer(t, Config{})
-
-	queries := []string{
-		goodQuery,
-		`{"bench":"ddr3-off","state":"1-0-0-2","io":1.0}`,
-		`{"bench":"ddr3-off","state":"2-0-0-2","io":1.0}`,
-	}
-	for _, q := range queries {
-		_, warmBody := post(t, warmTS.URL+"/v1/analyze", q)
-		_, coldBody := post(t, coldTS.URL+"/v1/analyze", q)
-		var warm, cold AnalyzeResponse
-		if err := json.Unmarshal(warmBody, &warm); err != nil {
-			t.Fatalf("warm body: %v\n%s", err, warmBody)
-		}
-		if err := json.Unmarshal(coldBody, &cold); err != nil {
-			t.Fatal(err)
-		}
-		if !warm.Converged {
-			t.Fatalf("warm solve did not converge: %s", warmBody)
-		}
-		// The analyzer solves at Tol=1e-8 relative residual, which admits
-		// a few µV of trajectory-dependent drift on a ~30 mV answer; 10 µV
-		// bounds that while still catching a genuinely wrong solve.
-		if math.Abs(warm.MaxIRmV-cold.MaxIRmV) > 1e-2 {
-			t.Errorf("state %s: warm MaxIR %.6f mV vs cold %.6f mV beyond tolerance",
-				warm.State, warm.MaxIRmV, cold.MaxIRmV)
-		}
-	}
-	if warmStarts := warmS.reg.Snapshot().Counters["solve.cg-ic0.warm_starts"]; warmStarts < 2 {
-		t.Errorf("warm_starts = %d, want >= 2 (second and third solves seeded)", warmStarts)
-	}
-}
-
-// TestWarmStartDefaultOff: the byte-determinism contract holds by default,
-// so no solve may be seeded unless the operator opts in.
-func TestWarmStartDefaultOff(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
-	post(t, ts.URL+"/v1/analyze", goodQuery)
-	post(t, ts.URL+"/v1/analyze", `{"bench":"ddr3-off","state":"1-0-0-2","io":1.0}`)
-	if v := s.reg.Snapshot().Counters["solve.cg-ic0.warm_starts"]; v != 0 {
-		t.Errorf("solve.cg-ic0.warm_starts = %d with WarmStart off, want 0", v)
 	}
 }
 

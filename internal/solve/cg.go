@@ -40,14 +40,6 @@ type CGOptions struct {
 	// latency to solver work. The caller owns the span's End. Tracing
 	// never changes the values a solve returns.
 	Span *obs.TraceSpan
-	// X0, when non-nil, warm-starts the iteration from the given guess
-	// instead of the zero vector — the payoff when consecutive solves
-	// differ only slightly (a value sweep over one topology, or adjacent
-	// memory states). The guess is copied, never mutated. A warm solve
-	// converges to the same tolerance as a cold one but follows a
-	// different floating-point trajectory, so callers that promise
-	// byte-identical outputs must leave X0 nil.
-	X0 []float64
 	// Rec, when non-nil, is the flight recorder for this solve: the CG
 	// core feeds it the per-iteration α/β coefficients and residual
 	// trajectory and classifies the termination; the registry solvers
@@ -162,31 +154,7 @@ func pcg(a *sparse.CSR, pre Preconditioner, b []float64, opt CGOptions, k kernel
 	}
 
 	r := make([]float64, n)
-	if opt.X0 != nil {
-		if len(opt.X0) != n {
-			return nil, stats, fmt.Errorf("solve: warm-start guess length %d != matrix dim %d", len(opt.X0), n)
-		}
-		// Warm start: r = b − A·x0. When the guess already meets the
-		// tolerance (a sweep point nearly identical to the previous one)
-		// the solve finishes with zero iterations. The early return exists
-		// only on this path — the cold path below is untouched, keeping
-		// its results bit-for-bit identical to the pre-warm-start solver.
-		copy(x, opt.X0)
-		if opt.Rec != nil {
-			// The seed norm costs one extra reduction, so only recorded
-			// solves pay for it.
-			opt.Rec.Warm(k.norm2(x))
-		}
-		k.mulVec(a, r, x)
-		k.xpby(r, -1, b)
-		if stats.Residual = k.norm2(r) / normB; stats.Residual <= tol {
-			stats.Converged = true
-			termination = obs.TermConverged
-			return x, stats, nil
-		}
-	} else {
-		copy(r, b) // x = 0 so r = b
-	}
+	copy(r, b) // x = 0 so r = b
 	z := make([]float64, n)
 	pre.Apply(z, r)
 	p := make([]float64, n)

@@ -14,7 +14,6 @@ var iterBounds = []float64{1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000}
 // is a no-op on nil, so uninstrumented solves pay only nil checks.
 type solverMetrics struct {
 	solves     *obs.Counter
-	warmStarts *obs.Counter
 	iterations *obs.Counter
 	iterHist   *obs.Histogram
 	residual   *obs.Gauge
@@ -32,7 +31,6 @@ func newSolverMetrics(r *obs.Registry, method string) solverMetrics {
 	p := "solve." + method
 	return solverMetrics{
 		solves:     r.Counter(p + ".solves"),
-		warmStarts: r.Counter(p + ".warm_starts"),
 		iterations: r.Counter(p + ".iterations_total"),
 		iterHist:   r.Histogram(p+".iterations", iterBounds),
 		residual:   r.Gauge(p + ".residual_max"),

@@ -56,9 +56,6 @@ func TestRecorderConvergedSolve(t *testing.T) {
 	if rec.CondEst <= 1 {
 		t.Fatalf("cond_est = %g, want > 1 on a grid Laplacian", rec.CondEst)
 	}
-	if rec.Warm {
-		t.Fatal("cold solve marked warm")
-	}
 }
 
 func TestRecorderMaxIterAndStagnation(t *testing.T) {
@@ -127,33 +124,6 @@ func TestRecorderCancelledSolve(t *testing.T) {
 	}
 	if rec.Iterations != 3 {
 		t.Fatalf("iterations = %d, want 3 (cancelled at the 4th poll)", rec.Iterations)
-	}
-}
-
-func TestRecorderWarmStart(t *testing.T) {
-	// Solve cold first, then warm-start from the exact solution: the warm
-	// record reports the seed norm and a zero-iteration converged exit.
-	a := grid2D(16, 16)
-	s, err := New(a, Options{Method: MethodCGIC0, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rhs := benchRHS(a.N)
-	x, _, err := s.Solve(rhs, CGOptions{Tol: 1e-12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := obs.NewSolveBuffer(1)
-	rec := buf.StartSolveRecord()
-	if _, _, err := s.Solve(rhs, CGOptions{Tol: 1e-10, X0: x, Rec: rec}); err != nil {
-		t.Fatal(err)
-	}
-	r := rec.Commit()
-	if !r.Warm || r.WarmSeedNorm <= 0 {
-		t.Fatalf("warm fields: %+v", r)
-	}
-	if r.Iterations != 0 || r.Termination != obs.TermConverged {
-		t.Fatalf("warm exact-seed solve: %+v, want 0 iterations converged", r)
 	}
 }
 

@@ -334,8 +334,8 @@ func TestICApplyIsSPDAction(t *testing.T) {
 }
 
 // Cancellation is polled at iteration boundaries: a Cancel that trips
-// after k iterations aborts with the cause wrapped; a nil / never-firing
-// Cancel changes nothing.
+// after k iterations aborts with the cause wrapped and returns no vector,
+// never a partial iterate; a nil / never-firing Cancel changes nothing.
 func TestCGCancel(t *testing.T) {
 	a := grid2D(20, 20)
 	b := make([]float64, a.N)
@@ -343,7 +343,7 @@ func TestCGCancel(t *testing.T) {
 
 	cause := errors.New("deadline exceeded")
 	calls := 0
-	_, stats, err := defaultSolve(a, b, CGOptions{Cancel: func() error {
+	x, stats, err := defaultSolve(a, b, CGOptions{Cancel: func() error {
 		calls++
 		if calls > 3 {
 			return cause
@@ -352,6 +352,9 @@ func TestCGCancel(t *testing.T) {
 	}})
 	if !errors.Is(err, cause) {
 		t.Fatalf("canceled solve returned %v, want wrapped %v", err, cause)
+	}
+	if x != nil {
+		t.Error("canceled solve returned a partial iterate; want nil")
 	}
 	if stats.Converged {
 		t.Error("canceled solve claims convergence")

@@ -163,9 +163,6 @@ type cgSolver struct {
 func (s *cgSolver) Method() string { return s.method }
 
 func (s *cgSolver) Solve(b []float64, opt CGOptions) ([]float64, CGStats, error) {
-	if opt.X0 != nil {
-		s.m.warmStarts.Add(1)
-	}
 	// Stamp the solver identity before the solve so even a cancelled or
 	// failed record names the method and its preconditioner.
 	opt.Rec.SetSolver(s.method, s.precond)

@@ -4,9 +4,9 @@
 # debug/solves), and fails on any non-2xx response, a batch item error, a missing
 # X-Trace-Id, an unretrievable trace, malformed Prometheus exposition,
 # or a missing structured-log start event. Hostile request bodies must
-# answer 400 and leave the server serving, and the solve records must
-# name the method the mesh size picks and carry the answer's Kirchhoff
-# balance. Finishes with a SIGTERM to check the graceful drain path
+# answer 400 and leave the server serving, the solve records must name
+# the method the mesh size picks and carry the answer's Kirchhoff
+# balance, and wideio with an RDL on every die must answer under 100 mV. Finishes with a SIGTERM to check the graceful drain path
 # exits cleanly.
 set -euo pipefail
 
@@ -121,6 +121,19 @@ FINE_ID=$(curl -sf -D - -o /dev/null -X POST -H 'Content-Type: application/json'
   | tr -d '\r' | awk 'tolower($1)=="x-trace-id:"{print $2}')
 [ -n "$FINE_ID" ] || { echo "pitch-0.07 analyze response missing X-Trace-Id header" >&2; exit 1; }
 solve_record_reads "$FINE_ID" cg-amg
+
+# RDL on every die: wideio at 0.2 mm (20,200 nodes, above the cg-amg
+# threshold) answers 200 under cg-amg with every die's backside RDL tied
+# to the supply, so its drop reads tens of millivolts, not an error.
+RDL_HDR="$(mktemp)"
+RDL_BODY=$(curl -sf -D "$RDL_HDR" -X POST -H 'Content-Type: application/json' \
+  -d '{"bench":"wideio","state":"0-0-0-2","io":1.0,"rdl":"all","pitch":0.2}' "http://$ADDR/v1/analyze")
+RDL_ID=$(tr -d '\r' < "$RDL_HDR" | awk 'tolower($1)=="x-trace-id:"{print $2}')
+[ -n "$RDL_ID" ] || { echo "rdl=all analyze response missing X-Trace-Id header" >&2; exit 1; }
+RDL_MV=$(echo "$RDL_BODY" | grep -o '"max_ir_mv":[^,}]*' | cut -d: -f2)
+awk -v v="$RDL_MV" 'BEGIN { exit !(v > 0 && v < 100) }' || { echo "wideio rdl=all max_ir_mv ${RDL_MV:-missing}, want in (0, 100): $RDL_BODY" >&2; exit 1; }
+echo "ok: wideio rdl=all -> $RDL_MV mV"
+solve_record_reads "$RDL_ID" cg-amg
 
 # Content-negotiated Prometheus exposition: typed, and every line is a
 # valid v0.0.4 comment, sample, or blank.
