@@ -1,11 +1,14 @@
 package irdrop_test
 
 import (
+	"context"
+	"slices"
 	"testing"
 
 	"pdn3d/internal/bench3d"
 	"pdn3d/internal/irdrop"
 	"pdn3d/internal/memstate"
+	"pdn3d/internal/obs"
 	"pdn3d/internal/pdn"
 	"pdn3d/internal/solve"
 )
@@ -76,4 +79,51 @@ func TestAnswersBalanceKirchhoff(t *testing.T) {
 	spec := b.Spec.Clone()
 	spec.MeshPitch = 0.07
 	checkBalance(t, b, spec, "")
+}
+
+// TestTermResponsesBalanceKirchhoff: each unit-term response the look-up
+// table sums, solved in IR space, carries its Kirchhoff balance on its
+// solve record (what /debug/solves shows for a /v1/lut build), within
+// balanceBound on the four paper designs: a summed entry is then correct
+// physics, not only correct arithmetic.
+func TestTermResponsesBalanceKirchhoff(t *testing.T) {
+	bs, err := bench3d.All()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range bs {
+		logic := b.LogicPower
+		if !b.Spec.OnLogic {
+			logic = nil
+		}
+		a, err := irdrop.New(b.Spec, b.DRAMPower, logic)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.SolveRecords = obs.NewSolveBuffer(4)
+		top := b.Spec.NumDRAM - 1
+		terms := []irdrop.Term{
+			{Kind: irdrop.TermStandby},
+			{Kind: irdrop.TermIO, Die: top},
+			{Kind: irdrop.TermBank, Die: top, Bank: b.Spec.DRAM.NumBanks - 1},
+		}
+		if logic != nil {
+			terms = append(terms, irdrop.Term{Kind: irdrop.TermLogic})
+		}
+		for _, term := range terms {
+			r, err := a.ResponseCtx(context.Background(), term)
+			if err != nil {
+				t.Fatal(err)
+			}
+			recent, _, _ := a.SolveRecords.Snapshot()
+			bal := recent[0].Balance
+			if !(bal > 0 && bal <= balanceBound) {
+				t.Errorf("%s %s response: balance %.3g, want in (0, %g]", b.Name, term, bal, balanceBound)
+			}
+			if slices.Max(r) <= 0 {
+				t.Errorf("%s %s response draws no IR drop", b.Name, term)
+			}
+			t.Logf("%s %s: balance %.2g", b.Name, term, bal)
+		}
+	}
 }

@@ -7,9 +7,10 @@
 // memory states (only the right-hand side changes) and memoizes results by
 // state, which keeps design-space sweeps cheap — the same property the
 // paper exploits by replacing EPS extraction with the R-Mesh (§2.2).
-// Look-up-table generation goes further: the mesh is linear, so
-// ResponseCtx solves one response per die and bank count and the table's
-// states are sums of those responses.
+// Look-up-table generation goes further: the mesh is linear and a state's
+// loads are a weighted sum of fixed unit load terms (Term), so ResponseCtx
+// solves one response per term and the table's states are weighted sums
+// of those responses.
 package irdrop
 
 import (
@@ -191,13 +192,13 @@ func (a *Analyzer) AnalyzeCtx(ctx context.Context, state memstate.State, io floa
 	if err != nil {
 		return nil, err
 	}
-	v, stats, balance, err := a.solveTraced(ctx, rhs, load)
+	ir, stats, balance, err := a.solveTraced(ctx, rhs, load, true)
 	if err != nil {
 		return nil, fmt.Errorf("irdrop: %s state %s: %w", spec.Name, state, err)
 	}
 	res.Stats = stats
 	res.Balance = balance
-	res.IR = m.IRDrop(v)
+	res.IR = ir
 	for d := 0; d < spec.NumDRAM; d++ {
 		res.PerDie[d] = m.DieMaxIR(res.IR, d)
 		if res.PerDie[d] > res.MaxIR {
@@ -212,14 +213,55 @@ func (a *Analyzer) AnalyzeCtx(ctx context.Context, state memstate.State, io floa
 	return res, nil
 }
 
-// ResponseCtx returns an IR-drop response: the per-node vector r with
-// G·r = i(to) − i(from), the change in IR drop when the stack's loads move
-// from state from to state to at per-die I/O activity io. i(s) is the load
-// current state s draws, the fixed logic load included, so between two
-// states the logic load cancels; a nil from stands for no load at all,
-// which makes ResponseCtx(ctx, nil, s, io) state s's full IR-drop vector.
-// The mesh is linear, so responses add: IR(s) = IR(idle) + Σ_d of the
-// response to die d alone leaving idle for its banks in s.
+// TermKind selects one of a design's unit load terms.
+type TermKind uint8
+
+const (
+	// TermStandby is every DRAM die's standby pattern carrying 1 mW
+	// (powermap.DRAMModel.StandbyLoads); a state draws it at idle(io).
+	TermStandby TermKind = iota
+	// TermLogic is the logic die's fixed load (on-chip designs only).
+	TermLogic
+	// TermIO is one DRAM die's I/O pattern carrying 1 mW
+	// (powermap.DRAMModel.IOLoads); an active die draws it at ioP(io).
+	TermIO
+	// TermBank is one active bank's fixed load
+	// (powermap.DRAMModel.BankLoads).
+	TermBank
+)
+
+// Term is one unit load term. A state's loads at I/O activity io are a
+// weighted sum of terms: TermStandby at idle(io), the logic load, and for
+// each active die its banks' TermBank loads plus TermIO at ioP(io)
+// (powermap.DRAMModel.Weights).
+type Term struct {
+	// Kind selects the pattern.
+	Kind TermKind
+	// Die is the DRAM die of a TermIO or TermBank term.
+	Die int
+	// Bank is the bank of a TermBank term.
+	Bank int
+}
+
+func (t Term) String() string {
+	switch t.Kind {
+	case TermStandby:
+		return "standby"
+	case TermLogic:
+		return "logic"
+	case TermIO:
+		return fmt.Sprintf("io die %d", t.Die)
+	default:
+		return fmt.Sprintf("bank %d die %d", t.Bank, t.Die)
+	}
+}
+
+// ResponseCtx returns the IR-drop response to one unit load term: the
+// per-node vector r with G·r = i(t), the current term t draws. The mesh is
+// linear, so responses add: a state's IR-drop vector at activity io is
+// idle(io)·r(standby) + r(logic) + Σ over active dies d of
+// Σ_b r(bank b on d) + ioP(io)·r(io on d). No term depends on io, so one
+// response serves every I/O level.
 //
 // The system is solved in IR space. The supply ties are the only
 // conductances to the folded reference, so G·(VDD·1) = BaseRHS and
@@ -229,34 +271,68 @@ func (a *Analyzer) AnalyzeCtx(ctx context.Context, state memstate.State, io floa
 //
 // Like AnalyzeCtx, ResponseCtx polls ctx at every solver iteration,
 // records "stamp" and "solve" spans under ctx's span and commits a solve
-// record. It keeps nothing in the per-state memo.
-func (a *Analyzer) ResponseCtx(ctx context.Context, from *memstate.State, to memstate.State, io float64) ([]float64, error) {
-	n := a.Model.N()
+// record carrying the response's Kirchhoff balance. It keeps nothing in
+// the per-state memo.
+func (a *Analyzer) ResponseCtx(ctx context.Context, t Term) ([]float64, error) {
 	stamp := obs.SpanFrom(ctx).Child("stamp")
-	rhs := make([]float64, n)
-	_, err := a.stampLoads(to, io, rhs, &Result{})
-	var base []float64
-	if err == nil && from != nil {
-		base = make([]float64, n)
-		_, err = a.stampLoads(*from, io, base, &Result{})
-	}
+	rhs := make([]float64, a.Model.N())
+	load, err := a.stampTerm(t, rhs)
 	stamp.End()
 	if err != nil {
 		return nil, err
 	}
-	// stampLoads subtracts the current each load draws. A die whose banks
-	// agree in both states stamps identical values, which cancel exactly.
+	// Stamping subtracts the current each load draws.
 	for k := range rhs {
 		rhs[k] = -rhs[k]
-		if base != nil {
-			rhs[k] += base[k]
-		}
 	}
-	r, _, _, err := a.solveTraced(ctx, rhs, 0)
+	r, _, _, err := a.solveTraced(ctx, rhs, load, false)
 	if err != nil {
-		return nil, fmt.Errorf("irdrop: %s response to state %s: %w", a.Spec().Name, to, err)
+		return nil, fmt.Errorf("irdrop: %s response to %s: %w", a.Spec().Name, t, err)
 	}
 	return r, nil
+}
+
+// stampTerm folds term t's loads into rhs and returns the current in amps
+// they draw.
+func (a *Analyzer) stampTerm(t Term, rhs []float64) (float64, error) {
+	spec := a.Spec()
+	amps := func(mW float64) float64 { return mW / 1000 / a.Model.VDD }
+	if t.Kind == TermLogic {
+		if a.LogicPower == nil {
+			return 0, fmt.Errorf("irdrop: %s has no logic load", spec.Name)
+		}
+		loads, err := a.LogicPower.Loads(spec.Logic)
+		if err != nil {
+			return 0, err
+		}
+		return amps(powermap.TotalPower(loads)), a.Model.AddLogicLoads(rhs, loads)
+	}
+	var loads []powermap.Load
+	var err error
+	dies := []int{t.Die}
+	switch t.Kind {
+	case TermStandby:
+		loads, err = a.DRAMPower.StandbyLoads(spec.DRAM, 1)
+		dies = make([]int, spec.NumDRAM)
+		for d := range dies {
+			dies[d] = d
+		}
+	case TermIO:
+		loads, err = a.DRAMPower.IOLoads(spec.DRAM, 1)
+	case TermBank:
+		loads, err = a.DRAMPower.BankLoads(spec.DRAM, t.Bank)
+	default:
+		err = fmt.Errorf("irdrop: unknown term kind %d", t.Kind)
+	}
+	if err != nil {
+		return 0, err
+	}
+	for _, d := range dies {
+		if err := a.Model.AddDRAMLoads(rhs, d, loads); err != nil {
+			return 0, err
+		}
+	}
+	return amps(powermap.TotalPower(loads) * float64(len(dies))), nil
 }
 
 // AnalyzeCounts is Analyze for a bare per-die count vector using the
@@ -326,11 +402,12 @@ func (a *Analyzer) stampLoads(state memstate.State, io float64, rhs []float64, r
 // solveTraced runs one nodal solve with a.Opts, polling ctx at every
 // iteration, under a "solve" child of ctx's span, and commits the solve's
 // flight record on the error path too: a failed or cancelled solve is
-// exactly the record /debug/solves exists to surface. When load, the
-// current in amps the right-hand side's loads draw, is positive, rhs is a
-// voltage-space right-hand side and the solution's Kirchhoff balance
-// against load is returned and recorded.
-func (a *Analyzer) solveTraced(ctx context.Context, rhs []float64, load float64) ([]float64, solve.CGStats, float64, error) {
+// exactly the record /debug/solves exists to surface. It returns the
+// IR-drop vector: the solution itself for an IR-space right-hand side,
+// VDD − v for a voltage-space one (voltage true). The vector's Kirchhoff
+// balance against load, the current in amps the right-hand side's loads
+// draw, is returned and recorded.
+func (a *Analyzer) solveTraced(ctx context.Context, rhs []float64, load float64, voltage bool) ([]float64, solve.CGStats, float64, error) {
 	a.solves.Add(1)
 	opts := a.Opts
 	opts.Cancel = ctx.Err
@@ -339,15 +416,18 @@ func (a *Analyzer) solveTraced(ctx context.Context, rhs []float64, load float64)
 	rec := a.SolveRecords.StartSolveRecord()
 	rec.SetTrace(obs.TraceFrom(ctx).ID())
 	opts.Rec = rec
-	v, stats, err := a.Model.Solve(rhs, opts)
+	x, stats, err := a.Model.Solve(rhs, opts)
 	sp.End()
 	var balance float64
 	if err == nil {
-		balance = a.Model.Balance(v, load)
+		if voltage {
+			x = a.Model.IRDrop(x)
+		}
+		balance = a.Model.Balance(x, load)
 		rec.SetBalance(balance)
 	}
 	rec.Commit()
-	return v, stats, balance, err
+	return x, stats, balance, err
 }
 
 // MaxIRmV returns the stack maximum IR drop in millivolts.

@@ -1,23 +1,23 @@
 // Package lut builds the IR-drop look-up table at the heart of the paper's
 // IR-drop-aware read policies (§5.2): for every memory state (per-die
 // active-bank counts) and a set of per-die I/O activity levels, the maximum
-// IR drop is pre-computed with the R-Mesh engine and stored for O(1)
+// IR drop is pre-computed with the R-Mesh engine and stored for O(D)
 // queries by the memory controller.
 //
-// The R-Mesh is linear and a die's loads depend only on its own banks and
-// the I/O level, so a state's IR-drop vector is the idle stack's plus one
-// response per active die. A build solves those 1 + D·maxPerDie responses
-// per I/O level and sums them for each of the (maxPerDie+1)^D states,
-// instead of solving every state.
+// The R-Mesh is linear and a state's loads are a weighted sum of fixed
+// unit load terms whose weights alone depend on the I/O level (standby,
+// the logic die, each die's I/O pattern, each bank). A build solves each
+// term once, whatever the number of levels, weights and sums the terms
+// into 1 + D·maxPerDie responses per level, and sums those for each of
+// the (maxPerDie+1)^D states, instead of solving every state.
 package lut
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
-	"strconv"
-	"strings"
+	"math"
+	"slices"
 
 	"pdn3d/internal/irdrop"
 	"pdn3d/internal/memstate"
@@ -63,10 +63,17 @@ type Table struct {
 	// MaxPerDie is the largest per-die active bank count covered
 	// (2 for interleaving read, §2.3).
 	MaxPerDie int
-	// IOLevels are the covered per-die I/O activity levels, ascending.
+	// IOLevels are the covered per-die I/O activity levels, ascending and
+	// distinct.
 	IOLevels []float64
 
-	entries map[string]float64 // key -> max IR in volts
+	// ir holds the max IR drop in volts of every grid point, state-major:
+	// state s (its count vector read as a base-(MaxPerDie+1) number, die 0
+	// most significant, which is its position in
+	// memstate.EnumerateCounts) at level l sits at ir[s*len(IOLevels)+l].
+	// NaN marks an absent point.
+	ir      []float64
+	entries int
 }
 
 // DefaultIOLevels covers the paper's Table 5 activity points. With the
@@ -86,10 +93,15 @@ func BuildWith(a *irdrop.Analyzer, maxPerDie int, ioLevels []float64, workers in
 // the table is identical for every worker count. ctx is polled at every
 // solver iteration, so a cancelled build stops with ctx's error.
 //
-// At each level the build solves 1 + D·maxPerDie IR-drop responses — the
-// idle stack, and die d alone running c banks for every d and c — and
-// keeps only that level's responses (D = dies). A state's entry is the
-// maximum over DRAM-die nodes of IR(idle) + Σ_d Δ_d(c_d), summed in die
+// The build solves each unit load term once (irdrop.Analyzer.ResponseCtx):
+// the standby pattern of all dies, the logic load on an on-chip design,
+// each die's I/O pattern and each bank the placement opens —
+// 1 + D·(1 + maxPerDie) solves, plus one with a logic die, for any number
+// of levels (D = dies). At each level it weighs them into 1 + D·maxPerDie
+// level responses — the idle stack idle(io)·standby + logic, and die d
+// running c banks, its banks' terms plus ioP(io)·I/O — each built by one
+// worker in a fixed order. A state's entry is the maximum over DRAM-die
+// nodes of the idle stack plus each active die's response, summed in die
 // order by one worker, so entries do not depend on scheduling.
 func BuildCtx(ctx context.Context, a *irdrop.Analyzer, maxPerDie int, ioLevels []float64, workers int) (*Table, error) {
 	levels, err := checkGrid(maxPerDie, ioLevels)
@@ -98,65 +110,114 @@ func BuildCtx(ctx context.Context, a *irdrop.Analyzer, maxPerDie int, ioLevels [
 	}
 	spec := a.Spec()
 	dies := spec.NumDRAM
+	t := newTable(dies, maxPerDie, levels)
+
+	// The unit terms: standby, the logic load, then per die its I/O
+	// pattern and the banks it opens. ioTerm[d] indexes die d's I/O term
+	// and banks[d][c-1] the bank terms of die d running c banks.
+	terms := []irdrop.Term{{Kind: irdrop.TermStandby}}
+	logic := a.LogicPower != nil
+	if logic {
+		terms = append(terms, irdrop.Term{Kind: irdrop.TermLogic})
+	}
+	ioTerm := make([]int, dies)
+	banks := make([][][]int, dies)
 	place := memstate.WorstCaseEdge(spec.DRAM.NumBanks)
-	// unit[0] is the idle stack; unit[d*maxPerDie+c] is die d running c
-	// banks with every other die idle.
-	unit := make([]memstate.State, 1+dies*maxPerDie)
-	for k := range unit {
-		counts := make([]int, dies)
-		if k > 0 {
-			counts[(k-1)/maxPerDie] = (k-1)%maxPerDie + 1
+	for d := range banks {
+		ioTerm[d] = len(terms)
+		terms = append(terms, irdrop.Term{Kind: irdrop.TermIO, Die: d})
+		termOf := map[int]int{}
+		for c := 1; c <= maxPerDie; c++ {
+			open, err := place(d, c)
+			if err != nil {
+				return nil, err
+			}
+			ks := make([]int, len(open))
+			for j, b := range open {
+				k, ok := termOf[b]
+				if !ok {
+					k = len(terms)
+					termOf[b] = k
+					terms = append(terms, irdrop.Term{Kind: irdrop.TermBank, Die: d, Bank: b})
+				}
+				ks[j] = k
+			}
+			banks[d] = append(banks[d], ks)
 		}
-		if unit[k], err = memstate.FromCounts(counts, place); err != nil {
-			return nil, err
-		}
+	}
+	unit := make([][]float64, len(terms))
+	err = par.Sweep(workers, len(terms), func(k int) error {
+		var err error
+		unit[k], err = a.ResponseCtx(ctx, terms[k])
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	// resp[0] is the idle stack and resp[1+d*maxPerDie+c-1] die d running
+	// c banks with every other die idle, at the level at hand.
+	n := a.Model.N()
+	resp := make([][]float64, 1+dies*maxPerDie)
+	for k := range resp {
+		resp[k] = make([]float64, n)
 	}
 	states := memstate.EnumerateCounts(dies, maxPerDie)
-	t := &Table{
-		Dies:      dies,
-		MaxPerDie: maxPerDie,
-		IOLevels:  levels,
-		entries:   make(map[string]float64, len(states)*len(levels)),
-	}
-	// basis[0] is IR(idle) and basis[k] the response to unit[k] leaving
-	// idle, for the level at hand.
-	basis := make([][]float64, len(unit))
-	maxIR := make([]float64, len(states))
-	for _, io := range levels {
-		err := par.Sweep(workers, len(unit), func(k int) error {
-			var from *memstate.State
-			if k > 0 {
-				from = &unit[0]
-			}
-			var err error
-			basis[k], err = a.ResponseCtx(ctx, from, unit[k], io)
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		err = par.Sweep(workers, len(states), func(i int) error {
-			terms := make([][]float64, 1, 1+dies)
-			terms[0] = basis[0]
-			for d, c := range states[i] {
-				if c > 0 {
-					terms = append(terms, basis[d*maxPerDie+c])
+	for l, io := range levels {
+		idle, ioP := a.DRAMPower.Weights(io)
+		err := par.Sweep(workers, len(resp), func(k int) error {
+			r := resp[k]
+			if k == 0 {
+				for i, v := range unit[0] {
+					r[i] = idle * v
 				}
+				if logic {
+					addTo(r, unit[1])
+				}
+				return nil
 			}
-			maxIR[i] = a.Model.SumMaxIR(terms)
+			d, c := (k-1)/maxPerDie, (k-1)%maxPerDie+1
+			ks := banks[d][c-1]
+			copy(r, unit[ks[0]])
+			for _, b := range ks[1:] {
+				addTo(r, unit[b])
+			}
+			for i, v := range unit[ioTerm[d]] {
+				r[i] += ioP * v
+			}
 			return nil
 		})
 		if err != nil {
 			return nil, err
 		}
-		for i, c := range states {
-			t.entries[key(c, io)] = maxIR[i]
+		err = par.Sweep(workers, len(states), func(s int) error {
+			sum := make([][]float64, 1, 1+dies)
+			sum[0] = resp[0]
+			for d, c := range states[s] {
+				if c > 0 {
+					sum = append(sum, resp[1+d*maxPerDie+c-1])
+				}
+			}
+			t.ir[s*len(levels)+l] = a.Model.SumMaxIR(sum)
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
 	}
+	t.entries = len(t.ir)
 	return t, nil
 }
 
-// checkGrid validates a table grid and returns its I/O levels sorted.
+// addTo adds x into r element by element.
+func addTo(r, x []float64) {
+	for i, v := range x {
+		r[i] += v
+	}
+}
+
+// checkGrid validates a table grid and returns its I/O levels sorted,
+// duplicates collapsed.
 func checkGrid(maxPerDie int, ioLevels []float64) ([]float64, error) {
 	if maxPerDie < 1 {
 		return nil, fmt.Errorf("lut: maxPerDie %d must be >= 1", maxPerDie)
@@ -164,19 +225,35 @@ func checkGrid(maxPerDie int, ioLevels []float64) ([]float64, error) {
 	if len(ioLevels) == 0 {
 		return nil, fmt.Errorf("lut: no IO levels")
 	}
-	levels := append([]float64(nil), ioLevels...)
-	sort.Float64s(levels)
-	for _, io := range levels {
+	for _, io := range ioLevels {
 		if io <= 0 || io > 1 {
 			return nil, fmt.Errorf("lut: IO level %g out of (0,1]", io)
 		}
 	}
-	return levels, nil
+	levels := slices.Clone(ioLevels)
+	slices.Sort(levels)
+	return slices.Compact(levels), nil
+}
+
+// newTable returns a table of the given grid with every point absent.
+func newTable(dies, maxPerDie int, levels []float64) *Table {
+	size := len(levels)
+	for d := 0; d < dies; d++ {
+		size *= maxPerDie + 1
+	}
+	ir := make([]float64, size)
+	for i := range ir {
+		ir[i] = math.NaN()
+	}
+	return &Table{Dies: dies, MaxPerDie: maxPerDie, IOLevels: levels, ir: ir}
 }
 
 // FromPoints assembles a table from explicit grid points — the inverse of
 // Points — for loading precomputed tables and for tests that need a table
-// with known contents without running solves.
+// with known contents without running solves. A point off the grid — a
+// die count other than dies, a count outside [0, maxPerDie], an I/O that
+// is not one of ioLevels — or without a value (NaN) is an error naming it.
+// A repeated point keeps its last value.
 func FromPoints(dies, maxPerDie int, ioLevels []float64, pts []Point) (*Table, error) {
 	if dies < 1 {
 		return nil, fmt.Errorf("lut: dies %d must be >= 1", dies)
@@ -185,52 +262,73 @@ func FromPoints(dies, maxPerDie int, ioLevels []float64, pts []Point) (*Table, e
 	if err != nil {
 		return nil, err
 	}
-	t := &Table{
-		Dies:      dies,
-		MaxPerDie: maxPerDie,
-		IOLevels:  levels,
-		entries:   make(map[string]float64, len(pts)),
-	}
+	t := newTable(dies, maxPerDie, levels)
 	for _, p := range pts {
 		if len(p.Counts) != dies {
 			return nil, fmt.Errorf("lut: point %v has %d dies, table covers %d", p.Counts, len(p.Counts), dies)
 		}
-		t.entries[key(p.Counts, p.IO)] = p.MaxIR
+		s, bad := t.state(p.Counts)
+		if bad >= 0 {
+			return nil, fmt.Errorf("lut: point %v@%g: count %d on die %d outside [0,%d]",
+				p.Counts, p.IO, p.Counts[bad], bad+1, maxPerDie)
+		}
+		l := slices.Index(levels, p.IO)
+		if l < 0 {
+			return nil, fmt.Errorf("lut: point %v@%g: I/O %g is not one of the levels %v", p.Counts, p.IO, p.IO, levels)
+		}
+		if math.IsNaN(p.MaxIR) {
+			return nil, fmt.Errorf("lut: point %v@%g has no value", p.Counts, p.IO)
+		}
+		k := s*len(levels) + l
+		if math.IsNaN(t.ir[k]) {
+			t.entries++
+		}
+		t.ir[k] = p.MaxIR
 	}
 	return t, nil
 }
 
 // Entries returns the number of stored (state, io) points.
-func (t *Table) Entries() int { return len(t.entries) }
+func (t *Table) Entries() int { return t.entries }
+
+// state returns the grid index of a count vector of t.Dies entries, or
+// the first die whose count lies outside [0, MaxPerDie] as bad (-1 when
+// none does).
+func (t *Table) state(counts []int) (s, bad int) {
+	for d, c := range counts {
+		if c < 0 || c > t.MaxPerDie {
+			return 0, d
+		}
+		s = s*(t.MaxPerDie+1) + c
+	}
+	return s, -1
+}
 
 // MaxIR returns the maximum IR drop in volts for the given per-die counts
 // at per-die I/O activity io. The io is rounded UP to the nearest covered
 // level (conservative for constraint checks). A point outside the built
-// grid — mismatched die count, a count above MaxPerDie, io above the top
-// covered level — returns a *NotCoveredError wrapping ErrNotCovered.
+// grid — mismatched die count, a count outside [0, MaxPerDie], io above
+// the top covered level, or a point the table does not hold — returns a
+// *NotCoveredError wrapping ErrNotCovered. A covered lookup indexes the
+// grid in O(D), after a scan of the L levels, and allocates nothing.
 func (t *Table) MaxIR(counts []int, io float64) (float64, error) {
 	if len(counts) != t.Dies {
 		return 0, notCovered(counts, io, "%d dies, table covers %d", len(counts), t.Dies)
 	}
-	for d, c := range counts {
-		if c < 0 || c > t.MaxPerDie {
-			return 0, notCovered(counts, io, "count %d on die %d outside [0,%d]", c, d+1, t.MaxPerDie)
-		}
+	s, bad := t.state(counts)
+	if bad >= 0 {
+		return 0, notCovered(counts, io, "count %d on die %d outside [0,%d]", counts[bad], bad+1, t.MaxPerDie)
 	}
-	if top := t.IOLevels[len(t.IOLevels)-1]; io > top+1e-12 {
+	l := len(t.IOLevels) - 1
+	if top := t.IOLevels[l]; io > top+1e-12 {
 		return 0, notCovered(counts, io, "activity %g above the top covered level %g", io, top)
 	}
-	level := t.IOLevels[len(t.IOLevels)-1]
-	for i := len(t.IOLevels) - 1; i >= 0; i-- {
-		if t.IOLevels[i] >= io-1e-12 {
-			level = t.IOLevels[i]
-		} else {
-			break
-		}
+	for l > 0 && t.IOLevels[l-1] >= io-1e-12 {
+		l--
 	}
-	v, ok := t.entries[key(counts, level)]
-	if !ok {
-		return 0, notCovered(counts, io, "no entry at covered level %g", level)
+	v := t.ir[s*len(t.IOLevels)+l]
+	if math.IsNaN(v) {
+		return 0, notCovered(counts, io, "no entry at covered level %g", t.IOLevels[l])
 	}
 	return v, nil
 }
@@ -249,14 +347,12 @@ type Point struct {
 // (lexicographic states, then ascending I/O levels) — the /v1/lut dump
 // format, byte-identical across worker counts and runs.
 func (t *Table) Points() []Point {
-	out := make([]Point, 0, len(t.entries))
-	for _, counts := range memstate.EnumerateCounts(t.Dies, t.MaxPerDie) {
-		for _, io := range t.IOLevels {
-			v, ok := t.entries[key(counts, io)]
-			if !ok {
-				continue
+	out := make([]Point, 0, t.entries)
+	for s, counts := range memstate.EnumerateCounts(t.Dies, t.MaxPerDie) {
+		for l, io := range t.IOLevels {
+			if v := t.ir[s*len(t.IOLevels)+l]; !math.IsNaN(v) {
+				out = append(out, Point{Counts: append([]int(nil), counts...), IO: io, MaxIR: v})
 			}
-			out = append(out, Point{Counts: append([]int(nil), counts...), IO: io, MaxIR: v})
 		}
 	}
 	return out
@@ -265,22 +361,10 @@ func (t *Table) Points() []Point {
 // WorstIR returns the largest IR drop stored in the table.
 func (t *Table) WorstIR() float64 {
 	var mx float64
-	for _, v := range t.entries {
-		if v > mx {
+	for _, v := range t.ir {
+		if v > mx { // false for an absent (NaN) point
 			mx = v
 		}
 	}
 	return mx
-}
-
-func key(counts []int, io float64) string {
-	var sb strings.Builder
-	for i, c := range counts {
-		if i > 0 {
-			sb.WriteByte('-')
-		}
-		sb.WriteString(strconv.Itoa(c))
-	}
-	fmt.Fprintf(&sb, "@%.4f", io)
-	return sb.String()
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -24,7 +25,7 @@ func coarseAnalyzer(t testing.TB) *irdrop.Analyzer {
 	return sharedAnalyzer
 }
 
-// sharedTableFor builds the default table once; its 27 response solves
+// sharedTableFor builds the default table once; its 13 unit-term solves
 // would otherwise be repeated by every test that reads it.
 func sharedTableFor(t testing.TB) *Table {
 	t.Helper()
@@ -200,5 +201,83 @@ func TestWorstIRIsFullActivity(t *testing.T) {
 	}
 	if worst < full {
 		t.Errorf("worst %.4f below the 2-2-2-2@100%% entry %.4f", worst, full)
+	}
+}
+
+// A covered lookup indexes the dense grid and allocates nothing: the
+// memory controller makes one or two per simulated cycle.
+func TestMaxIRAllocatesNothing(t *testing.T) {
+	table := sharedTableFor(t)
+	counts := []int{2, 0, 1, 2}
+	var v float64
+	allocs := testing.AllocsPerRun(100, func() {
+		var err error
+		if v, err = table.MaxIR(counts, 1.0/3); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("MaxIR allocated %g times per call, want 0", allocs)
+	}
+	if want, _ := table.MaxIR(counts, 0.5); v != want {
+		t.Errorf("io 1/3 read %g, want the 0.5 level's %g", v, want)
+	}
+}
+
+// FromPoints refuses a point no lookup could read, naming it, instead of
+// storing it where Entries counts it and Points omits it.
+func TestFromPointsRefusesOffGridPoints(t *testing.T) {
+	levels := []float64{0.5, 1.0}
+	for _, tc := range []struct {
+		name string
+		p    Point
+		want string
+	}{
+		{"I/O not a level", Point{Counts: []int{1, 0}, IO: 0.75, MaxIR: 0.01}, "[1 0]@0.75"},
+		{"count above maxPerDie", Point{Counts: []int{3, 0}, IO: 0.5, MaxIR: 0.01}, "[3 0]@0.5"},
+		{"negative count", Point{Counts: []int{0, -1}, IO: 1.0, MaxIR: 0.01}, "[0 -1]@1"},
+		{"wrong die count", Point{Counts: []int{0, 0, 0}, IO: 1.0, MaxIR: 0.01}, "[0 0 0]"},
+		{"no value", Point{Counts: []int{0, 0}, IO: 1.0, MaxIR: math.NaN()}, "[0 0]@1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ok := Point{Counts: []int{0, 0}, IO: 0.5, MaxIR: 0.01}
+			_, err := FromPoints(2, 2, levels, []Point{ok, tc.p})
+			if err == nil {
+				t.Fatalf("point %v@%g: want an error", tc.p.Counts, tc.p.IO)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("error %q does not name the point %s", err, tc.want)
+			}
+		})
+	}
+}
+
+// Duplicate levels collapse, and a repeated point is stored once, so
+// Entries always equals len(Points()); an absent point is a typed miss.
+func TestFromPointsEntriesMatchPoints(t *testing.T) {
+	pts := []Point{
+		{Counts: []int{0, 1}, IO: 0.5, MaxIR: 0.010},
+		{Counts: []int{0, 1}, IO: 0.5, MaxIR: 0.012},
+		{Counts: []int{2, 2}, IO: 1.0, MaxIR: 0.020},
+	}
+	table, err := FromPoints(2, 2, []float64{1.0, 0.5, 0.5}, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(table.IOLevels, []float64{0.5, 1.0}) {
+		t.Errorf("levels %v, want [0.5 1]", table.IOLevels)
+	}
+	got := table.Points()
+	if table.Entries() != 2 || len(got) != 2 {
+		t.Fatalf("Entries %d, %d points; want 2 and 2", table.Entries(), len(got))
+	}
+	if got[0].MaxIR != 0.012 {
+		t.Errorf("repeated point kept %g, want the last value 0.012", got[0].MaxIR)
+	}
+	if table.WorstIR() != 0.020 {
+		t.Errorf("WorstIR %g, want 0.020", table.WorstIR())
+	}
+	if _, err := table.MaxIR([]int{1, 1}, 0.5); !errors.Is(err, ErrNotCovered) {
+		t.Errorf("absent point: err %v, want ErrNotCovered", err)
 	}
 }

@@ -3,7 +3,9 @@ package lut
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"pdn3d/internal/bench3d"
@@ -63,7 +65,7 @@ func checkAgainstOracle(t *testing.T, b *bench3d.Benchmark, pitch float64, level
 // Summed entries match direct tight-tolerance solves on the four paper
 // designs, for a spread of states on a coarse mesh and at the paper's
 // pitch (measured there over all 81 states at full I/O activity: at most
-// 5.7e-8 relative).
+// 6.8e-9 relative).
 func TestSummedEntriesMatchDirectSolves(t *testing.T) {
 	benches, err := bench3d.All()
 	if err != nil {
@@ -85,28 +87,42 @@ func TestSummedEntriesMatchDirectSolves(t *testing.T) {
 	}
 }
 
-// A build solves L·(1 + D·maxPerDie) responses, not one per grid point.
+// A build solves each unit term once, 1 + D·(1 + maxPerDie) responses
+// plus one for a logic die, whatever the number of levels — not one per
+// grid point or per level.
 func TestBuildSolveCount(t *testing.T) {
-	a := coarseAnalyzer(t)
+	ten := make([]float64, 10)
+	for i := range ten {
+		ten[i] = float64(i+1) / 10
+	}
+	b, err := bench3d.StackedDDR3On()
+	if err != nil {
+		t.Fatal(err)
+	}
+	onChip := analyzerFor(t, b, 0.6)
 	for _, tc := range []struct {
+		a         *irdrop.Analyzer
 		maxPerDie int
 		levels    []float64
 		solves    int
 	}{
-		{2, DefaultIOLevels(), 27}, // Table 6: 243 points
-		{1, []float64{1.0}, 5},
-		{3, []float64{0.5, 1.0}, 26},
+		{coarseAnalyzer(t), 2, DefaultIOLevels(), 13}, // Table 6: 243 points
+		{coarseAnalyzer(t), 1, []float64{1.0}, 9},
+		{coarseAnalyzer(t), 3, []float64{0.5, 1.0}, 17},
+		{coarseAnalyzer(t), 2, ten, 13},
+		{onChip, 2, DefaultIOLevels(), 14}, // the logic die's load is one more term
 	} {
-		before := a.Solves()
-		table, err := BuildWith(a, tc.maxPerDie, tc.levels, 0)
+		before := tc.a.Solves()
+		table, err := BuildWith(tc.a, tc.maxPerDie, tc.levels, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := a.Solves() - before; got != tc.solves {
-			t.Errorf("maxPerDie %d, %d levels: %d solves, want %d", tc.maxPerDie, len(tc.levels), got, tc.solves)
+		name := fmt.Sprintf("%s, maxPerDie %d, %d levels", tc.a.Spec().Name, tc.maxPerDie, len(tc.levels))
+		if got := tc.a.Solves() - before; got != tc.solves {
+			t.Errorf("%s: %d solves, want %d", name, got, tc.solves)
 		}
 		if want := len(tc.levels) * int(math.Pow(float64(tc.maxPerDie+1), 4)); table.Entries() != want {
-			t.Errorf("maxPerDie %d, %d levels: %d entries, want %d", tc.maxPerDie, len(tc.levels), table.Entries(), want)
+			t.Errorf("%s: %d entries, want %d", name, table.Entries(), want)
 		}
 	}
 }
@@ -128,7 +144,7 @@ func TestPointsIdenticalAcrossWorkers(t *testing.T) {
 		t.Fatalf("%d points with 1 worker, %d with 8", len(sp), len(pp))
 	}
 	for i := range sp {
-		if key(sp[i].Counts, sp[i].IO) != key(pp[i].Counts, pp[i].IO) ||
+		if !reflect.DeepEqual(sp[i].Counts, pp[i].Counts) || sp[i].IO != pp[i].IO ||
 			math.Float64bits(sp[i].MaxIR) != math.Float64bits(pp[i].MaxIR) {
 			t.Fatalf("point %d: %v@%g = %x with 1 worker, %v@%g = %x with 8", i,
 				sp[i].Counts, sp[i].IO, math.Float64bits(sp[i].MaxIR),

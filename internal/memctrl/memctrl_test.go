@@ -256,7 +256,7 @@ func TestPerDieIO(t *testing.T) {
 		{[]int{0, 0, 0, 0}, 0},
 	}
 	for _, c := range cases {
-		if got := perDieIO(c.counts, 2); math.Abs(got-c.want) > 1e-12 {
+		if got := perDieIO(c.counts); math.Abs(got-c.want) > 1e-12 {
 			t.Errorf("perDieIO(%v) = %g, want %g", c.counts, got, c.want)
 		}
 	}
@@ -265,7 +265,7 @@ func TestPerDieIO(t *testing.T) {
 func TestPerDieIOBounded(t *testing.T) {
 	f := func(a, b, c, d uint8) bool {
 		counts := []int{int(a % 3), int(b % 3), int(c % 3), int(d % 3)}
-		io := perDieIO(counts, 2)
+		io := perDieIO(counts)
 		return io >= 0 && io <= 1
 	}
 	if err := quick.Check(f, nil); err != nil {

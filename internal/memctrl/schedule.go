@@ -1,6 +1,9 @@
 package memctrl
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // schedule is the per-cycle scheduling pass: for each channel, the
 // controller walks the priority queue and issues the first command
@@ -16,22 +19,22 @@ func (s *sim) schedule() {
 	}
 	// Resolve the priority order to request pointers up front: issuing a
 	// read removes it from the queue, which would invalidate raw indices.
-	cands := make([]*Request, len(order))
-	for i, qi := range order {
-		cands[i] = s.queue[qi]
+	s.cands = s.cands[:0]
+	for _, qi := range order {
+		s.cands = append(s.cands, s.queue[qi])
 	}
-	issued := make([]bool, s.cfg.Channels)
+	clear(s.issued)
 	nIssued := 0
-	for _, req := range cands {
+	for _, req := range s.cands {
 		if nIssued == s.cfg.Channels {
 			break
 		}
 		ch := s.channelOf(req)
-		if issued[ch] {
+		if s.issued[ch] {
 			continue
 		}
 		if s.tryIssue(req, ch) {
-			issued[ch] = true
+			s.issued[ch] = true
 			nIssued++
 			if req.Done > 0 {
 				s.removeFromQueue(req)
@@ -40,29 +43,29 @@ func (s *sim) schedule() {
 	}
 }
 
-// priorityOrder returns queue indices in scheduling priority. FCFS orders
-// by arrival; DistR puts requests whose target die has the fewest open
-// banks first (ties by arrival), balancing reads across dies.
+// priorityOrder returns queue indices in scheduling priority, in the
+// sim's scratch. FCFS orders by arrival; DistR puts requests whose target
+// die has the fewest open banks first (ties by arrival), balancing reads
+// across dies. Both sorts are stable.
 func (s *sim) priorityOrder() []int {
-	idx := make([]int, len(s.queue))
-	for i := range idx {
-		idx[i] = i
+	s.order = s.order[:0]
+	for i := range s.queue {
+		s.order = append(s.order, i)
 	}
 	if s.cfg.Sched == DistR {
-		sort.SliceStable(idx, func(a, b int) bool {
-			ra, rb := s.queue[idx[a]], s.queue[idx[b]]
-			oa, ob := s.openPerDie[ra.Die], s.openPerDie[rb.Die]
-			if oa != ob {
-				return oa < ob
+		slices.SortStableFunc(s.order, func(a, b int) int {
+			ra, rb := s.queue[a], s.queue[b]
+			if c := cmp.Compare(s.openPerDie[ra.Die], s.openPerDie[rb.Die]); c != 0 {
+				return c
 			}
-			return ra.Arrival < rb.Arrival
+			return cmp.Compare(ra.Arrival, rb.Arrival)
 		})
 	} else {
-		sort.SliceStable(idx, func(a, b int) bool {
-			return s.queue[idx[a]].Arrival < s.queue[idx[b]].Arrival
+		slices.SortStableFunc(s.order, func(a, b int) int {
+			return cmp.Compare(s.queue[a].Arrival, s.queue[b].Arrival)
 		})
 	}
-	return idx
+	return s.order
 }
 
 // tryIssue attempts to make progress on one request; reports whether a
@@ -162,7 +165,7 @@ func (s *sim) mayActivate(die int) bool {
 		// conservative — but is also counted as a miss so an undersized
 		// table is visible in the result instead of silently throttling.
 		counts, _ := s.countsAndActive(die, 1)
-		ir, err := s.cfg.LUT.MaxIR(counts, perDieIO(counts, s.cfg.MaxBanksPerDie))
+		ir, err := s.cfg.LUT.MaxIR(counts, perDieIO(counts))
 		if err != nil || ir > s.cfg.IRLimit {
 			s.noteLUTMiss(err)
 			s.res.Blocked++
@@ -170,9 +173,7 @@ func (s *sim) mayActivate(die int) bool {
 		}
 		// ...and the state it can decay into once other dies drain and
 		// this die takes the whole bus (conservative against idle-close).
-		alone := make([]int, s.cfg.Dies)
-		alone[die] = s.openPerDie[die] + 1
-		ir, err = s.cfg.LUT.MaxIR(alone, 1.0)
+		ir, err = s.cfg.LUT.MaxIR(s.aloneCounts(die), 1.0)
 		if err != nil || ir > s.cfg.IRLimit {
 			s.noteLUTMiss(err)
 			s.res.Blocked++

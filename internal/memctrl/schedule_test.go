@@ -2,6 +2,9 @@ package memctrl
 
 import (
 	"testing"
+
+	"pdn3d/internal/lut"
+	"pdn3d/internal/memstate"
 )
 
 // runOne drives a tiny request stream through the simulator and returns
@@ -181,5 +184,59 @@ func TestFCFSOrder(t *testing.T) {
 	order := s.priorityOrder()
 	if s.queue[order[0]].ID != 1 || s.queue[order[1]].ID != 0 || s.queue[order[2]].ID != 2 {
 		t.Errorf("FCFS order wrong: %v", order)
+	}
+}
+
+// The simulation cycle reuses the sim's buffers, so a whole Simulate
+// allocates a bounded handful of times (set-up, the queue, the ACT
+// history) whatever the request count, under each of Table 6's
+// configurations.
+func TestSimulateAllocatesLittle(t *testing.T) {
+	levels := []float64{0.25, 0.5, 1.0}
+	var pts []lut.Point
+	for _, c := range memstate.EnumerateCounts(4, 2) {
+		for _, io := range levels {
+			v := 0.004 + 0.003*io
+			for d, n := range c {
+				v += float64(n) * (0.002 + 0.001*float64(d)) * (0.5 + io)
+			}
+			pts = append(pts, lut.Point{Counts: c, IO: io, MaxIR: v})
+		}
+	}
+	table, err := lut.FromPoints(4, 2, levels, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		policy IRPolicy
+		sched  Scheduler
+		limit  float64
+	}{
+		{PolicyStandard, FCFS, 0},
+		{PolicyIRAware, FCFS, 0.016},
+		{PolicyIRAware, DistR, 0.016},
+	} {
+		cfg := DefaultConfig(tc.policy, tc.sched, table, tc.limit)
+		wl := DefaultWorkload(cfg.Dies, cfg.BanksPerDie)
+		wl.Requests = 4000
+		reqs, err := Generate(wl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		work := make([]Request, len(reqs))
+		var res *Result
+		allocs := testing.AllocsPerRun(2, func() {
+			copy(work, reqs)
+			if res, err = Simulate(cfg, work); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if res.Blocked == 0 && tc.policy == PolicyIRAware {
+			t.Errorf("%s/%s: the limit never bound, so the LUT checks went untested", tc.policy, tc.sched)
+		}
+		t.Logf("%s/%s: %g allocations, %d blocked", tc.policy, tc.sched, allocs, res.Blocked)
+		if allocs > 64 {
+			t.Errorf("%s/%s: Simulate allocated %g times at %d requests, want <= 64", tc.policy, tc.sched, allocs, len(reqs))
+		}
 	}
 }

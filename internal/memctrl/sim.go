@@ -73,16 +73,17 @@ type Config struct {
 	// MaxBanksPerDie caps simultaneously open banks per die
 	// (2: interleave limit protecting the charge pumps, §2.3).
 	MaxBanksPerDie int
-	// IdleClose closes a bank after this many cycles without reads
-	// (§2.3). Zero selects 24.
-	IdleClose int
-	// Lookahead caps how deep into the priority order the scheduler
-	// searches for an issuable command each cycle. FCFS keeps near-arrival
-	// order with a small window; DistR re-sorts the whole queue, so depth
-	// matters less there. Zero selects 6 for FCFS and the full queue for
-	// DistR.
-	Lookahead int
 }
+
+const (
+	// idleCloseCycles is how many cycles without reads close an open bank
+	// (§2.3).
+	idleCloseCycles = 28
+	// fcfsLookahead is how deep into the priority order FCFS searches for
+	// an issuable command each cycle, keeping near-arrival order. DistR
+	// re-sorts the whole queue and searches all of it.
+	fcfsLookahead = 16
+)
 
 // DefaultConfig returns the paper's controller setup for a 4-die, 8-bank
 // stacked DDR3 with the given policy and scheduler.
@@ -98,7 +99,6 @@ func DefaultConfig(policy IRPolicy, sched Scheduler, table *lut.Table, irLimitV 
 		IRLimit:        irLimitV,
 		LUT:            table,
 		MaxBanksPerDie: 2,
-		IdleClose:      0, // package default
 	}
 }
 
@@ -133,19 +133,9 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-func (c *Config) idleClose() int64 {
-	if c.IdleClose > 0 {
-		return int64(c.IdleClose)
-	}
-	return 28
-}
-
 func (c *Config) lookahead(queueLen int) int {
-	if c.Lookahead > 0 {
-		return c.Lookahead
-	}
 	if c.Sched == FCFS {
-		return 16
+		return fcfsLookahead
 	}
 	return queueLen
 }
@@ -227,6 +217,14 @@ type sim struct {
 	actTimes   []int64 // ACT history for tFAW
 	res        Result
 	latSum     int64
+
+	// Per-cycle scratch, reused so a cycle allocates nothing: the count
+	// vectors handed to the LUT, the priority order, its requests and the
+	// per-channel issued flags.
+	counts, alone []int
+	order         []int
+	cands         []*Request
+	issued        []bool
 }
 
 func (s *sim) run() (*Result, error) {
@@ -236,6 +234,7 @@ func (s *sim) run() (*Result, error) {
 		s.banks[d] = make([]bank, cfg.BanksPerDie)
 	}
 	s.busUntil = make([]int64, cfg.Channels)
+	s.issued = make([]bool, cfg.Channels)
 	s.openPerDie = make([]int, cfg.Dies)
 	s.lastACT = -int64(cfg.Timing.TRRD)
 
@@ -281,7 +280,6 @@ func (s *sim) tick() {
 // updateBanks advances bank state machines and applies the idle-close
 // policy.
 func (s *sim) updateBanks() {
-	idle := s.cfg.idleClose()
 	for d := range s.banks {
 		for b := range s.banks[d] {
 			bk := &s.banks[d][b]
@@ -295,7 +293,7 @@ func (s *sim) updateBanks() {
 					bk.state = bankIdle
 				}
 			case bankActive:
-				if s.now >= bk.rasEnd && s.now-bk.lastUse >= idle && s.now >= bk.nextRD {
+				if s.now >= bk.rasEnd && s.now-bk.lastUse >= idleCloseCycles && s.now >= bk.nextRD {
 					bk.state = bankPrecharging
 					bk.ready = s.now + int64(s.cfg.Timing.TRP)
 					s.openPerDie[d]--
@@ -323,7 +321,7 @@ func (s *sim) observeIR() {
 	if active == 0 {
 		return
 	}
-	ir, err := s.cfg.LUT.MaxIR(counts, perDieIO(counts, s.cfg.MaxBanksPerDie))
+	ir, err := s.cfg.LUT.MaxIR(counts, perDieIO(counts))
 	if err != nil {
 		s.noteLUTMiss(err)
 		return
@@ -343,28 +341,36 @@ func (s *sim) noteLUTMiss(err error) {
 }
 
 // countsAndActive returns the per-die open bank counts; when extraDie >= 0
-// the hypothetical extra open banks are added to that die.
+// the hypothetical extra open banks are added to that die. The vector is
+// the sim's scratch, valid until the next call.
 func (s *sim) countsAndActive(extraDie, extra int) ([]int, int) {
-	counts := make([]int, s.cfg.Dies)
+	s.counts = append(s.counts[:0], s.openPerDie...)
 	active := 0
-	for d, n := range s.openPerDie {
-		counts[d] = n
+	for d := range s.counts {
 		if extraDie == d {
-			counts[d] += extra
+			s.counts[d] += extra
 		}
-		if counts[d] > 0 {
+		if s.counts[d] > 0 {
 			active++
 		}
 	}
-	return counts, active
+	return s.counts, active
+}
+
+// aloneCounts returns the count vector of die running its open banks plus
+// one with every other die idle, in the sim's scratch.
+func (s *sim) aloneCounts(die int) []int {
+	s.alone = append(s.alone[:0], s.openPerDie...)
+	clear(s.alone)
+	s.alone[die] = s.openPerDie[die] + 1
+	return s.alone
 }
 
 // perDieIO returns the per-die I/O activity of a memory state on the
 // shared zero-bubble bus: active dies split the bus evenly. A single open
 // bank already sustains the full stream (tCCD equals the burst length), so
 // the bank count does not enter.
-func perDieIO(counts []int, maxPerDie int) float64 {
-	_ = maxPerDie
+func perDieIO(counts []int) float64 {
 	active := 0
 	for _, c := range counts {
 		if c > 0 {

@@ -193,19 +193,90 @@ func (m *DRAMModel) DiePower(nActive int, io float64) float64 {
 // IdlePower returns the standby power of an idle die.
 func (m *DRAMModel) IdlePower() float64 { return m.DiePower(0, m.Anchors[0].IO) }
 
-// Loads distributes one die's power over its floorplan blocks for the
-// given set of active banks and I/O activity. Idle-die standby power goes
-// 50 % to the peripheral strip, 25 % to column paths, 25 % uniformly over
-// the bank arrays (retention/refresh background).
-func (m *DRAMModel) Loads(fp *floorplan.Floorplan, active []int, io float64) ([]Load, error) {
-	for _, b := range active {
-		if b < 0 || b >= fp.NumBanks {
-			return nil, fmt.Errorf("powermap: active bank %d out of range for %s (%d banks)", b, fp.Name, fp.NumBanks)
-		}
-	}
+// Weights returns the two I/O-dependent weights of a die's load patterns
+// at activity io, both in mW: idle, the standby power every die draws
+// (StandbyLoads), and ioP, the I/O power an active die adds on top of its
+// banks' fixed load (IOLoads), V(io) scaled and clamped at zero.
+func (m *DRAMModel) Weights(io float64) (idle, ioP float64) {
 	act, idle := m.interp(io)
 	act *= m.Scale
 	idle *= m.Scale
+	ioP = (act - idle) - m.BankPower*float64(m.RefBanks)*m.Scale
+	if ioP < 0 {
+		ioP = 0
+	}
+	return idle, ioP
+}
+
+// Loads distributes one die's power over its floorplan blocks for the
+// given set of active banks and I/O activity. It composes the die's three
+// load patterns in a fixed order: the standby pattern at idle(io), then
+// each active bank's fixed load in the order given, then the I/O pattern
+// at ioP(io) (Weights). An idle die draws the standby pattern alone.
+func (m *DRAMModel) Loads(fp *floorplan.Floorplan, active []int, io float64) ([]Load, error) {
+	for _, b := range active {
+		if err := checkBank(fp, b); err != nil {
+			return nil, err
+		}
+	}
+	blocks, err := dieBlocksOf(fp)
+	if err != nil {
+		return nil, err
+	}
+	idle, ioP := m.Weights(io)
+	loads := blocks.standby(nil, idle)
+	if len(active) == 0 {
+		return loads, nil
+	}
+	for _, b := range active {
+		loads = m.bank(loads, fp, b)
+	}
+	return blocks.io(loads, m.PeriphFrac, ioP), nil
+}
+
+// StandbyLoads returns a die's standby pattern carrying w mW: 50 % on the
+// peripheral strip, 25 % on the column paths and 25 % spread uniformly
+// over the bank arrays (retention/refresh background).
+func (m *DRAMModel) StandbyLoads(fp *floorplan.Floorplan, w float64) ([]Load, error) {
+	blocks, err := dieBlocksOf(fp)
+	if err != nil {
+		return nil, err
+	}
+	return blocks.standby(nil, w), nil
+}
+
+// IOLoads returns an active die's I/O pattern carrying w mW: PeriphFrac on
+// the peripheral strip, the rest on the column paths.
+func (m *DRAMModel) IOLoads(fp *floorplan.Floorplan, w float64) ([]Load, error) {
+	blocks, err := dieBlocksOf(fp)
+	if err != nil {
+		return nil, err
+	}
+	return blocks.io(nil, m.PeriphFrac, w), nil
+}
+
+// BankLoads returns active bank b's fixed load: BankPower, scaled, split
+// ArrayFrac to its cell array and the rest to its row decoder.
+func (m *DRAMModel) BankLoads(fp *floorplan.Floorplan, b int) ([]Load, error) {
+	if err := checkBank(fp, b); err != nil {
+		return nil, err
+	}
+	return m.bank(nil, fp, b), nil
+}
+
+func checkBank(fp *floorplan.Floorplan, b int) error {
+	if b < 0 || b >= fp.NumBanks {
+		return fmt.Errorf("powermap: active bank %d out of range for %s (%d banks)", b, fp.Name, fp.NumBanks)
+	}
+	return nil
+}
+
+// dieBlocks are the blocks a die's standby and I/O patterns cover.
+type dieBlocks struct {
+	periph, colpath, arrays []floorplan.Block
+}
+
+func dieBlocksOf(fp *floorplan.Floorplan) (dieBlocks, error) {
 	periph := fp.KindBlocks(floorplan.Peripheral)
 	colpath := fp.KindBlocks(floorplan.ColumnPath)
 	if len(colpath) == 0 {
@@ -214,57 +285,53 @@ func (m *DRAMModel) Loads(fp *floorplan.Floorplan, active []int, io float64) ([]
 		colpath = periph
 	}
 	if len(periph) == 0 {
-		return nil, fmt.Errorf("powermap: floorplan %s has no peripheral strip", fp.Name)
+		return dieBlocks{}, fmt.Errorf("powermap: floorplan %s has no peripheral strip", fp.Name)
 	}
+	return dieBlocks{periph: periph, colpath: colpath, arrays: fp.KindBlocks(floorplan.BankArray)}, nil
+}
 
-	var loads []Load
-	spread := func(blocks []floorplan.Block, total float64) {
-		if total <= 0 || len(blocks) == 0 {
-			return
-		}
-		var area float64
-		for _, b := range blocks {
-			area += b.Rect.Area()
-		}
-		for _, b := range blocks {
-			loads = append(loads, Load{Rect: b.Rect, P: total * b.Rect.Area() / area})
-		}
-	}
+func (d dieBlocks) standby(loads []Load, w float64) []Load {
+	loads = spread(loads, d.periph, w*0.50)
+	loads = spread(loads, d.colpath, w*0.25)
+	return spread(loads, d.arrays, w*0.25)
+}
 
-	// Standby power, drawn by every die.
-	arrays := fp.KindBlocks(floorplan.BankArray)
-	spread(periph, idle*0.50)
-	spread(colpath, idle*0.25)
-	spread(arrays, idle*0.25)
+func (d dieBlocks) io(loads []Load, periphFrac, w float64) []Load {
+	loads = spread(loads, d.periph, w*periphFrac)
+	return spread(loads, d.colpath, w*(1-periphFrac))
+}
 
-	if len(active) == 0 {
-		return loads, nil
-	}
-
-	ioP := (act - idle) - m.BankPower*float64(m.RefBanks)*m.Scale
-	if ioP < 0 {
-		ioP = 0
-	}
+func (m *DRAMModel) bank(loads []Load, fp *floorplan.Floorplan, b int) []Load {
 	perBank := m.BankPower * m.Scale
-	for _, b := range active {
-		var arr, dec []floorplan.Block
-		for _, bl := range fp.BankBlocks(b) {
-			switch bl.Kind {
-			case floorplan.BankArray:
-				arr = append(arr, bl)
-			case floorplan.RowDecoder:
-				dec = append(dec, bl)
-			}
+	var arr, dec []floorplan.Block
+	for _, bl := range fp.BankBlocks(b) {
+		switch bl.Kind {
+		case floorplan.BankArray:
+			arr = append(arr, bl)
+		case floorplan.RowDecoder:
+			dec = append(dec, bl)
 		}
-		if len(dec) == 0 {
-			// Dies without per-bank decoders put it all in the array.
-			spread(arr, perBank)
-			continue
-		}
-		spread(arr, perBank*m.ArrayFrac)
-		spread(dec, perBank*(1-m.ArrayFrac))
 	}
-	spread(periph, ioP*m.PeriphFrac)
-	spread(colpath, ioP*(1-m.PeriphFrac))
-	return loads, nil
+	if len(dec) == 0 {
+		// Dies without per-bank decoders put it all in the array.
+		return spread(loads, arr, perBank)
+	}
+	loads = spread(loads, arr, perBank*m.ArrayFrac)
+	return spread(loads, dec, perBank*(1-m.ArrayFrac))
+}
+
+// spread appends total mW drawn over blocks, each block's share in
+// proportion to its area.
+func spread(loads []Load, blocks []floorplan.Block, total float64) []Load {
+	if total <= 0 || len(blocks) == 0 {
+		return loads
+	}
+	var area float64
+	for _, b := range blocks {
+		area += b.Rect.Area()
+	}
+	for _, b := range blocks {
+		loads = append(loads, Load{Rect: b.Rect, P: total * b.Rect.Area() / area})
+	}
+	return loads
 }

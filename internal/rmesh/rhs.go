@@ -91,19 +91,20 @@ func (m *Model) Solve(rhs []float64, opt solve.Options) ([]float64, solve.CGStat
 	return s.Solve(rhs, opt.CGOptions)
 }
 
-// Balance returns the relative Kirchhoff current-balance error of node
-// voltages v against load, the current in amps the right-hand side's
-// loads draw: |Σ_t g_t·(VDD − v_t) − load| / load, where the sum is the
-// current the supply ties deliver. An exact solution balances to
-// rounding, so the value measures the solve, not the physics. It is 0
-// when load is not positive.
-func (m *Model) Balance(v []float64, load float64) float64 {
+// Balance returns the relative Kirchhoff current-balance error of the
+// IR-drop vector ir against load, the current in amps the right-hand
+// side's loads draw: |Σ_t g_t·ir_t − load| / load, where the sum is the
+// current the supply ties deliver (g_t·(VDD − v_t)). It serves both
+// spaces: a voltage-space answer passes IRDrop(v), an IR-space response
+// its own solution. An exact solution balances to rounding, so the value
+// measures the solve, not the physics. It is 0 when load is not positive.
+func (m *Model) Balance(ir []float64, load float64) float64 {
 	if load <= 0 {
 		return 0
 	}
 	var tie float64
 	for _, t := range m.Ties {
-		tie += t.G * (m.VDD - v[t.Node])
+		tie += t.G * ir[t.Node]
 	}
 	return math.Abs(tie-load) / load
 }

@@ -86,7 +86,7 @@ func TestLUTCancelStopsSolving(t *testing.T) {
 	})
 	s, ts := newTestServer(t, Config{method: "test-lut-hold", Workers: 1})
 	const body = `{"bench":"ddr3-off"}` // the default grid: 3 levels x 81 states
-	const fullBuild = 3 * (1 + 4*2)
+	const fullBuild = 1 + 4*(1+2)       // one solve per unit load term
 
 	send := func(ctx context.Context, status chan<- int) {
 		req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/lut", strings.NewReader(body))

@@ -698,8 +698,10 @@ func (s *Server) handleLUT(w http.ResponseWriter, req *http.Request) {
 	// repeated level costs nothing.
 	slices.Sort(levels)
 	levels = slices.Compact(levels)
-	// Every level multiplies the point count by (maxPerDie+1)^dies, though
-	// a build solves only 1 + dies·maxPerDie responses per level; the
+	// Every level multiplies the point count by (maxPerDie+1)^dies. A
+	// build's solves do not grow with the levels — it solves
+	// 1 + dies·(1+maxPerDie) unit responses, one more with a logic die,
+	// whatever their number — but its table and per-state sums do. The
 	// product is taken in floating point so no input can overflow it.
 	if points := float64(len(levels)) * math.Pow(float64(maxPerDie)+1, float64(r.Spec.NumDRAM)); points > maxLUTPoints {
 		writeErr(w, http.StatusRequestEntityTooLarge,
