@@ -385,14 +385,15 @@ func sturmNegcount(d, e []float64, x float64) int {
 // plus the N worst — and assigns the record IDs. Safe for concurrent
 // use; nil disables retention (and recording — see StartSolveRecord).
 type SolveBuffer struct {
-	// IterHist and CondHist, when non-nil, receive every committed
-	// record's iteration count and condition estimate (the latter only
-	// when an estimate exists). The serving layer points these at
-	// deterministic registry histograms so the convergence distribution
-	// reaches /metrics and the Prometheus exposition. Set before first
-	// use.
-	IterHist *Histogram
-	CondHist *Histogram
+	// IterHist, CondHist and BalanceHist, when non-nil, receive every
+	// committed record's iteration count, condition estimate and
+	// Kirchhoff balance (the latter two only when the record carries
+	// one). The serving layer points these at deterministic registry
+	// histograms so the convergence and balance distributions reach
+	// /metrics and the Prometheus exposition. Set before first use.
+	IterHist    *Histogram
+	CondHist    *Histogram
+	BalanceHist *Histogram
 
 	ret *Retain[SolveRecord]
 	seq atomic.Int64
@@ -413,6 +414,9 @@ func (b *SolveBuffer) Add(rec SolveRecord) {
 	b.IterHist.Observe(float64(rec.Iterations))
 	if rec.CondEst > 0 {
 		b.CondHist.Observe(rec.CondEst)
+	}
+	if rec.Balance > 0 {
+		b.BalanceHist.Observe(rec.Balance)
 	}
 	b.ret.Add(rec)
 }

@@ -231,13 +231,17 @@ func TestSolveBufferHistograms(t *testing.T) {
 	b := NewSolveBuffer(2)
 	b.IterHist = reg.Histogram("solve.iterations", []float64{10, 100})
 	b.CondHist = reg.Histogram("solve.cond_est", []float64{10, 1000})
-	b.Add(SolveRecord{ID: "s-1", Iterations: 50, CondEst: 500})
-	b.Add(SolveRecord{ID: "s-2", Iterations: 5}) // no estimate
+	b.BalanceHist = reg.Histogram("solve.balance", []float64{1e-9, 1e-6})
+	b.Add(SolveRecord{ID: "s-1", Iterations: 50, CondEst: 500, Balance: 3e-8})
+	b.Add(SolveRecord{ID: "s-2", Iterations: 5}) // no estimate, no balance
 	if n := b.IterHist.Count(); n != 2 {
 		t.Fatalf("iteration histogram count = %d, want 2", n)
 	}
 	if n := b.CondHist.Count(); n != 1 {
 		t.Fatalf("cond histogram count = %d, want 1 (zero estimates skipped)", n)
+	}
+	if n, mid := b.BalanceHist.Count(), b.BalanceHist.Bucket(1); n != 1 || mid != 1 {
+		t.Fatalf("balance histogram count = %d, (1e-9, 1e-6] bucket = %d; want 1 and 1 (absent balances skipped)", n, mid)
 	}
 }
 

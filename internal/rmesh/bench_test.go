@@ -102,3 +102,18 @@ func BenchmarkBuildTopology(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkBuildTopologyFine is the same cold build at the fine-mesh
+// pitch: ddr3-off at 0.07 mm, 76,048 nodes and 453,366 matrix entries,
+// where the symbolic freeze's cost per stamp shows.
+func BenchmarkBuildTopologyFine(b *testing.B) {
+	spec := offChipSpec(b)
+	spec.MeshPitch = 0.07
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := BuildTopology(spec); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -313,17 +313,23 @@ func buildBoth(spec *pdn.Spec, reg *obs.Registry) (*Topology, *Model, error) {
 	}
 
 	// --- Stamp everything ---
+	// A counting pass sizes the builder exactly, so the stamp arrays are
+	// allocated once instead of doubling through the stream.
 	stopStamp := reg.Timer("rmesh.stamp_time").Start()
-	b := sparse.NewBuilder(m.n)
-	for _, l := range m.Layers {
-		m.stampLayer(b, l)
-	}
-	m.stampVias(b)
-	if err := m.stampConnections(b); err != nil {
+	var count stampCounter
+	if err := m.stamp(&count); err != nil {
 		stopStamp()
 		return nil, nil, err
 	}
+	b := sparse.NewBuilder(m.n)
+	b.Grow(count.n)
+	if err := m.stamp(b); err != nil {
+		stopStamp()
+		return nil, nil, err
+	}
+	stopFreeze := reg.Timer("rmesh.freeze_time").Start()
 	pat := b.Freeze()
+	stopFreeze()
 	m.Matrix = pat.NewCSR()
 	pat.Scatter(m.Matrix.Val, b.RawVals())
 	stopStamp()

@@ -147,15 +147,8 @@ func (m *Model) Restamp(spec *pdn.Spec) error {
 // change with the values), reusing their backing arrays.
 func (m *Model) restamp() error {
 	defer m.obs.Timer("rmesh.restamp_time").Start()()
-	m.Ties = m.Ties[:0]
-	m.Links = m.Links[:0]
-	m.Resistors = 0
 	rec := &valsRecorder{vals: m.stampBuf[:0]}
-	for _, l := range m.Layers {
-		m.stampLayer(rec, l)
-	}
-	m.stampVias(rec)
-	if err := m.stampConnections(rec); err != nil {
+	if err := m.stamp(rec); err != nil {
 		return err
 	}
 	if len(rec.vals) != m.topo.stamps {
@@ -213,14 +206,29 @@ func cloneLayers(ls []*Layer) []*Layer {
 	return out
 }
 
-// stamper receives the conductance stamp stream of a build. Two
+// stamper receives the conductance stamp stream of a build. Three
 // implementations: *sparse.Builder records coordinates and values (the
 // full build), valsRecorder records values only (the restamp, whose
-// coordinates are already frozen in the pattern). Both must see the exact
-// same stream for the pattern replay to hold.
+// coordinates are already frozen in the pattern), and stampCounter counts
+// the stamps so the full build can size its builder. All must see the
+// exact same stream for the pattern replay to hold.
 type stamper interface {
 	AddConductance(i, j int, g float64)
 	AddToGround(i int, g float64)
+}
+
+// stamp emits the model's whole stamp stream into s — every layer, the
+// vias, then the die and package connections — rebuilding Ties, Links
+// and Resistors (reusing their backing arrays) along the way.
+func (m *Model) stamp(s stamper) error {
+	m.Ties = m.Ties[:0]
+	m.Links = m.Links[:0]
+	m.Resistors = 0
+	for _, l := range m.Layers {
+		m.stampLayer(s, l)
+	}
+	m.stampVias(s)
+	return m.stampConnections(s)
 }
 
 // valsRecorder mirrors sparse.Builder's stamping behavior — including its
@@ -245,4 +253,22 @@ func (r *valsRecorder) AddToGround(i int, g float64) {
 		return
 	}
 	r.vals = append(r.vals, g)
+}
+
+// stampCounter counts the stamps sparse.Builder would keep from a stream,
+// mirroring its zero skip exactly as valsRecorder does.
+type stampCounter struct {
+	n int
+}
+
+func (c *stampCounter) AddConductance(i, j int, g float64) {
+	if g != 0 {
+		c.n += 4
+	}
+}
+
+func (c *stampCounter) AddToGround(i int, g float64) {
+	if g != 0 {
+		c.n++
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pdn3d/internal/geom"
+	"pdn3d/internal/obs"
 	"pdn3d/internal/pdn"
 	"pdn3d/internal/sparse"
 )
@@ -260,5 +261,48 @@ func TestLinkKindStrings(t *testing.T) {
 	}
 	if LinkKind(99).String() != "link" {
 		t.Error("unknown kind should fall back to 'link'")
+	}
+}
+
+// The symbolic freeze is timed on its own, inside the stamp interval it
+// belongs to: one rmesh.freeze_time observation per build, no longer than
+// that build's rmesh.stamp_time.
+func TestBuildTimesFreezeInsideStamp(t *testing.T) {
+	reg := obs.NewRegistry()
+	if _, err := BuildTopologyObs(offChipSpec(t), reg); err != nil {
+		t.Fatal(err)
+	}
+	timers := reg.Snapshot().Timers
+	freeze, stamp := timers["rmesh.freeze_time"], timers["rmesh.stamp_time"]
+	if freeze.Count != 1 || stamp.Count != 1 {
+		t.Fatalf("rmesh.freeze_time count %d, rmesh.stamp_time count %d; want one each per build", freeze.Count, stamp.Count)
+	}
+	if !(freeze.Seconds > 0 && freeze.Seconds <= stamp.Seconds) {
+		t.Fatalf("rmesh.freeze_time %gs outside (0, rmesh.stamp_time %gs]", freeze.Seconds, stamp.Seconds)
+	}
+}
+
+// The build's counting pass sizes the builder from an exact count: on
+// designs with a logic die, RDL on every die, F2F bonding and bond wires
+// alike, stampCounter counts exactly the stamps the builder kept. A
+// counter that missed or invented stamps would let the arrays regrow or
+// leave them oversized.
+func TestStampCounterIsExact(t *testing.T) {
+	rdlAll := offChipSpec(t)
+	rdlAll.RDL = pdn.RDLAll
+	rdlAll.Bonding = pdn.F2F
+	rdlAll.WireBond = true
+	for _, spec := range []*pdn.Spec{offChipSpec(t), onChipSpec(t), rdlAll} {
+		m, err := Build(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var c stampCounter
+		if err := m.stamp(&c); err != nil {
+			t.Fatal(err)
+		}
+		if c.n != m.topo.stamps {
+			t.Errorf("%s rdl=%v: counted %d stamps, the builder kept %d", spec.Name, spec.RDL, c.n, m.topo.stamps)
+		}
 	}
 }

@@ -22,15 +22,19 @@ import (
 // what keep scrape series stable across deploys.
 var latencyBoundsMS = []float64{0.5, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10000}
 
-// solveIterBounds and solveCondBounds are the fixed bucket bounds of the
-// per-solve iteration-count and condition-estimate histograms
-// ("serve.solve.iterations" / "serve.solve.cond_est"). Iterations span
+// solveIterBounds, solveCondBounds and solveBalanceBounds are the fixed
+// bucket bounds of the per-solve iteration-count, condition-estimate and
+// Kirchhoff-balance histograms ("serve.solve.iterations" /
+// "serve.solve.cond_est" / "serve.solve.balance"). Iterations span
 // single-iteration solves through stalled runs; condition estimates are
 // log-spaced across the well-conditioned-to-pathological range the corpus
-// produces.
+// produces. Balances are decades from 1e-12 to 1e-4, with 1e-6 — the
+// bound the irdrop tests pin every answer to — as a bucket edge, so the
+// tally above it counts answers outside that pin.
 var (
-	solveIterBounds = []float64{1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000}
-	solveCondBounds = []float64{1, 3, 10, 30, 100, 300, 1e3, 3e3, 1e4, 3e4, 1e5, 1e6}
+	solveIterBounds    = []float64{1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000}
+	solveCondBounds    = []float64{1, 3, 10, 30, 100, 300, 1e3, 3e3, 1e4, 3e4, 1e5, 1e6}
+	solveBalanceBounds = []float64{1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4}
 )
 
 // trackedStatuses are the response codes carrying their own counter;

@@ -201,13 +201,15 @@ func New(cfg Config) *Server {
 
 	s.traces = obs.NewRetain(cfg.TraceBufSize, func(ts obs.TraceSnapshot) float64 { return ts.DurMS })
 	if !cfg.DisableSolveRecords {
-		// Solve iteration counts and condition estimates are deterministic
-		// for one workload (the recorded shapes are worker-count-
-		// independent by the solver contract), so these histograms join
-		// the deterministic snapshot — unlike the wall-clock latency ones.
+		// Solve iteration counts, condition estimates and balances are
+		// deterministic for one workload (the recorded shapes are worker-
+		// count-independent by the solver contract), so these histograms
+		// join the deterministic snapshot — unlike the wall-clock latency
+		// ones.
 		s.solves = obs.NewSolveBuffer(cfg.SolveBufSize)
 		s.solves.IterHist = s.reg.Histogram("serve.solve.iterations", solveIterBounds)
 		s.solves.CondHist = s.reg.Histogram("serve.solve.cond_est", solveCondBounds)
+		s.solves.BalanceHist = s.reg.Histogram("serve.solve.balance", solveBalanceBounds)
 	}
 	s.log = cfg.Log
 	s.ep = map[string]*epMetrics{

@@ -164,3 +164,52 @@ func TestSolveHistogramsDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestSolveBalanceHistogram: serve.solve.balance observes the Kirchhoff
+// balance of every committed solve record that carries one — the Analyze
+// solve and each LUT term response — joins the deterministic snapshot,
+// and reaches the Prometheus exposition with 1e-6 as a bucket edge.
+func TestSolveBalanceHistogram(t *testing.T) {
+	s, ts := newTestServer(t, Config{SolveBufSize: 64})
+	for _, req := range []struct{ path, body string }{
+		{"/v1/analyze", goodQuery},
+		{"/v1/lut", `{"bench":"ddr3-off","io_levels":[1.0]}`},
+	} {
+		if resp, body := post(t, ts.URL+req.path, req.body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s status = %d: %s", req.path, resp.StatusCode, body)
+		}
+	}
+	_, body := getBody(t, ts.URL+"/debug/solves")
+	var b debugBody[obs.SolveRecord]
+	if err := json.Unmarshal(body, &b); err != nil {
+		t.Fatal(err)
+	}
+	if int(b.Added) != len(b.Recent) {
+		t.Fatalf("buffer retained %d of %d records; the count below needs them all", len(b.Recent), b.Added)
+	}
+	var balanced int64
+	for _, rec := range b.Recent {
+		if rec.Balance > 0 {
+			balanced++
+		}
+	}
+	if balanced < 2 {
+		t.Fatalf("%d records carry a balance, want the analyze solve and the LUT terms", balanced)
+	}
+	h, ok := s.reg.Snapshot().Deterministic().Histograms["serve.solve.balance"]
+	if !ok {
+		t.Fatal(`deterministic snapshot missing "serve.solve.balance"`)
+	}
+	if h.Count != balanced {
+		t.Fatalf("serve.solve.balance count = %d, want %d (one per record with a balance)", h.Count, balanced)
+	}
+	prom := string(s.reg.PromText())
+	for _, want := range []string{
+		"# TYPE serve_solve_balance histogram",
+		`serve_solve_balance_bucket{le="1e-06"} `,
+	} {
+		if !strings.Contains(prom, want) {
+			t.Errorf("prometheus exposition missing %q", want)
+		}
+	}
+}

@@ -185,9 +185,11 @@ func aggregate(a *sparse.CSR) ([]int32, int) {
 // galerkin assembles the coarse operator Ac = Pᵀ·A·P for the
 // piecewise-constant prolongation defined by agg: every fine entry a_ij
 // accumulates into Ac[agg(i)][agg(j)]. The Builder's stamp-order duplicate
-// merge makes the float result deterministic.
+// merge makes the float result deterministic. Each fine entry is at most
+// one stamp (Add skips zeros), so nnz(A) sizes the builder.
 func galerkin(a *sparse.CSR, agg []int32, nc int) *sparse.CSR {
 	b := sparse.NewBuilder(nc)
+	b.Grow(a.NNZ())
 	for i := 0; i < a.N; i++ {
 		for q := a.RowPtr[i]; q < a.RowPtr[i+1]; q++ {
 			b.Add(int(agg[i]), int(agg[a.Col[q]]), a.Val[q])

@@ -1,7 +1,11 @@
 package sparse
 
 import (
+	"cmp"
+	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -94,5 +98,135 @@ func TestFreezeScatterBitIdenticalToCompress(t *testing.T) {
 		if math.Float64bits(m.Val[i]) != math.Float64bits(m2.Val[i]) {
 			t.Fatalf("re-scatter diverged at slot %d", i)
 		}
+	}
+}
+
+// refFreeze is the specification Freeze is pinned to: stamp indices
+// stable-sorted by (row, col), so duplicates keep stamping order, with
+// one slot per distinct coordinate.
+func refFreeze(b *Builder) (rowPtr, col, order, slot []int32) {
+	order = make([]int32, len(b.vals))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortStableFunc(order, func(x, y int32) int {
+		if c := cmp.Compare(b.rows[x], b.rows[y]); c != 0 {
+			return c
+		}
+		return cmp.Compare(b.cols[x], b.cols[y])
+	})
+	rowPtr = make([]int32, b.n+1)
+	slot = make([]int32, len(order))
+	for i, t := range order {
+		if p := order[max(i-1, 0)]; i == 0 || b.rows[t] != b.rows[p] || b.cols[t] != b.cols[p] {
+			col = append(col, b.cols[t])
+			rowPtr[b.rows[t]+1]++
+		}
+		slot[i] = int32(len(col) - 1)
+	}
+	for i := 0; i < b.n; i++ {
+		rowPtr[i+1] += rowPtr[i]
+	}
+	return rowPtr, col, order, slot
+}
+
+// randomStream stamps k random coordinates of an n×n matrix. Rows are
+// drawn from every other index only, so half the rows stay empty, and
+// about one value in eight is zero, which Add skips.
+func randomStream(rng *rand.Rand, n, k int) *Builder {
+	b := NewBuilder(n)
+	for s := 0; s < k; s++ {
+		v := rng.NormFloat64()
+		if rng.Intn(8) == 0 {
+			v = 0
+		}
+		b.Add(rng.Intn((n+1)/2)*2, rng.Intn(n), v)
+	}
+	return b
+}
+
+// namedStream is one stamp stream the freeze pin runs on.
+type namedStream struct {
+	name string
+	b    *Builder
+}
+
+// freezeStreams returns the pin's streams: no stamps, n = 1, the
+// order-sensitive duplicate groups, rows stamped in descending order,
+// duplicates of one coordinate far apart around a skipped zero, and
+// seeded random streams with empty rows.
+func freezeStreams() []namedStream {
+	rng := rand.New(rand.NewSource(21))
+	one := NewBuilder(1)
+	for s := 0; s < 7; s++ {
+		one.Add(0, 0, float64(s))
+	}
+	desc := NewBuilder(40)
+	for i := 39; i >= 0; i-- {
+		for j := 39; j >= 0; j -= 3 {
+			desc.AddConductance(i, j, 1+float64(i*j))
+		}
+	}
+	far := NewBuilder(30)
+	far.Add(7, 3, 1)
+	for s := 0; s < 500; s++ {
+		far.Add(rng.Intn(30), rng.Intn(30), rng.NormFloat64())
+	}
+	far.Add(7, 3, 2)
+	far.Add(7, 3, 0) // skipped
+	far.Add(7, 3, 3)
+	streams := []namedStream{
+		{"no stamps", NewBuilder(5)},
+		{"n=1", one},
+		{"dup stamps", dupStampBuilder()},
+		{"descending", desc},
+		{"far duplicates", far},
+	}
+	for seed := 0; seed < 20; seed++ {
+		n := 1 + rng.Intn(200)
+		streams = append(streams, namedStream{fmt.Sprintf("random %d", seed), randomStream(rng, n, rng.Intn(8*n))})
+	}
+	return streams
+}
+
+// TestFreezeMatchesStableSortReference pins the counting-sort freeze to
+// the stable (row, col) sort it replaces: equal row pointers, columns,
+// merge order and slots on every stream.
+func TestFreezeMatchesStableSortReference(t *testing.T) {
+	for _, s := range freezeStreams() {
+		b := s.b
+		p := b.Freeze()
+		rowPtr, col, order, slot := refFreeze(b)
+		for _, f := range []struct {
+			field     string
+			got, want []int32
+		}{
+			{"rowPtr", p.rowPtr, rowPtr},
+			{"col", p.col, col},
+			{"order", p.order, order},
+			{"slot", p.slot, slot},
+		} {
+			if !slices.Equal(f.got, f.want) {
+				t.Errorf("%s: %s = %v, want %v", s.name, f.field, f.got, f.want)
+			}
+		}
+		if len(p.rowPtr) != b.n+1 || p.Stamps() != b.NNZStamps() {
+			t.Errorf("%s: %d row pointers and %d stamps for n=%d and %d stamps", s.name, len(p.rowPtr), p.Stamps(), b.n, b.NNZStamps())
+		}
+	}
+}
+
+// TestFreezeAllocationsIndependentOfSize: Freeze allocates its pattern
+// and four exactly-sized arrays, however many stamps it orders — no
+// index scratch, no growth of the column array.
+func TestFreezeAllocationsIndependentOfSize(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	allocs := func(k int) float64 {
+		b := randomStream(rng, 1000, k)
+		return testing.AllocsPerRun(5, func() { b.Freeze() })
+	}
+	small, large := allocs(100), allocs(100_000)
+	if small != large || large != 5 {
+		t.Fatalf("Freeze allocates %v times for 100 stamps and %v for 100,000, want 5 for both", small, large)
 	}
 }

@@ -9,7 +9,7 @@ package sparse
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"pdn3d/internal/par"
 )
@@ -31,6 +31,15 @@ func NewBuilder(n int) *Builder {
 
 // N returns the matrix dimension.
 func (b *Builder) N() int { return b.n }
+
+// Grow makes room for k more stamps, so a caller that knows its stamp
+// count (or a tight upper bound on it) sizes the builder once instead of
+// letting Add double its arrays.
+func (b *Builder) Grow(k int) {
+	b.rows = slices.Grow(b.rows, k)
+	b.cols = slices.Grow(b.cols, k)
+	b.vals = slices.Grow(b.vals, k)
+}
 
 // Add accumulates v into entry (i, j). Duplicate coordinates are summed
 // during compression.
@@ -105,53 +114,73 @@ type Pattern struct {
 // Pattern. The builder's stamp coordinates — not its values — define the
 // pattern: a later stamp stream with the same coordinates in the same
 // order can be Scattered through it.
+//
+// The stamps are ordered by (row, col, stamp index) with two stable
+// counting sorts, by column and then by row, in O(stamps + n). Stability
+// supplies the stamp-index tie-break: duplicates of one coordinate always
+// merge in stamping order, which fixes the float sum that the
+// bit-identical Compress/Scatter contract and the byte-pinned golden
+// corpus depend on. Every output is allocated once at its exact size;
+// the row pointers double as the sorts' bucket array, and slot holds the
+// column-ordered stamps until the row pass has consumed them.
 func (b *Builder) Freeze() *Pattern {
-	type key struct{ r, c int32 }
-	// Sort stamps by (row, col, stamp index). The stamp-index tie-break
-	// makes the order total: duplicates of one coordinate always merge in
-	// stamping order, no matter how the sort algorithm partitions equal
-	// keys. Without it, sort.Slice's unstable equal-key handling decided
-	// the float summation order of duplicate stamps — unspecified behavior
-	// that the bit-identical Compress/Scatter contract and the byte-pinned
-	// golden corpus silently depended on.
-	idx := make([]int, len(b.vals))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, c int) bool {
-		ia, ic := idx[a], idx[c]
-		if b.rows[ia] != b.rows[ic] {
-			return b.rows[ia] < b.rows[ic]
-		}
-		if b.cols[ia] != b.cols[ic] {
-			return b.cols[ia] < b.cols[ic]
-		}
-		return ia < ic
-	})
-
 	p := &Pattern{
 		n:      b.n,
 		rowPtr: make([]int32, b.n+1),
-		order:  make([]int32, len(idx)),
-		slot:   make([]int32, len(idx)),
+		order:  make([]int32, len(b.vals)),
+		slot:   make([]int32, len(b.vals)),
 	}
-	var prev key
-	first := true
-	for i, t := range idx {
-		p.order[i] = int32(t)
-		k := key{b.rows[t], b.cols[t]}
-		if first || k != prev {
-			first = false
-			prev = k
-			p.col = append(p.col, k.c)
-			p.rowPtr[k.r+1]++
+	bucket, byCol := p.rowPtr, p.slot
+	for _, c := range b.cols {
+		bucket[c+1]++
+	}
+	prefixSum(bucket)
+	for t, c := range b.cols {
+		byCol[bucket[c]] = int32(t)
+		bucket[c]++
+	}
+	clear(bucket)
+	for _, r := range b.rows {
+		bucket[r+1]++
+	}
+	prefixSum(bucket)
+	for _, t := range byCol {
+		r := b.rows[t]
+		p.order[bucket[r]] = t
+		bucket[r]++
+	}
+
+	// The row pass leaves bucket[r] at the end of row r's stamps. Walk
+	// the rows, open a slot at every column change, and overwrite each
+	// bucket with the row's first slot once its end has been read.
+	var lo, nnz int32
+	for r := 0; r < b.n; r++ {
+		hi := p.rowPtr[r]
+		p.rowPtr[r] = nnz
+		prev := int32(-1)
+		for i := lo; i < hi; i++ {
+			if c := b.cols[p.order[i]]; c != prev {
+				prev = c
+				nnz++
+			}
+			p.slot[i] = nnz - 1
 		}
-		p.slot[i] = int32(len(p.col) - 1)
+		lo = hi
 	}
-	for i := 0; i < b.n; i++ {
-		p.rowPtr[i+1] += p.rowPtr[i]
+	p.rowPtr[b.n] = nnz
+	p.col = make([]int32, nnz)
+	for i, t := range p.order {
+		p.col[p.slot[i]] = b.cols[t]
 	}
 	return p
+}
+
+// prefixSum turns per-key counts stored at a[k+1] into the start offset
+// of every key at a[k].
+func prefixSum(a []int32) {
+	for i := 1; i < len(a); i++ {
+		a[i] += a[i-1]
+	}
 }
 
 // N returns the matrix dimension.

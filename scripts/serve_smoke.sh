@@ -143,6 +143,7 @@ echo "$PROM" | grep -q '^serve_analyze_latency_ms_bucket{le="+Inf"} ' || { echo 
 echo "$PROM" | grep -q '^# TYPE serve_solve_iterations histogram$' || { echo "prom exposition missing solve iterations histogram" >&2; exit 1; }
 echo "$PROM" | grep -q '^serve_solve_iterations_bucket{le="+Inf"} ' || { echo "prom exposition missing solve iteration buckets" >&2; exit 1; }
 echo "$PROM" | grep -q '^# TYPE serve_solve_cond_est histogram$' || { echo "prom exposition missing cond_est histogram" >&2; exit 1; }
+echo "$PROM" | grep -q '^# TYPE serve_solve_balance histogram$' || { echo "prom exposition missing balance histogram" >&2; exit 1; }
 BAD=$(echo "$PROM" | grep -Ev '^(# (TYPE|HELP) [a-zA-Z_:][a-zA-Z0-9_:]* .*|[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? [+-]?([0-9.eE+-]+|Inf)|[[:space:]]*)$' || true)
 if [ -n "$BAD" ]; then
   echo "invalid Prometheus exposition lines:" >&2
