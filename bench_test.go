@@ -127,17 +127,19 @@ func BenchmarkTable9HMC(b *testing.B) {
 	benchTable9(b, "hmc")
 }
 
+// coldFitConfig is the fidelity of the co-optimization benchmarks. A
+// Runner fits each benchmark once and keeps the fit, so they build a
+// fresh Runner every iteration to time the cold fit, at a coarser pitch
+// than the shared runner to keep the sampling pass quick.
+var coldFitConfig = exp.Config{MeshPitch: 0.5}
+
 func benchTable9(b *testing.B, name string) {
 	b.Helper()
-	// Table 9 re-fits regressions each iteration; use a coarser pitch
-	// than the shared runner to keep the sampling pass quick.
-	r := exp.NewRunner(exp.Config{MeshPitch: 0.5})
-	runTableBench(b, func() (stringer, error) { return r.Table9(name) })
+	runTableBench(b, func() (stringer, error) { return exp.NewRunner(coldFitConfig).Table9(name) })
 }
 
 func BenchmarkRegressionStudy(b *testing.B) {
-	r := exp.NewRunner(exp.Config{MeshPitch: 0.5})
-	runTableBench(b, func() (stringer, error) { return r.RegressionStudy("ddr3-off") })
+	runTableBench(b, func() (stringer, error) { return exp.NewRunner(coldFitConfig).RegressionStudy("ddr3-off") })
 }
 
 // BenchmarkSolveOffChipBaseline times one raw R-Mesh build+solve — the

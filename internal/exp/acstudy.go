@@ -52,7 +52,7 @@ func (r *Runner) ACStudy() (*report.Table, error) {
 		d := designs[i]
 		spec := r.prepare(b.Spec)
 		spec.WireBond = d.wirebond
-		a, err := r.analyzer(spec, b.DRAMPower, nil)
+		a, err := r.analyzer(b, spec)
 		if err != nil {
 			return outcome{}, err
 		}
@@ -60,7 +60,7 @@ func (r *Runner) ACStudy() (*report.Table, error) {
 		if err != nil {
 			return outcome{}, err
 		}
-		active, err := a.LoadedRHS(mustWorstState(b.Spec.DRAM.NumBanks), 1.0)
+		active, err := a.LoadedRHS(defaultState(b), b.DefaultIO)
 		if err != nil {
 			return outcome{}, err
 		}
@@ -76,7 +76,7 @@ func (r *Runner) ACStudy() (*report.Table, error) {
 		if err != nil {
 			return outcome{}, err
 		}
-		dc, err := a.AnalyzeCounts([]int{0, 0, 0, 2}, 1.0)
+		dc, err := a.Analyze(defaultState(b), b.DefaultIO)
 		if err != nil {
 			return outcome{}, err
 		}
@@ -97,12 +97,4 @@ func (r *Runner) ACStudy() (*report.Table, error) {
 		"droop in mV after an idle -> 0-0-0-2@100% step; backward-Euler RC transient",
 		"decaps: 100 nF behind every bond wire — the off-chip capacitors of the paper's AC remark")
 	return t, nil
-}
-
-func mustWorstState(banks int) memstate.State {
-	s, err := memstate.FromCounts([]int{0, 0, 0, 2}, memstate.WorstCaseEdge(banks))
-	if err != nil {
-		panic(err)
-	}
-	return s
 }

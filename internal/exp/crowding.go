@@ -28,11 +28,11 @@ func (r *Runner) CrowdingStudy() (*report.Table, error) {
 	allStats, err := sweep(r, len(tsvCounts), func(i int) ([]irdrop.CrowdingStats, error) {
 		spec := r.prepare(b.Spec)
 		spec.TSVCount = tsvCounts[i]
-		a, err := r.analyzer(spec, b.DRAMPower, nil)
+		a, err := r.analyzer(b, spec)
 		if err != nil {
 			return nil, err
 		}
-		res, err := a.AnalyzeCounts(b.DefaultCounts, b.DefaultIO)
+		res, err := a.Analyze(defaultState(b), b.DefaultIO)
 		if err != nil {
 			return nil, err
 		}

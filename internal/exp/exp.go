@@ -16,10 +16,10 @@ import (
 	"pdn3d/internal/memctrl"
 	"pdn3d/internal/memstate"
 	"pdn3d/internal/obs"
+	"pdn3d/internal/opt"
 	"pdn3d/internal/par"
 	"pdn3d/internal/pdn"
 	"pdn3d/internal/powermap"
-	"pdn3d/internal/rmesh"
 	"pdn3d/internal/speckey"
 )
 
@@ -37,24 +37,22 @@ type Config struct {
 	Workers int
 	// Obs, when non-nil, receives run metrics and, on its run trace, a
 	// span per experiment: mesh/solver instrumentation from the layers
-	// below, sweep pool metrics under "exp.sweep.*", and analyzer/LUT
+	// below, sweep pool metrics under "exp.sweep.*", and analyzer/LUT/fit
 	// cache hit rates. Results are identical with or without it.
 	Obs *obs.Registry
 }
 
-// Runner executes experiments, caching mesh topologies, analyzers, and
-// look-up tables across experiments that share a design. It is safe for
-// concurrent use: cache misses on the same design are deduplicated so each
-// topology, analyzer, and table is built exactly once. Analyzers are built
-// over the shared topology cache, so a value-only sweep (metal-usage
-// studies, co-optimization candidates) freezes the mesh shape once and
-// restamps conductances per design point.
+// Runner executes experiments, caching what they reuse: analyzers and
+// look-up tables across experiments that share a design, and each
+// benchmark's fitted co-optimizer across Table 9 and the regression study.
+// It is safe for concurrent use: cache misses on the same key are
+// deduplicated so each analyzer, table, and fit is built exactly once.
 type Runner struct {
 	Cfg Config
 
-	topos     par.Cache[*rmesh.Topology]
 	analyzers par.Cache[*irdrop.Analyzer]
 	luts      par.Cache[*lut.Table]
+	fits      par.Cache[*opt.Optimizer]
 	sweeps    *obs.SweepMetrics
 }
 
@@ -63,12 +61,12 @@ func NewRunner(cfg Config) *Runner {
 	r := &Runner{Cfg: cfg}
 	reg := cfg.Obs
 	r.sweeps = reg.SweepMetrics("exp.sweep")
-	r.topos.Hits = reg.Counter("exp.topo_cache.hits")
-	r.topos.Misses = reg.Counter("exp.topo_cache.misses")
 	r.analyzers.Hits = reg.Counter("exp.analyzer_cache.hits")
 	r.analyzers.Misses = reg.Counter("exp.analyzer_cache.misses")
 	r.luts.Hits = reg.Counter("exp.lut_cache.hits")
 	r.luts.Misses = reg.Counter("exp.lut_cache.misses")
+	r.fits.Hits = reg.Counter("exp.fit_cache.hits")
+	r.fits.Misses = reg.Counter("exp.fit_cache.misses")
 	return r
 }
 
@@ -149,26 +147,23 @@ func specKey(s *pdn.Spec, withLogic bool) string {
 	return speckey.Spec(s, withLogic)
 }
 
-// topology returns the cached frozen mesh topology for the prepared spec,
-// building it exactly once even under concurrent misses. Specs differing
-// only in metal-usage magnitudes share one entry.
-func (r *Runner) topology(spec *pdn.Spec) (*rmesh.Topology, error) {
-	return r.topos.Do(context.TODO(), speckey.Topology(spec), nil, func() (*rmesh.Topology, error) {
-		return rmesh.BuildTopologyObs(spec, r.Cfg.Obs)
-	})
+// logicFor returns the logic die's power model for spec, a design of
+// benchmark b: the benchmark's model when spec mounts the stack on the
+// logic die, nil otherwise.
+func logicFor(b *bench3d.Benchmark, spec *pdn.Spec) *powermap.LogicModel {
+	if !spec.OnLogic {
+		return nil
+	}
+	return b.LogicPower
 }
 
-// analyzer returns a cached analyzer for the prepared spec, building it
-// exactly once even under concurrent misses. The mesh is restamped over
-// the shared topology cache — bit-identical to a full build, but value
-// sweeps over one design shape skip the geometry and symbolic work.
-func (r *Runner) analyzer(spec *pdn.Spec, dram *powermap.DRAMModel, logic *powermap.LogicModel) (*irdrop.Analyzer, error) {
+// analyzer returns a cached analyzer for spec, a prepared design of
+// benchmark b, building its mesh exactly once even under concurrent
+// misses.
+func (r *Runner) analyzer(b *bench3d.Benchmark, spec *pdn.Spec) (*irdrop.Analyzer, error) {
+	logic := logicFor(b, spec)
 	return r.analyzers.Do(context.TODO(), specKey(spec, logic != nil), nil, func() (*irdrop.Analyzer, error) {
-		t, err := r.topology(spec)
-		if err != nil {
-			return nil, err
-		}
-		a, err := irdrop.NewFromTopologyObs(t, spec, dram, logic, r.Cfg.Obs)
+		a, err := irdrop.NewObs(spec, b.DRAMPower, logic, r.Cfg.Obs)
 		if err != nil {
 			return nil, err
 		}
@@ -177,15 +172,55 @@ func (r *Runner) analyzer(spec *pdn.Spec, dram *powermap.DRAMModel, logic *power
 	})
 }
 
-// lutFor returns a cached IR-drop look-up table for the prepared spec,
-// building it exactly once even under concurrent misses.
-func (r *Runner) lutFor(spec *pdn.Spec, dram *powermap.DRAMModel, logic *powermap.LogicModel) (*lut.Table, error) {
-	return r.luts.Do(context.TODO(), specKey(spec, logic != nil), nil, func() (*lut.Table, error) {
-		a, err := r.analyzer(spec, dram, logic)
+// analyze answers one design point: spec, a prepared design of benchmark
+// b, in memory state st at per-die I/O activity io.
+func (r *Runner) analyze(b *bench3d.Benchmark, spec *pdn.Spec, st memstate.State, io float64) (*irdrop.Result, error) {
+	a, err := r.analyzer(b, spec)
+	if err != nil {
+		return nil, err
+	}
+	return a.Analyze(st, io)
+}
+
+// defaultState returns benchmark b's default memory state: its
+// DefaultCounts in the worst-case edge placement (paper §5.1), the state
+// Analyzer.AnalyzeCounts would build.
+func defaultState(b *bench3d.Benchmark) memstate.State {
+	s, err := memstate.FromCounts(b.DefaultCounts, memstate.WorstCaseEdge(b.Spec.DRAM.NumBanks))
+	if err != nil {
+		panic(err) // every benchmark's default counts fit its own dies
+	}
+	return s
+}
+
+// lutFor returns a cached IR-drop look-up table for spec, a prepared
+// design of benchmark b, building it exactly once even under concurrent
+// misses.
+func (r *Runner) lutFor(b *bench3d.Benchmark, spec *pdn.Spec) (*lut.Table, error) {
+	return r.luts.Do(context.TODO(), specKey(spec, logicFor(b, spec) != nil), nil, func() (*lut.Table, error) {
+		a, err := r.analyzer(b, spec)
 		if err != nil {
 			return nil, err
 		}
 		return lut.BuildWith(a, memstate.MaxInterleavedBanks, lut.DefaultIOLevels(), r.Cfg.Workers)
+	})
+}
+
+// fit returns the named benchmark's co-optimizer with its regression
+// models fitted, fitting each benchmark exactly once even under
+// concurrent misses. The optimizer is only read afterwards (Best and
+// Baseline verify on fresh analyzers), so callers may share it.
+func (r *Runner) fit(benchName string) (*opt.Optimizer, error) {
+	return r.fits.Do(context.TODO(), benchName, nil, func() (*opt.Optimizer, error) {
+		b, err := bench3d.ByName(benchName)
+		if err != nil {
+			return nil, err
+		}
+		o := &opt.Optimizer{Bench: b, MeshPitch: r.Cfg.MeshPitch, Workers: r.Cfg.Workers, Obs: r.Cfg.Obs}
+		if err := o.FitModels(); err != nil {
+			return nil, err
+		}
+		return o, nil
 	})
 }
 

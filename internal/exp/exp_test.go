@@ -5,6 +5,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"pdn3d/internal/obs"
+	"pdn3d/internal/report"
 )
 
 var (
@@ -313,6 +316,69 @@ func TestTable9QuickStructure(t *testing.T) {
 		if ir := cell(t, tab, tab.Rows, r, 10); ir < irA1-1e-9 {
 			t.Errorf("row %d IR %.2f below alpha=1 IR %.2f", r, ir, irA1)
 		}
+	}
+}
+
+// One Runner fits a benchmark's regression models once, however Table 9
+// and the §6.1 regression study interleave, repeat or overlap, and each
+// table reads exactly what a fresh Runner prints for it alone. Run with
+// -race: the concurrent pair shares one fitted optimizer.
+func TestCoOptimizationFitsOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("co-optimization is slow")
+	}
+	const bench = "ddr3-off"
+	studies := map[string]func(r *Runner) (*report.Table, error){
+		"table9":     func(r *Runner) (*report.Table, error) { return r.Table9(bench) },
+		"regression": func(r *Runner) (*report.Table, error) { return r.RegressionStudy(bench) },
+	}
+	cfg := Config{MeshPitch: 0.6}
+	want := map[string]string{}
+	for id, study := range studies {
+		tab, err := study(NewRunner(cfg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[id] = tab.String()
+	}
+
+	reg := obs.NewRegistry()
+	cfg.Obs = reg
+	r := NewRunner(cfg)
+	check := func(id string, tab *report.Table, err error) {
+		if err != nil {
+			t.Errorf("%s: %v", id, err)
+			return
+		}
+		if got := tab.String(); got != want[id] {
+			t.Errorf("%s on the shared runner differs from a fresh runner's:\n--- fresh ---\n%s\n--- shared ---\n%s", id, want[id], got)
+		}
+	}
+	for _, id := range []string{"regression", "table9", "table9", "regression"} {
+		tab, err := studies[id](r)
+		check(id, tab, err)
+	}
+	var wg sync.WaitGroup
+	for id, study := range studies {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tab, err := study(r)
+			check(id, tab, err)
+		}()
+	}
+	wg.Wait()
+
+	snap := reg.Snapshot()
+	fits := 0
+	for _, sp := range snap.Spans {
+		if sp.Name == "opt/fit-models" {
+			fits++
+		}
+	}
+	if fits != 1 || snap.Counters["exp.fit_cache.misses"] != 1 {
+		t.Errorf("%d opt/fit-models spans and %d fit cache misses for one benchmark, want 1 each",
+			fits, snap.Counters["exp.fit_cache.misses"])
 	}
 }
 

@@ -61,11 +61,7 @@ func (r *Runner) TSVFailureStudyAt(tsvCounts, failPcts []int) (*report.Table, er
 				spec.FailedTSVs[(i*stride)%p.tc] = true
 			}
 		}
-		a, err := r.analyzer(spec, b.DRAMPower, nil)
-		if err != nil {
-			return outcome{}, err
-		}
-		res, err := a.AnalyzeCounts(b.DefaultCounts, b.DefaultIO)
+		res, err := r.analyze(b, spec, defaultState(b), b.DefaultIO)
 		if err != nil {
 			return outcome{}, err
 		}

@@ -69,11 +69,7 @@ func (r *Runner) Figure5() (*report.Series, error) {
 
 		offSpec := r.prepare(off.Spec)
 		offSpec.TSVCount = tc
-		aOff, err := r.analyzer(offSpec, off.DRAMPower, nil)
-		if err != nil {
-			return out, err
-		}
-		rOff, err := aOff.AnalyzeCounts(off.DefaultCounts, off.DefaultIO)
+		rOff, err := r.analyze(off, offSpec, defaultState(off), off.DefaultIO)
 		if err != nil {
 			return out, err
 		}
@@ -84,11 +80,7 @@ func (r *Runner) Figure5() (*report.Series, error) {
 			onSpec.DedicatedTSV = false
 			onSpec.TSVCount = tc
 			onSpec.AlignTSV = aligned
-			a, err := r.analyzer(onSpec, on.DRAMPower, on.LogicPower)
-			if err != nil {
-				return out, err
-			}
-			res, err := a.AnalyzeCounts(on.DefaultCounts, on.DefaultIO)
+			res, err := r.analyze(on, onSpec, defaultState(on), on.DefaultIO)
 			if err != nil {
 				return out, err
 			}
@@ -170,15 +162,7 @@ func (r *Runner) Table7() (*report.Table, error) {
 		if err != nil {
 			return 0, err
 		}
-		var logic = b.LogicPower
-		if !spec.OnLogic {
-			logic = nil
-		}
-		a, err := r.analyzer(spec, b.DRAMPower, logic)
-		if err != nil {
-			return 0, err
-		}
-		res, err := a.AnalyzeCounts(b.DefaultCounts, b.DefaultIO)
+		res, err := r.analyze(b, spec, defaultState(b), b.DefaultIO)
 		if err != nil {
 			return 0, err
 		}
@@ -224,11 +208,7 @@ func (r *Runner) Figure9(constraintsMV []float64) (*report.Series, error) {
 		if err != nil {
 			return nil, err
 		}
-		var logic = b.LogicPower
-		if !spec.OnLogic {
-			logic = nil
-		}
-		table, err := r.lutFor(spec, b.DRAMPower, logic)
+		table, err := r.lutFor(b, spec)
 		if err != nil {
 			return nil, err
 		}

@@ -47,6 +47,7 @@ func goldenTableCases() []goldenCase {
 		}},
 		{id: "table8", run: func(r *Runner) (*report.Table, error) { return r.Table8() }},
 		{id: "table9", slow: true, run: func(r *Runner) (*report.Table, error) { return r.Table9("ddr3-off") }},
+		{id: "regression", slow: true, run: func(r *Runner) (*report.Table, error) { return r.RegressionStudy("ddr3-off") }},
 	}
 }
 

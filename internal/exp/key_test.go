@@ -75,8 +75,8 @@ func TestSpecKeyStableAcrossClones(t *testing.T) {
 }
 
 // Hammer the Runner's caches from many goroutines: every distinct design
-// must be built exactly once, and all callers must share the one analyzer.
-// Run with -race.
+// must be built exactly once, with one full mesh build and no restamp, and
+// all callers must share the one analyzer. Run with -race.
 func TestRunnerConcurrentExactlyOnce(t *testing.T) {
 	b, err := bench3d.StackedDDR3Off()
 	if err != nil {
@@ -101,7 +101,7 @@ func TestRunnerConcurrentExactlyOnce(t *testing.T) {
 			wg.Add(1)
 			go func(si, g int, s *pdn.Spec) {
 				defer wg.Done()
-				a, err := r.analyzer(s, b.DRAMPower, nil)
+				a, err := r.analyzer(b, s)
 				if err != nil {
 					t.Error(err)
 					return
@@ -126,8 +126,13 @@ func TestRunnerConcurrentExactlyOnce(t *testing.T) {
 			}
 		}
 	}
-	if n := reg.Snapshot().Counters["exp.analyzer_cache.misses"]; n != int64(len(specs)) {
+	counters := reg.Snapshot().Counters
+	if n := counters["exp.analyzer_cache.misses"]; n != int64(len(specs)) {
 		t.Errorf("runner built %d analyzers for %d distinct designs", n, len(specs))
+	}
+	if builds, restamps := counters["rmesh.builds"], counters["rmesh.restamps"]; builds != int64(len(specs)) || restamps != 0 {
+		t.Errorf("rmesh.builds %d, rmesh.restamps %d: want one full build per design (%d) and no restamp",
+			builds, restamps, len(specs))
 	}
 	// Each design's (state, io) point must have been solved exactly once in
 	// total, despite 12 concurrent callers.

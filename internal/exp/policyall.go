@@ -57,11 +57,7 @@ func (r *Runner) policyStudyOne(name string) (*policyStudyResult, error) {
 		return nil, err
 	}
 	b.Spec = r.prepare(b.Spec)
-	var logic = b.LogicPower
-	if !b.Spec.OnLogic {
-		logic = nil
-	}
-	table, err := r.lutFor(b.Spec, b.DRAMPower, logic)
+	table, err := r.lutFor(b, b.Spec)
 	if err != nil {
 		return nil, err
 	}

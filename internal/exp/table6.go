@@ -32,7 +32,7 @@ func (r *Runner) Table6() (*report.Table, *Table6Result, error) {
 		return nil, nil, err
 	}
 	b.Spec = r.prepare(b.Spec)
-	table, err := r.lutFor(b.Spec, b.DRAMPower, nil)
+	table, err := r.lutFor(b, b.Spec)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 
-	"pdn3d/internal/bench3d"
 	"pdn3d/internal/cost"
 	"pdn3d/internal/obs"
 	"pdn3d/internal/opt"
@@ -35,23 +34,22 @@ var Table9Alphas = []float64{0, 0.3, 1}
 
 // Table9 runs the cross-domain co-optimization for the named benchmark and
 // reports the best options at each alpha plus the baseline (paper Table 9).
-// It also reports the regression quality of §6.1.
+// It also reports the regression quality of §6.1, over the fit's samples
+// plus the solves verifying this table's rows.
 func (r *Runner) Table9(benchName string) (*report.Table, error) {
 	sp := r.Cfg.Obs.Trace().Span("exp/table9", obs.A("bench", benchName))
 	defer sp.End()
-	b, err := bench3d.ByName(benchName)
+	o, err := r.fit(benchName)
 	if err != nil {
 		return nil, err
 	}
-	o := &opt.Optimizer{Bench: b, MeshPitch: r.Cfg.MeshPitch, Workers: r.Cfg.Workers, Obs: r.Cfg.Obs}
-	if err := o.FitModels(); err != nil {
-		return nil, err
-	}
+	solves := o.FitSamples
 	t := &report.Table{
 		Title:  fmt.Sprintf("Table 9: best options for %s", benchName),
 		Header: []string{"alpha", "M2", "M3", "TC", "TL", "TD", "BD", "RL", "WB", "IR model (mV)", "IR R-Mesh (mV)", "cost"},
 	}
 	addRow := func(label string, res *opt.Result) {
+		solves += res.Solves
 		yn := func(v bool) string {
 			if v {
 				return "Y"
@@ -78,22 +76,19 @@ func (r *Runner) Table9(benchName string) (*report.Table, error) {
 	addRow("baseline", base)
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("regression: worst RMSE %.4f (log-mV), worst R^2 %.5f over %d R-Mesh samples",
-			o.FitRMSE, o.FitR2, o.SolveCount()),
+			o.FitRMSE, o.FitR2, solves),
 		"paper regression: RMSE < 0.135, R^2 > 0.999")
 	return t, nil
 }
 
 // RegressionStudy reports the §6.1 regression quality and the
-// sample-vs-brute-force reduction for one benchmark.
+// sample-vs-brute-force reduction for one benchmark, from the same fit
+// Table 9 searches.
 func (r *Runner) RegressionStudy(benchName string) (*report.Table, error) {
 	sp := r.Cfg.Obs.Trace().Span("exp/regression", obs.A("bench", benchName))
 	defer sp.End()
-	b, err := bench3d.ByName(benchName)
+	o, err := r.fit(benchName)
 	if err != nil {
-		return nil, err
-	}
-	o := &opt.Optimizer{Bench: b, MeshPitch: r.Cfg.MeshPitch, Workers: r.Cfg.Workers, Obs: r.Cfg.Obs}
-	if err := o.FitModels(); err != nil {
 		return nil, err
 	}
 	// Brute-force equivalent: every grid point solved on the R-Mesh.
@@ -102,18 +97,11 @@ func (r *Runner) RegressionStudy(benchName string) (*report.Table, error) {
 		Title:  fmt.Sprintf("Sec. 6.1: regression analysis for %s", benchName),
 		Header: []string{"metric", "value"},
 	}
-	t.AddRow("R-Mesh samples solved", o.SolveCount())
+	t.AddRow("R-Mesh samples solved", o.FitSamples)
 	t.AddRow("design points covered by model", grid)
-	t.AddRow("solve reduction", fmt.Sprintf("%.0fx", float64(grid)/float64(maxInt(o.SolveCount(), 1))))
+	t.AddRow("solve reduction", fmt.Sprintf("%.0fx", float64(grid)/float64(max(o.FitSamples, 1))))
 	t.AddRow("worst-combo RMSE (log mV)", fmt.Sprintf("%.4f", o.FitRMSE))
 	t.AddRow("worst-combo R^2", fmt.Sprintf("%.5f", o.FitR2))
 	t.Notes = append(t.Notes, "paper: brute force 4637 h -> 10 h with regression; RMSE < 0.135, R^2 > 0.999")
 	return t, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -57,11 +57,7 @@ func (r *Runner) MetalUsageStudy() (*report.Table, error) {
 	}
 	specs := []*pdn.Spec{base, dbl}
 	results, err := sweep(r, len(specs), func(i int) (*irdrop.Result, error) {
-		a, err := r.analyzer(specs[i], b.DRAMPower, nil)
-		if err != nil {
-			return nil, err
-		}
-		return a.AnalyzeCounts(b.DefaultCounts, b.DefaultIO)
+		return r.analyze(b, specs[i], defaultState(b), b.DefaultIO)
 	})
 	if err != nil {
 		return nil, err
@@ -96,19 +92,11 @@ func (r *Runner) MountingStudy() (*report.Table, error) {
 	onSpec := r.prepare(on.Spec)
 	onSpec.DedicatedTSV = false
 
-	aOff, err := r.analyzer(r.prepare(off.Spec), off.DRAMPower, nil)
+	rOff, err := r.analyze(off, r.prepare(off.Spec), defaultState(off), off.DefaultIO)
 	if err != nil {
 		return nil, err
 	}
-	rOff, err := aOff.AnalyzeCounts(off.DefaultCounts, off.DefaultIO)
-	if err != nil {
-		return nil, err
-	}
-	aOn, err := r.analyzer(onSpec, on.DRAMPower, on.LogicPower)
-	if err != nil {
-		return nil, err
-	}
-	rOn, err := aOn.AnalyzeCounts(on.DefaultCounts, on.DefaultIO)
+	rOn, err := r.analyze(on, onSpec, defaultState(on), on.DefaultIO)
 	if err != nil {
 		return nil, err
 	}
@@ -154,11 +142,7 @@ func (r *Runner) Table2() (*report.Table, error) {
 	rows, err := sweep(r, len(options), func(i int) (row, error) {
 		spec := r.prepare(b.Spec)
 		options[i].mut(spec)
-		a, err := r.analyzer(spec, b.DRAMPower, nil)
-		if err != nil {
-			return row{}, err
-		}
-		res, err := a.AnalyzeCounts(b.DefaultCounts, b.DefaultIO)
+		res, err := r.analyze(b, spec, defaultState(b), b.DefaultIO)
 		if err != nil {
 			return row{}, err
 		}
@@ -211,17 +195,9 @@ func (r *Runner) Table3() (*report.Table, error) {
 		spec.DedicatedTSV = row.dedicated && spec.OnLogic
 		wbSpec := spec.Clone()
 		wbSpec.WireBond = true
-		var logic = row.bench.LogicPower
-		if !spec.OnLogic {
-			logic = nil
-		}
 		var out [2]float64
 		for j, s := range []*pdn.Spec{spec, wbSpec} {
-			a, err := r.analyzer(s, row.bench.DRAMPower, logic)
-			if err != nil {
-				return out, err
-			}
-			res, err := a.AnalyzeCounts(row.bench.DefaultCounts, row.bench.DefaultIO)
+			res, err := r.analyze(row.bench, s, defaultState(row.bench), row.bench.DefaultIO)
 			if err != nil {
 				return out, err
 			}
@@ -277,19 +253,11 @@ func (r *Runner) Table4() (*report.Table, error) {
 		if got := memstate.IntraPairOverlap(c.state); got != (c.overlap == "yes") {
 			return pair{}, fmt.Errorf("exp: case %s overlap classification mismatch", c.name)
 		}
-		aB, err := r.analyzer(f2b, b.DRAMPower, nil)
+		rB, err := r.analyze(b, f2b, c.state, 0.5)
 		if err != nil {
 			return pair{}, err
 		}
-		rB, err := aB.Analyze(c.state, 0.5)
-		if err != nil {
-			return pair{}, err
-		}
-		aF, err := r.analyzer(f2f, b.DRAMPower, nil)
-		if err != nil {
-			return pair{}, err
-		}
-		rF, err := aF.Analyze(c.state, 0.5)
+		rF, err := r.analyze(b, f2f, c.state, 0.5)
 		if err != nil {
 			return pair{}, err
 		}
@@ -346,19 +314,11 @@ func (r *Runner) Table5() (*report.Table, error) {
 		if err != nil {
 			return pair{}, err
 		}
-		aB, err := r.analyzer(f2b, b.DRAMPower, nil)
+		rB, err := r.analyze(b, f2b, st, row.io)
 		if err != nil {
 			return pair{}, err
 		}
-		rB, err := aB.Analyze(st, row.io)
-		if err != nil {
-			return pair{}, err
-		}
-		aF, err := r.analyzer(f2f, b.DRAMPower, nil)
-		if err != nil {
-			return pair{}, err
-		}
-		rF, err := aF.Analyze(st, row.io)
+		rF, err := r.analyze(b, f2f, st, row.io)
 		if err != nil {
 			return pair{}, err
 		}

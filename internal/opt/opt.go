@@ -10,7 +10,6 @@ package opt
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"pdn3d/internal/bench3d"
 	"pdn3d/internal/cost"
@@ -108,12 +107,11 @@ type Optimizer struct {
 	// FitRMSE and FitR2 summarize the worst fit across combos, the
 	// figures the paper quotes (RMSE < 0.135, R² > 0.999).
 	FitRMSE, FitR2 float64
-
-	solves atomic.Int64
+	// FitSamples is the number of R-Mesh solves FitModels spent sampling.
+	// Best and Baseline leave it alone: each result counts its own
+	// verification solves.
+	FitSamples int
 }
-
-// SolveCount reports the R-Mesh evaluations spent on sampling so far.
-func (o *Optimizer) SolveCount() int { return int(o.solves.Load()) }
 
 func (o *Optimizer) costModel() *cost.Model {
 	if o.Cost != nil {
@@ -168,11 +166,11 @@ func (o *Optimizer) combos() []combo {
 }
 
 // measure runs the R-Mesh on one candidate and returns its worst-case max
-// IR in mV. The worst state differs by bonding (§5.1): F2B peaks at
-// 0-0-0-2 with full I/O, while F2F's PDN sharing makes the intra-pair
-// overlapping 0-0-2-2 state (50 % I/O per die) the worst case; both states
-// are evaluated and the maximum taken.
-func (o *Optimizer) measure(c Candidate) (float64, error) {
+// IR in mV and the number of solves it took. The worst state differs by
+// bonding (§5.1): F2B peaks at 0-0-0-2 with full I/O, while F2F's PDN
+// sharing makes the intra-pair overlapping 0-0-2-2 state (50 % I/O per
+// die) the worst case; both states are evaluated and the maximum taken.
+func (o *Optimizer) measure(c Candidate) (float64, int, error) {
 	spec := c.Apply(o.Bench.Spec)
 	if o.MeshPitch > 0 {
 		spec.MeshPitch = o.MeshPitch
@@ -183,7 +181,7 @@ func (o *Optimizer) measure(c Candidate) (float64, error) {
 	}
 	a, err := irdrop.NewObs(spec, o.Bench.DRAMPower, logic, o.Obs)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	n := spec.NumDRAM
 	worst := 0.0
@@ -196,14 +194,13 @@ func (o *Optimizer) measure(c Candidate) (float64, error) {
 	for i, counts := range states {
 		r, err := a.AnalyzeCounts(counts, ios[i])
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
-		o.solves.Add(1)
 		if r.MaxIRmV() > worst {
 			worst = r.MaxIRmV()
 		}
 	}
-	return worst, nil
+	return worst, len(states), nil
 }
 
 func topDie(n, banks int) []int {
@@ -260,6 +257,7 @@ func (o *Optimizer) FitModels() error {
 
 	combos := o.combos()
 	fits := make([]*regress.Fit, len(combos))
+	solves := make([]int, len(combos))
 	err := par.Sweep(o.Workers, len(combos), func(ci int) error {
 		cb := combos[ci]
 		var samples []regress.Sample
@@ -268,10 +266,11 @@ func (o *Optimizer) FitModels() error {
 				for _, tc := range tcs {
 					cand := Candidate{M2: m2, M3: m3, TC: tc,
 						TL: cb.TL, TD: cb.TD, BD: cb.BD, RL: cb.RL, WB: cb.WB}
-					ir, err := o.measure(cand)
+					ir, n, err := o.measure(cand)
 					if err != nil {
 						return fmt.Errorf("opt: sampling %v: %w", cand, err)
 					}
+					solves[ci] += n
 					samples = append(samples, regress.Sample{
 						X: features(m2, m3, tc),
 						Y: math.Log(ir),
@@ -292,9 +291,11 @@ func (o *Optimizer) FitModels() error {
 	o.fits = map[string]*regress.Fit{}
 	o.FitRMSE = 0
 	o.FitR2 = 1
+	o.FitSamples = 0
 	for ci, cb := range combos {
 		fit := fits[ci]
 		o.fits[cb.key()] = fit
+		o.FitSamples += solves[ci]
 		// Track worst-case quality in mV-comparable units: convert the
 		// log-space RMSE to a relative error and scale by the combo's
 		// median response.
@@ -356,6 +357,8 @@ type Result struct {
 	MeasIRmV float64
 	// Cost is the Table 8 cost.
 	Cost float64
+	// Solves is the number of R-Mesh solves behind MeasIRmV.
+	Solves int
 }
 
 // Best searches the whole design space with the fitted models for the
@@ -399,11 +402,11 @@ func (o *Optimizer) Best(alpha float64) (*Result, error) {
 			}
 		}
 	}
-	meas, err := o.measure(best.Cand)
+	meas, n, err := o.measure(best.Cand)
 	if err != nil {
 		return nil, err
 	}
-	best.MeasIRmV = meas
+	best.MeasIRmV, best.Solves = meas, n
 	return &best, nil
 }
 
@@ -416,7 +419,7 @@ func (o *Optimizer) Baseline() (*Result, error) {
 		TL: s.TSVStyle, TD: s.DedicatedTSV, BD: s.Bonding,
 		RL: s.RDL != pdn.RDLNone, WB: s.WireBond,
 	}
-	meas, err := o.measure(cand)
+	meas, n, err := o.measure(cand)
 	if err != nil {
 		return nil, err
 	}
@@ -424,5 +427,5 @@ func (o *Optimizer) Baseline() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Cand: cand, PredIRmV: meas, MeasIRmV: meas, Cost: c}, nil
+	return &Result{Cand: cand, PredIRmV: meas, MeasIRmV: meas, Cost: c, Solves: n}, nil
 }

@@ -166,11 +166,82 @@ func TestFitQualityReported(t *testing.T) {
 	if o.FitR2 < 0.8 || o.FitR2 > 1 {
 		t.Errorf("FitR2 = %g out of plausible range", o.FitR2)
 	}
-	if o.SolveCount() == 0 {
+	if o.FitSamples == 0 {
 		t.Error("no solves recorded")
 	}
 	if o.GridSize() <= 0 {
 		t.Error("grid size must be positive")
+	}
+}
+
+// FitSamples counts the fit's own solves, two worst-case states per
+// sampled candidate, however many verifications run after it; each
+// verification counts its solves on its result.
+func TestFitSamplesCountOnlyTheFit(t *testing.T) {
+	o := fastOptimizer(t)
+	sp := o.Bench.Space
+	n := o.samplesPerAxis()
+	candidates := len(o.combos()) * len(axisSamples(sp.M2Range[0], sp.M2Range[1], n)) *
+		len(axisSamples(sp.M3Range[0], sp.M3Range[1], n)) * len(tcSamples(sp.TSVRange, n+1))
+	if want := 2 * candidates; o.FitSamples != want {
+		t.Fatalf("FitSamples = %d, want %d (2 states x %d candidates)", o.FitSamples, want, candidates)
+	}
+	before := o.FitSamples
+	best, err := o.Best(0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := o.Baseline()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if best.Solves != 2 || base.Solves != 2 {
+		t.Errorf("verification solves: Best %d, Baseline %d, want 2 each", best.Solves, base.Solves)
+	}
+	if o.FitSamples != before {
+		t.Errorf("verification moved FitSamples from %d to %d", before, o.FitSamples)
+	}
+}
+
+// A fitted optimizer is only read by Best and Baseline, so callers may
+// share it: concurrent verifications answer exactly what serial ones do.
+// Run with -race.
+func TestFittedOptimizerSharedAcrossGoroutines(t *testing.T) {
+	o := fastOptimizer(t)
+	alphas := []float64{0, 0.3, 1}
+	verify := func(i int) (*Result, error) {
+		if i == len(alphas) {
+			return o.Baseline()
+		}
+		return o.Best(alphas[i])
+	}
+	want := make([]*Result, len(alphas)+1)
+	for i := range want {
+		res, err := verify(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = res
+	}
+	got := make([]*Result, len(want))
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := verify(i)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			got[i] = res
+		}()
+	}
+	wg.Wait()
+	for i := range want {
+		if got[i] != nil && *got[i] != *want[i] {
+			t.Errorf("verification %d: concurrent %+v, serial %+v", i, *got[i], *want[i])
+		}
 	}
 }
 

@@ -44,21 +44,26 @@ lookup() {
     }' "$SNAPSHOT"
 }
 
-status=0
+# A row fails when it is missing from the snapshot, its iterations
+# drifted, or its wall time blew the band; failed counts rows, not checks.
+rows=0
 checked=0
+failed=0
 while read -r name nsop iters; do
+  rows=$((rows + 1))
   committed_ns=$(lookup "$name" ns_per_op)
   if [ -z "$committed_ns" ]; then
     echo "bench_check: $name is not in $SNAPSHOT — refresh it with scripts/bench_snapshot.sh" >&2
-    status=1
+    failed=$((failed + 1))
     continue
   fi
   checked=$((checked + 1))
+  row_ok=1
   committed_iters=$(lookup "$name" iters_per_solve)
   if [ "$iters" != "null" ] && [ -n "$committed_iters" ] && [ "$committed_iters" != "null" ]; then
     if [ "$iters" -ne "$committed_iters" ]; then
       echo "bench_check: $name iteration drift: $iters iterations vs committed $committed_iters — deterministic kernels, so this is a numerical change; refresh the snapshot to acknowledge it" >&2
-      status=1
+      row_ok=0
     else
       echo "bench_check: $name ok: $iters iterations (committed $committed_iters)"
     fi
@@ -66,8 +71,9 @@ while read -r name nsop iters; do
   if awk -v f="$nsop" -v c="$committed_ns" -v band="$NSOP_BAND" \
       'BEGIN { exit !(f > c * band) }'; then
     echo "bench_check: $name wall-time blowup: $nsop ns/op vs committed $committed_ns (band ${NSOP_BAND}x)" >&2
-    status=1
+    row_ok=0
   fi
+  [ "$row_ok" -eq 1 ] || failed=$((failed + 1))
 done < <(echo "$out" | awk '$1 ~ /^Benchmark/ && / ns\/op/ {
   name = $1; sub(/-[0-9]+$/, "", name)
   nsop = "null"; iters = "null"
@@ -78,9 +84,12 @@ done < <(echo "$out" | awk '$1 ~ /^Benchmark/ && / ns\/op/ {
   print name, nsop, iters
 }')
 
+if [ "$failed" -gt 0 ]; then
+  echo "bench_check: $failed of $rows benchmarks failed" >&2
+  exit 1
+fi
 if [ "$checked" -eq 0 ]; then
   echo "bench_check: no fresh benchmark matched the snapshot" >&2
   exit 1
 fi
 echo "bench_check: $checked benchmarks within bands"
-exit $status
