@@ -6,7 +6,7 @@
 //
 //	irsim -bench ddr3-off [-state 0-0-0-2] [-io 1.0] [-bonding F2F]
 //	      [-tsv 33] [-style E|C|D] [-wirebond] [-dedicated] [-rdl none|interface|all]
-//	      [-align] [-pitch 0.2] [-workers n]
+//	      [-align] [-pitch 0.2]
 //	      [-map] [-spice out.sp] [-stats] [-metrics-out file] [-pprof addr]
 package main
 
@@ -39,7 +39,6 @@ func main() {
 	rdl := flag.String("rdl", "", "override RDL: none, interface, all")
 	align := flag.Bool("align", false, "align TSVs to C4 bumps (on-chip)")
 	pitch := flag.Float64("pitch", 0, "R-Mesh pitch in mm (0 = default)")
-	workers := flag.Int("workers", 0, "worker pool size for solver kernels (0 = GOMAXPROCS)")
 	dumpMap := flag.Bool("map", false, "print an ASCII IR map per layer")
 	spiceOut := flag.String("spice", "", "write an HSPICE-style netlist to this file")
 	svgOut := flag.String("svg", "", "write an SVG layout view (top DRAM die, IR overlay) to this file")
@@ -72,7 +71,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	a.Opts.Workers = *workers
 	res, err := a.Analyze(state, *io)
 	if err != nil {
 		log.Fatal(err)

@@ -45,12 +45,11 @@ func main() {
 		long     = flag.Bool("long", false, "also run the on-the-fly sized meshes (cross-check regime)")
 		solvers  = flag.String("solvers", "", "comma-separated solver methods (default: every registered method)")
 		maxN     = flag.Int("max-nodes", diff.DefaultOracleMaxN, "largest system the dense Cholesky oracle factorizes")
-		workers  = flag.Int("workers", 0, "solver worker pool bound (0: GOMAXPROCS)")
 		conv     = flag.Bool("convergence", false, "print the per-family convergence table and commit it into the snapshot")
 	)
 	flag.Parse()
 	if *importGl != "" {
-		opt := diff.Options{OracleMaxN: *maxN, Workers: *workers}
+		opt := diff.Options{OracleMaxN: *maxN}
 		if *solvers != "" {
 			opt.Methods = strings.Split(*solvers, ",")
 		}
@@ -60,13 +59,13 @@ func main() {
 		}
 		return
 	}
-	if err := run(*list, *regen, *dir, *exportTo, *out, *long, *conv, *solvers, *maxN, *workers); err != nil {
+	if err := run(*list, *regen, *dir, *exportTo, *out, *long, *conv, *solvers, *maxN); err != nil {
 		fmt.Fprintln(os.Stderr, "pdnbench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(list, regen bool, dir, exportTo, out string, long, conv bool, solvers string, maxN, workers int) error {
+func run(list, regen bool, dir, exportTo, out string, long, conv bool, solvers string, maxN int) error {
 	if regen {
 		if err := gen.WriteCorpus(dir); err != nil {
 			return err
@@ -100,7 +99,7 @@ func run(list, regen bool, dir, exportTo, out string, long, conv bool, solvers s
 		return exportDecks(specs, exportTo)
 	}
 
-	opt := diff.Options{OracleMaxN: maxN, Workers: workers}
+	opt := diff.Options{OracleMaxN: maxN}
 	if solvers != "" {
 		opt.Methods = strings.Split(solvers, ",")
 	}

@@ -35,7 +35,7 @@ const idleTimeout = 2 * time.Minute
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address")
-	workers := flag.Int("workers", 0, "solver/batch worker pool size (<= 0: GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "batch and LUT-build worker pool size (<= 0: GOMAXPROCS)")
 	pitch := flag.Float64("pitch", 0, "mesh pitch in mm applied to queries without their own override (0: benchmark defaults)")
 	maxInflight := flag.Int("max-inflight", 0, "max concurrently admitted requests (<= 0: 2 x GOMAXPROCS)")
 	queueWait := flag.Duration("queue-wait", time.Second, "max wait for an admission slot before 429")

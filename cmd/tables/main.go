@@ -32,7 +32,7 @@ func main() {
 	requests := flag.Int("requests", 0, "controller workload length (0 = 10000)")
 	only := flag.String("only", "", "comma-separated experiment ids to run (default: all)")
 	benches := flag.String("benchmarks", "ddr3-off,ddr3-on,wideio,hmc", "benchmarks for table9/regression")
-	workers := flag.Int("workers", 0, "worker pool size for sweeps and solver kernels (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "worker pool size for sweeps (0 = GOMAXPROCS)")
 	obsFlags := obs.BindFlags(flag.CommandLine)
 	flag.Parse()
 

@@ -96,7 +96,7 @@ func CheckDeck(path string, opt Options) (*DeckReport, error) {
 	} else {
 		method := solve.MethodFor("", a.N)
 		rep.Oracle = "cross:" + method
-		s, err := solve.New(a, solve.Options{Method: method, Workers: opt.Workers})
+		s, err := solve.New(a, solve.Options{Method: method})
 		if err == nil {
 			ref, _, err = s.Solve(rhs, cg)
 		}
@@ -106,7 +106,7 @@ func CheckDeck(path string, opt Options) (*DeckReport, error) {
 	}
 
 	for _, method := range opt.methods() {
-		s, err := solve.New(a, solve.Options{Method: method, Workers: opt.Workers})
+		s, err := solve.New(a, solve.Options{Method: method})
 		if err != nil {
 			return nil, fileErr(path, StageSolve, fmt.Errorf("%s: %w", method, err))
 		}

@@ -56,8 +56,6 @@ type Options struct {
 	// Methods lists the solver methods to check; nil selects every
 	// registered method (solve.Methods()).
 	Methods []string
-	// Workers bounds the solver kernels' worker pool (<= 0: GOMAXPROCS).
-	Workers int
 	// Tol is the iterative relative-residual target; 0 selects DefaultTol.
 	Tol float64
 	// OracleMaxN caps the dense-oracle system size; 0 selects
@@ -182,7 +180,7 @@ func Check(s *gen.Spec, opt Options) (*MeshReport, error) {
 	} else {
 		method := solve.MethodFor("", m.N())
 		rep.Oracle = "cross:" + method
-		ref, _, err = m.Solve(rhs, solve.Options{Method: method, Workers: opt.Workers, CGOptions: cg})
+		ref, _, err = m.Solve(rhs, solve.Options{Method: method, CGOptions: cg})
 		if err != nil {
 			return nil, fmt.Errorf("diff %s: cross-check reference: %w", s.Name, err)
 		}
@@ -196,7 +194,7 @@ func Check(s *gen.Spec, opt Options) (*MeshReport, error) {
 		o := cg
 		rec := buf.StartSolveRecord()
 		o.Rec = rec
-		x, stats, err := m.Solve(rhs, solve.Options{Method: method, Workers: opt.Workers, CGOptions: o})
+		x, stats, err := m.Solve(rhs, solve.Options{Method: method, CGOptions: o})
 		rec.Commit()
 		if err != nil {
 			return nil, fmt.Errorf("diff %s: %s: %w", s.Name, method, err)
@@ -313,11 +311,11 @@ func roundTrip(m *rmesh.Model, rhs []float64, opt Options) (*RoundTrip, error) {
 		}
 	}
 	cg := solve.CGOptions{Tol: opt.tol()}
-	x1, _, err := m.Solve(rhs, solve.Options{Workers: opt.Workers, CGOptions: cg})
+	x1, _, err := m.Solve(rhs, solve.Options{CGOptions: cg})
 	if err != nil {
 		return nil, err
 	}
-	s2, err := solve.New(a2, solve.Options{Workers: opt.Workers})
+	s2, err := solve.New(a2, solve.Options{})
 	if err != nil {
 		return nil, err
 	}

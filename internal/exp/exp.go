@@ -31,9 +31,8 @@ type Config struct {
 	MeshPitch float64
 	// Requests overrides the controller workload length (0 = 10000).
 	Requests int
-	// Workers bounds the sweep worker pool (and each solver's kernel
-	// pool). <= 0 selects GOMAXPROCS. Outputs are identical for every
-	// value.
+	// Workers bounds the sweep worker pool. <= 0 selects GOMAXPROCS.
+	// Outputs are identical for every value.
 	Workers int
 	// Obs, when non-nil, receives run metrics and, on its run trace, a
 	// span per experiment: mesh/solver instrumentation from the layers
@@ -163,12 +162,7 @@ func logicFor(b *bench3d.Benchmark, spec *pdn.Spec) *powermap.LogicModel {
 func (r *Runner) analyzer(b *bench3d.Benchmark, spec *pdn.Spec) (*irdrop.Analyzer, error) {
 	logic := logicFor(b, spec)
 	return r.analyzers.Do(context.TODO(), specKey(spec, logic != nil), nil, func() (*irdrop.Analyzer, error) {
-		a, err := irdrop.NewObs(spec, b.DRAMPower, logic, r.Cfg.Obs)
-		if err != nil {
-			return nil, err
-		}
-		a.Opts.Workers = r.Cfg.Workers
-		return a, nil
+		return irdrop.NewObs(spec, b.DRAMPower, logic, r.Cfg.Obs)
 	})
 }
 
@@ -224,13 +218,16 @@ func (r *Runner) fit(benchName string) (*opt.Optimizer, error) {
 	})
 }
 
-// policyRun simulates one (policy, scheduler) pair on a fresh workload.
+// policyRun simulates one (policy, scheduler) pair on a fresh workload,
+// over benchmark b's stack geometry and memory channels.
 func (r *Runner) policyRun(b *bench3d.Benchmark, table *lut.Table,
 	policy memctrl.IRPolicy, sched memctrl.Scheduler, irLimitV float64) (*memctrl.Result, error) {
 
 	cfg := memctrl.DefaultConfig(policy, sched, table, irLimitV)
 	cfg.Dies = b.Spec.NumDRAM
 	cfg.BanksPerDie = b.Spec.DRAM.NumBanks
+	cfg.Channels = b.Channels
+	cfg.ChannelOf = b.ChannelOf
 	wl := memctrl.DefaultWorkload(cfg.Dies, cfg.BanksPerDie)
 	wl.Requests = r.requests()
 	reqs, err := memctrl.Generate(wl)

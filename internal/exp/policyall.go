@@ -80,29 +80,15 @@ func (r *Runner) policyStudyOne(name string) (*policyStudyResult, error) {
 		limit = floor * 1.02
 	}
 
-	run := func(policy memctrl.IRPolicy, sched memctrl.Scheduler, lim float64) (*memctrl.Result, error) {
-		cfg := memctrl.DefaultConfig(policy, sched, table, lim)
-		cfg.Dies = b.Spec.NumDRAM
-		cfg.BanksPerDie = b.Spec.DRAM.NumBanks
-		cfg.Channels = b.Channels
-		cfg.ChannelOf = b.ChannelOf
-		wl := memctrl.DefaultWorkload(cfg.Dies, cfg.BanksPerDie)
-		wl.Requests = r.requests()
-		reqs, err := memctrl.Generate(wl)
-		if err != nil {
-			return nil, err
-		}
-		return memctrl.Simulate(cfg, reqs)
-	}
-	std, err := run(memctrl.PolicyStandard, memctrl.FCFS, 0)
+	std, err := r.policyRun(b, table, memctrl.PolicyStandard, memctrl.FCFS, 0)
 	if err != nil {
 		return nil, err
 	}
-	fcfs, err := run(memctrl.PolicyIRAware, memctrl.FCFS, limit)
+	fcfs, err := r.policyRun(b, table, memctrl.PolicyIRAware, memctrl.FCFS, limit)
 	if err != nil {
 		return nil, err
 	}
-	distr, err := run(memctrl.PolicyIRAware, memctrl.DistR, limit)
+	distr, err := r.policyRun(b, table, memctrl.PolicyIRAware, memctrl.DistR, limit)
 	if err != nil {
 		return nil, err
 	}

@@ -20,9 +20,9 @@ import (
 // load current.
 const balanceBound = 1e-6
 
-// checkBalance analyzes the idle, top-die and all-dies states of a
-// design under method and holds each answer's balance to balanceBound.
-func checkBalance(t *testing.T, b *bench3d.Benchmark, spec *pdn.Spec, method string) {
+// designAnalyzer builds an analyzer for spec, a prepared design of
+// benchmark b, with b's logic load when spec puts it on the stack.
+func designAnalyzer(t *testing.T, b *bench3d.Benchmark, spec *pdn.Spec) *irdrop.Analyzer {
 	t.Helper()
 	logic := b.LogicPower
 	if !spec.OnLogic {
@@ -32,18 +32,37 @@ func checkBalance(t *testing.T, b *bench3d.Benchmark, spec *pdn.Spec, method str
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.Opts.Method = method
+	return a
+}
+
+// threeStates are spec's idle, top-die and all-dies states: two banks on
+// each active die, placed at the worst-case edge.
+func threeStates(t *testing.T, spec *pdn.Spec) []memstate.State {
+	t.Helper()
 	n := spec.NumDRAM
 	idle, top, all := make([]int, n), make([]int, n), make([]int, n)
 	top[n-1] = 2
 	for d := range all {
 		all[d] = 2
 	}
+	var out []memstate.State
 	for _, counts := range [][]int{idle, top, all} {
 		st, err := memstate.FromCounts(counts, memstate.WorstCaseEdge(spec.DRAM.NumBanks))
 		if err != nil {
 			t.Fatal(err)
 		}
+		out = append(out, st)
+	}
+	return out
+}
+
+// checkBalance analyzes the three states of a design under method and
+// holds each answer's balance to balanceBound.
+func checkBalance(t *testing.T, b *bench3d.Benchmark, spec *pdn.Spec, method string) {
+	t.Helper()
+	a := designAnalyzer(t, b, spec)
+	a.Opts.Method = method
+	for _, st := range threeStates(t, spec) {
 		r, err := a.Analyze(st, b.DefaultIO)
 		if err != nil {
 			t.Fatal(err)

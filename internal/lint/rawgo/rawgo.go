@@ -1,6 +1,6 @@
 // Package rawgo forbids bare `go` statements outside the sanctioned
 // concurrency layer. All production concurrency flows through
-// internal/par's bounded worker pools (Sweep, Blocks), which is
+// internal/par's bounded worker pool (Sweep), which is
 // what makes worker-count-independent determinism and prompt
 // cancellation auditable in one place. Test files are exempt: tests
 // legitimately spawn goroutines to provoke races and exercise the pool
@@ -34,7 +34,7 @@ func run(pass *analysis.Pass) error {
 			}
 			if !pass.IsTestFile(gs.Pos()) {
 				pass.Reportf(gs.Go,
-					"bare go statement; route concurrency through internal/par (Sweep/Blocks) so pools stay bounded and deterministic")
+					"bare go statement; route concurrency through internal/par (Sweep) so pools stay bounded and deterministic")
 			}
 			return true
 		})

@@ -85,8 +85,6 @@ func (c combo) key() string {
 type Optimizer struct {
 	// Bench is the benchmark under optimization.
 	Bench *bench3d.Benchmark
-	// Cost is the cost model (nil selects cost.Default).
-	Cost *cost.Model
 	// MeshPitch overrides the R-Mesh pitch for the sampling solves.
 	MeshPitch float64
 	// ContinuousSamples is the per-axis sample count for the regression
@@ -111,13 +109,6 @@ type Optimizer struct {
 	// Best and Baseline leave it alone: each result counts its own
 	// verification solves.
 	FitSamples int
-}
-
-func (o *Optimizer) costModel() *cost.Model {
-	if o.Cost != nil {
-		return o.Cost
-	}
-	return cost.Default()
 }
 
 func (o *Optimizer) samplesPerAxis() int {
@@ -309,10 +300,10 @@ func (o *Optimizer) FitModels() error {
 	return nil
 }
 
-// tcSamples picks TSV-count samples, geometrically spaced because the IR
-// response saturates.
+// tcSamples picks n TSV-count samples over r inclusive, geometrically
+// spaced because the IR response saturates. One sample is r's low end.
 func tcSamples(r [2]int, n int) []int {
-	if r[0] == r[1] {
+	if n == 1 || r[0] == r[1] {
 		return []int{r[0]}
 	}
 	lo, hi := float64(r[0]), float64(r[1])
@@ -375,7 +366,7 @@ func (o *Optimizer) Best(alpha float64) (*Result, error) {
 	m2s := axisSamples(sp.M2Range[0], sp.M2Range[1], g)
 	m3s := axisSamples(sp.M3Range[0], sp.M3Range[1], g)
 	tcs := tcSamples(sp.TSVRange, g)
-	cm := o.costModel()
+	cm := cost.Default()
 
 	best := Result{Alpha: alpha}
 	bestScore := math.Inf(1)
@@ -423,7 +414,7 @@ func (o *Optimizer) Baseline() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	c, err := o.costModel().Total(cand.Apply(s))
+	c, err := cost.Default().Total(cand.Apply(s))
 	if err != nil {
 		return nil, err
 	}

@@ -102,6 +102,26 @@ func TestTCSamplesGeometric(t *testing.T) {
 	}
 }
 
+// A one-point grid searches each axis at its low end: Best answers at the
+// range's lowest TSV count.
+func TestBestOnOnePointGrid(t *testing.T) {
+	o := *fastOptimizer(t)
+	o.GridSteps = 1
+	if got := tcSamples(o.Bench.Space.TSVRange, 1); len(got) != 1 || got[0] != o.Bench.Space.TSVRange[0] {
+		t.Fatalf("tcSamples(%v, 1) = %v, want the low end alone", o.Bench.Space.TSVRange, got)
+	}
+	res, err := o.Best(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lo := o.Bench.Space.TSVRange[0]; res.Cand.TC != lo {
+		t.Errorf("TC = %d, want the range's lowest, %d", res.Cand.TC, lo)
+	}
+	if got, want := o.GridSize(), len(o.combos()); got != want {
+		t.Errorf("GridSize = %d, want one point per combo (%d)", got, want)
+	}
+}
+
 func TestBestRequiresFit(t *testing.T) {
 	b, _ := bench3d.StackedDDR3Off()
 	o := &Optimizer{Bench: b}

@@ -70,27 +70,3 @@ func TestSweepStopsAfterPanic(t *testing.T) {
 		t.Fatalf("ran %d tasks, want 4 (stop after the panic at index 3)", ran)
 	}
 }
-
-func TestBlocksWorkerPanicReachesCaller(t *testing.T) {
-	panicking := func(enter func()) func(b, lo, hi int) {
-		return func(b, _, _ int) {
-			enter()
-			panic(fmt.Sprintf("block %d", b))
-		}
-	}
-	v := func() (v any) {
-		defer func() { v = recover() }()
-		Blocks(2, 2, 1, panicking(rendezvous(2)))
-		return nil
-	}()
-	err, _ := v.(error)
-	wantPanicError(t, err, "block 0", "block 1")
-
-	// Under a Cache flight the re-raised panic becomes the flight's error.
-	var c Cache[int]
-	_, err = c.Do(context.Background(), "k", nil, func() (int, error) {
-		Blocks(2, 2, 1, panicking(rendezvous(2)))
-		return 0, nil
-	})
-	wantPanicError(t, err, "block 0", "block 1")
-}

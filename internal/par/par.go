@@ -1,14 +1,13 @@
 // Package par provides the small concurrency primitives shared by the
 // analysis stack: a bounded worker-pool sweep with first-error
-// cancellation (design-space fan-out), deterministic block partitioning
-// (kernel sharding), and Cache, the one bounded, panic-safe singleflight
-// cache behind every memoizing layer (served results, analyzers, LUTs,
-// topologies, per-state results, and per-matrix solvers).
+// cancellation (design-space fan-out), and Cache, the one bounded,
+// panic-safe singleflight cache behind every memoizing layer (served
+// results, analyzers, LUTs, topologies, per-state results, and
+// per-matrix solvers).
 //
 // No panic escapes a pool worker: Sweep returns a task's panic as that
-// task's *PanicError, and Blocks re-raises a worker's panic on the
-// calling goroutine, where an enclosing Cache flight turns it into an
-// error. A panic on a worker goroutine would otherwise end the process.
+// task's *PanicError. A panic on a worker goroutine would otherwise end
+// the process.
 package par
 
 import (
@@ -23,8 +22,8 @@ import (
 )
 
 // PanicError is a recovered panic: the error a Sweep task that panicked
-// returns, the value Blocks re-panics with, and the error every caller of
-// a Cache flight whose fn panicked receives.
+// returns, and the error every caller of a Cache flight whose fn panicked
+// receives.
 type PanicError struct {
 	// Value is the value passed to panic (nil when a Cache fn called
 	// runtime.Goexit).
@@ -35,13 +34,8 @@ type PanicError struct {
 
 func (e *PanicError) Error() string { return fmt.Sprintf("par: panic: %v", e.Value) }
 
-// asPanicError wraps a recovered value with the current stack. A value
-// that already is a *PanicError — Blocks re-raising a worker's panic — is
-// kept, so the stack still names the goroutine that first panicked.
+// asPanicError wraps a recovered value with the current stack.
 func asPanicError(v any) *PanicError {
-	if pe, ok := v.(*PanicError); ok {
-		return pe
-	}
 	return &PanicError{Value: v, Stack: debug.Stack()}
 }
 
@@ -144,71 +138,4 @@ func SweepCtx(ctx context.Context, workers, n int, m *obs.SweepMetrics, name str
 		defer sp.End()
 		return fn(obs.WithSpan(ctx, sp), i)
 	})
-}
-
-// Blocks partitions [0, n) into fixed-size blocks and runs fn(b, lo, hi)
-// for block b over every range, on at most workers goroutines. The
-// partitioning depends only on n and block — never on workers — so
-// block-indexed reductions (partial sums gathered per block and combined
-// in block order) are bit-for-bit deterministic for any worker count.
-// When fn panics, Blocks still waits for every worker and then panics on
-// the calling goroutine, re-raising a pool worker's panic as a
-// *PanicError.
-func Blocks(workers, n, block int, fn func(b, lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if block <= 0 {
-		block = n
-	}
-	nb := (n + block - 1) / block
-	run := func(b int) {
-		lo := b * block
-		hi := lo + block
-		if hi > n {
-			hi = n
-		}
-		fn(b, lo, hi)
-	}
-	workers = Workers(workers)
-	if workers > nb {
-		workers = nb
-	}
-	if workers == 1 {
-		for b := 0; b < nb; b++ {
-			run(b)
-		}
-		return
-	}
-	// One shared struct, so the pool state is one allocation per call:
-	// the sharded kernels call Blocks several times per CG iteration.
-	var pool struct {
-		next     atomic.Int64
-		wg       sync.WaitGroup
-		panicked atomic.Pointer[PanicError]
-	}
-	worker := func() {
-		defer pool.wg.Done()
-		defer func() {
-			if v := recover(); v != nil {
-				pool.panicked.CompareAndSwap(nil, asPanicError(v))
-			}
-		}()
-		for {
-			b := int(pool.next.Add(1)) - 1
-			if b >= nb {
-				return
-			}
-			run(b)
-		}
-	}
-	pool.wg.Add(workers)
-	for w := 1; w < workers; w++ {
-		go worker()
-	}
-	worker()
-	pool.wg.Wait()
-	if pe := pool.panicked.Load(); pe != nil {
-		panic(pe)
-	}
 }

@@ -2,8 +2,6 @@ package par
 
 import (
 	"errors"
-	"fmt"
-	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -67,49 +65,5 @@ func TestSweepZeroAndNegativeN(t *testing.T) {
 	}
 	if err := Sweep(4, -3, func(int) error { return errors.New("never") }); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestBlocksCoverExactly(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		for _, n := range []int{1, 7, 64, 100} {
-			covered := make([]atomic.Int64, n)
-			Blocks(workers, n, 16, func(b, lo, hi int) {
-				if lo != b*16 {
-					t.Errorf("block %d starts at %d", b, lo)
-				}
-				for i := lo; i < hi; i++ {
-					covered[i].Add(1)
-				}
-			})
-			for i := range covered {
-				if covered[i].Load() != 1 {
-					t.Fatalf("workers=%d n=%d: index %d covered %d times", workers, n, i, covered[i].Load())
-				}
-			}
-		}
-	}
-}
-
-// Block partitioning must not depend on the worker count: a block-indexed
-// reduction combined in block order is then deterministic.
-func TestBlocksDeterministicPartition(t *testing.T) {
-	n, block := 1000, 64
-	shape := func(workers int) string {
-		var mu sync.Mutex
-		spans := map[int]string{}
-		Blocks(workers, n, block, func(b, lo, hi int) {
-			mu.Lock()
-			spans[b] = fmt.Sprintf("%d:%d", lo, hi)
-			mu.Unlock()
-		})
-		out := ""
-		for b := 0; b < (n+block-1)/block; b++ {
-			out += spans[b] + ","
-		}
-		return out
-	}
-	if shape(1) != shape(8) {
-		t.Error("partitioning depends on worker count")
 	}
 }

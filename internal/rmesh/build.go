@@ -46,7 +46,7 @@ type Model struct {
 	// stamping order); Restamp refills it in place.
 	stampBuf []float64
 
-	// solvers caches one Solver per (method, workers) so per-matrix setup
+	// solvers caches one Solver per method so per-matrix setup
 	// (IC(0) factorization or AMG hierarchy) happens exactly once per
 	// model, even when many goroutines request it concurrently. Restamp
 	// resets it: the cached factorizations describe the previous values.

@@ -97,11 +97,11 @@ func assertModelsIdentical(t *testing.T, full, re *rmesh.Model) {
 	}
 }
 
-// assertSolvesIdentical solves both models against the same RHS at the
-// given worker count and requires bit-identical node voltages.
-func assertSolvesIdentical(t *testing.T, full, re *rmesh.Model, b *bench3d.Benchmark, workers int) {
+// assertSolvesIdentical solves both models against the same RHS and
+// requires bit-identical node voltages.
+func assertSolvesIdentical(t *testing.T, full, re *rmesh.Model, b *bench3d.Benchmark) {
 	t.Helper()
-	opts := solve.Options{Workers: workers, CGOptions: solve.CGOptions{Tol: 1e-9, MaxIter: 40000}}
+	opts := solve.Options{CGOptions: solve.CGOptions{Tol: 1e-9, MaxIter: 40000}}
 	vFull, _, err := full.Solve(loadedRHS(t, full, b), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -112,7 +112,7 @@ func assertSolvesIdentical(t *testing.T, full, re *rmesh.Model, b *bench3d.Bench
 	}
 	for i := range vFull {
 		if math.Float64bits(vFull[i]) != math.Float64bits(vRe[i]) {
-			t.Fatalf("workers=%d: v[%d] = %x vs %x", workers, i,
+			t.Fatalf("v[%d] = %x vs %x", i,
 				math.Float64bits(vFull[i]), math.Float64bits(vRe[i]))
 		}
 	}
@@ -139,7 +139,7 @@ func scaleUsage(spec *pdn.Spec, f float64) *pdn.Spec {
 // contract: for each paper design, a model minted from a frozen Topology
 // (and then restamped to a value-only variant) is bitwise indistinguishable
 // from a from-scratch rmesh.Build — matrix values, ties, links, and the solved
-// node voltages at both serial and parallel kernel widths.
+// node voltages.
 func TestRestampBitIdenticalToFullBuild(t *testing.T) {
 	benches, err := bench3d.All()
 	if err != nil {
@@ -167,9 +167,7 @@ func TestRestampBitIdenticalToFullBuild(t *testing.T) {
 				t.Fatal("minted model does not reference its topology")
 			}
 			assertModelsIdentical(t, full, re)
-			for _, workers := range []int{1, 8} {
-				assertSolvesIdentical(t, full, re, b, workers)
-			}
+			assertSolvesIdentical(t, full, re, b)
 
 			// Value-only variant: restamp in place vs a fresh full build.
 			scaled := scaleUsage(spec, 0.9)
@@ -181,9 +179,7 @@ func TestRestampBitIdenticalToFullBuild(t *testing.T) {
 				t.Fatal(err)
 			}
 			assertModelsIdentical(t, full2, re)
-			for _, workers := range []int{1, 8} {
-				assertSolvesIdentical(t, full2, re, b, workers)
-			}
+			assertSolvesIdentical(t, full2, re, b)
 		})
 	}
 }

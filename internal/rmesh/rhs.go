@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"strconv"
 
 	"pdn3d/internal/powermap"
 	"pdn3d/internal/solve"
@@ -61,26 +60,26 @@ func addLoads(rhs []float64, l *Layer, loads []powermap.Load, vdd float64) error
 	return nil
 }
 
-// Solver returns the model's solver for the method and worker budget named
-// in opt, building it on first use; an empty method is resolved by
-// solve.MethodFor from the mesh's node count, so it shares its cache entry
-// with the method it names. Construction is deduplicated: when many
-// goroutines request the same (method, workers) pair concurrently, exactly
-// one set-up runs and the rest share it.
+// Solver returns the model's solver for the method named in opt, building
+// it on first use; an empty method is resolved by solve.MethodFor from the
+// mesh's node count, so it shares its cache entry with the method it
+// names. Construction is deduplicated: when many goroutines request the
+// same method concurrently, exactly one set-up runs and the rest share
+// it.
 func (m *Model) Solver(opt solve.Options) (solve.Solver, error) {
 	opt.Method = solve.MethodFor(opt.Method, m.n)
 	if opt.Obs == nil {
 		opt.Obs = m.obs // an instrumented model instruments its solvers
 	}
-	return m.solvers.Do(context.TODO(), opt.Method+"/"+strconv.Itoa(opt.Workers), nil, func() (solve.Solver, error) {
+	return m.solvers.Do(context.TODO(), opt.Method, nil, func() (solve.Solver, error) {
 		return solve.New(m.Matrix, opt)
 	})
 }
 
 // Solve runs the selected solver on the assembled system and returns node
 // voltages. The per-matrix setup (IC(0) factorization or AMG hierarchy) is
-// built once per (method, workers) pair and shared across right-hand sides
-// and goroutines.
+// built once per method and shared across right-hand sides and
+// goroutines.
 func (m *Model) Solve(rhs []float64, opt solve.Options) ([]float64, solve.CGStats, error) {
 	defer m.obs.Timer("rmesh.solve_time").Start()()
 	s, err := m.Solver(opt)

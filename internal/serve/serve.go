@@ -77,8 +77,8 @@ const (
 
 // Config tunes a Server. The zero value selects sensible defaults.
 type Config struct {
-	// Workers bounds the solver kernels and the batch fan-out pool.
-	// <= 0 selects GOMAXPROCS. Results are identical for every value.
+	// Workers bounds the batch fan-out and LUT-build pools. <= 0 selects
+	// GOMAXPROCS. Results are identical for every value.
 	Workers int
 	// MeshPitch, when > 0, is the mesh pitch (mm) applied to queries that
 	// do not override the pitch themselves — the server-wide
@@ -286,8 +286,8 @@ func (s *Server) acquire(ctx context.Context) (func(), int) {
 
 // throttled wraps a POST handler with method check, body read, admission
 // control, and request-scoped observability. A whole batch holds one slot:
-// MaxInFlight bounds admitted HTTP requests, Workers bounds solver
-// parallelism within them. Every request gets a Trace whose ID is
+// MaxInFlight bounds admitted HTTP requests, Workers bounds the fan-out
+// within them. Every request gets a Trace whose ID is
 // echoed in X-Trace-Id (a valid inbound header is honored for
 // correlation); the queue-wait is its first span, recorded separately
 // from handler time so saturation diagnosis can tell slow solves from
@@ -537,7 +537,6 @@ func (s *Server) analyzerFor(ctx context.Context, r *query.Resolved) (*irdrop.An
 			return nil, err
 		}
 		a.Opts.Method = s.cfg.method
-		a.Opts.Workers = s.cfg.Workers
 		// All designs share the server's one solve buffer (nil when
 		// recording is disabled — the analyzer's no-op path).
 		a.SolveRecords = s.solves

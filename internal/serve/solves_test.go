@@ -113,11 +113,11 @@ func solveShapes(t *testing.T, base string) []byte {
 	return out
 }
 
-// TestSolveRecordShapeWorkerDeterminism: the sharded kernels are
-// bit-identical for any worker count, so the recorded solve shapes —
-// residual histories, coefficients, condition estimates, terminations —
-// must be byte-identical between a 1-worker and an 8-worker server on
-// the paper's four packaging designs.
+// TestSolveRecordShapeWorkerDeterminism: a solve's answer does not
+// depend on how many batch workers run beside it, so the recorded solve
+// shapes — residual histories, coefficients, condition estimates,
+// terminations — must be byte-identical between a 1-worker and an
+// 8-worker server on the paper's four packaging designs.
 func TestSolveRecordShapeWorkerDeterminism(t *testing.T) {
 	run := func(workers int) []byte {
 		_, ts := newTestServer(t, Config{Workers: workers, SolveBufSize: 16})

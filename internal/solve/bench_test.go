@@ -1,7 +1,6 @@
 package solve
 
 import (
-	"fmt"
 	"testing"
 
 	"pdn3d/internal/obs"
@@ -24,7 +23,7 @@ func benchCG(b *testing.B, method string) {
 	for _, sz := range benchSizes {
 		b.Run(sz.name, func(b *testing.B) {
 			a := grid2D(sz.nx, sz.ny)
-			s, err := New(a, Options{Method: method, Workers: 1})
+			s, err := New(a, Options{Method: method})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -62,7 +61,7 @@ func BenchmarkCG_AMG_Recorded(b *testing.B) {
 	for _, sz := range benchSizes {
 		b.Run(sz.name, func(b *testing.B) {
 			a := grid2D(sz.nx, sz.ny)
-			s, err := New(a, Options{Method: MethodCGAMG, Workers: 1})
+			s, err := New(a, Options{Method: MethodCGAMG})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -120,8 +119,8 @@ func BenchmarkIC0Factorization(b *testing.B) {
 	}
 }
 
-// BenchmarkSpMV tracks the raw kernel across worker counts (deterministic
-// sharding means the numbers, not the bits, are the only difference).
+// BenchmarkSpMV tracks the raw CSR matrix-vector product on the
+// fine-pitch grid.
 func BenchmarkSpMV(b *testing.B) {
 	a := grid2D(316, 316)
 	x := make([]float64, a.N)
@@ -129,13 +128,8 @@ func BenchmarkSpMV(b *testing.B) {
 	for i := range x {
 		x[i] = float64(i%7) - 3
 	}
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
-			k := kernels{workers: workers}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				k.mulVec(a, y, x)
-			}
-		})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a.MulVec(y, x)
 	}
 }

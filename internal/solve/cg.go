@@ -5,10 +5,10 @@
 // size. solve.New(a, opt) builds one through the registry in solver.go,
 // and Solver.Solve is the only way to run it. A dense Cholesky factorization remains as AMG's
 // coarse-level solve and as the exact oracle the differential harness
-// checks every method against. The hot BLAS-1/SpMV kernels are sharded
-// across a bounded worker pool for large systems (see kernels.go);
-// sharding is deterministic, so results do not depend on the worker
-// count.
+// checks every method against. A solve runs on its caller's goroutine:
+// parallelism lives in the sweeps above it, and the BLAS-1 kernels sum in
+// a fixed order (see kernels.go), so results are a pure function of the
+// system.
 package solve
 
 import (
@@ -47,7 +47,7 @@ type CGOptions struct {
 	// recorder's Commit (enforced by the obscontract analyzer). Recording
 	// never changes the values a solve returns, and nothing recorded is
 	// wall-clock-derived — the captured shapes are identical for any
-	// worker count.
+	// sweep worker count.
 	Rec *obs.SolveRecorder
 }
 
@@ -104,9 +104,9 @@ func invDiag(a *sparse.CSR) ([]float64, error) {
 
 // pcg is the shared preconditioned conjugate-gradient core behind every
 // CG-family solver. The residual norm for the convergence check is
-// accumulated in the same pass that updates the residual (k.axpyNormSq)
+// accumulated in the same pass that updates the residual (axpyNormSq)
 // rather than recomputed with a separate sweep.
-func pcg(a *sparse.CSR, pre Preconditioner, b []float64, opt CGOptions, k kernels) ([]float64, CGStats, error) {
+func pcg(a *sparse.CSR, pre Preconditioner, b []float64, opt CGOptions) ([]float64, CGStats, error) {
 	n := a.N
 	if len(b) != n {
 		return nil, CGStats{}, fmt.Errorf("solve: rhs length %d != matrix dim %d", len(b), n)
@@ -135,8 +135,8 @@ func pcg(a *sparse.CSR, pre Preconditioner, b []float64, opt CGOptions, k kernel
 	if opt.Span != nil {
 		// Deferred so every exit — converged, exhausted, canceled —
 		// leaves the trace span carrying the true iteration story. The
-		// annotated fields are deterministic for any worker count
-		// (sharded kernels are bit-identical by contract).
+		// annotated fields are a pure function of the system and the
+		// right-hand side.
 		defer func() {
 			opt.Span.Annotate(
 				obs.A("iterations", stats.Iterations),
@@ -145,7 +145,7 @@ func pcg(a *sparse.CSR, pre Preconditioner, b []float64, opt CGOptions, k kernel
 		}()
 	}
 
-	normB := k.norm2(b)
+	normB := norm2(b)
 	x := make([]float64, n)
 	if normB == 0 {
 		stats.Converged = true
@@ -161,7 +161,7 @@ func pcg(a *sparse.CSR, pre Preconditioner, b []float64, opt CGOptions, k kernel
 	copy(p, z)
 	ap := make([]float64, n)
 
-	rz := k.dot(r, z)
+	rz := dot(r, z)
 	for it := 0; it < maxIter; it++ {
 		if opt.Cancel != nil {
 			if err := opt.Cancel(); err != nil {
@@ -169,14 +169,14 @@ func pcg(a *sparse.CSR, pre Preconditioner, b []float64, opt CGOptions, k kernel
 				return nil, stats, fmt.Errorf("solve: canceled at iteration %d: %w", it, err)
 			}
 		}
-		k.mulVec(a, ap, p)
-		pap := k.dot(p, ap)
+		a.MulVec(ap, p)
+		pap := dot(p, ap)
 		if pap <= 0 {
 			return nil, stats, fmt.Errorf("solve: p'Ap = %g <= 0 at iteration %d (matrix not SPD)", pap, it)
 		}
 		alpha := rz / pap
-		k.axpy(x, alpha, p)
-		rNormSq := k.axpyNormSq(r, -alpha, ap)
+		axpy(x, alpha, p)
+		rNormSq := axpyNormSq(r, -alpha, ap)
 		stats.Iterations = it + 1
 		stats.Residual = math.Sqrt(rNormSq) / normB
 		opt.Rec.RecordIter(alpha, stats.Residual)
@@ -186,28 +186,13 @@ func pcg(a *sparse.CSR, pre Preconditioner, b []float64, opt CGOptions, k kernel
 			return x, stats, nil
 		}
 		pre.Apply(z, r)
-		rzNew := k.dot(r, z)
+		rzNew := dot(r, z)
 		beta := rzNew / rz
 		rz = rzNew
-		k.xpby(p, beta, z)
+		xpby(p, beta, z)
 		opt.Rec.RecordBeta(beta)
 	}
 	termination = obs.TermMaxIter
 	return x, stats, fmt.Errorf("%w after %d iterations (residual %.3e, tol %.3e)",
 		ErrNotConverged, stats.Iterations, stats.Residual, tol)
-}
-
-func dot(a, b []float64) float64 {
-	var s float64
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
-}
-
-// axpy computes y += alpha*x in place.
-func axpy(y []float64, alpha float64, x []float64) {
-	for i := range y {
-		y[i] += alpha * x[i]
-	}
 }

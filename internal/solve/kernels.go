@@ -1,120 +1,82 @@
 package solve
 
-import (
-	"math"
+import "math"
 
-	"pdn3d/internal/par"
-	"pdn3d/internal/sparse"
-)
-
-// Kernel sharding thresholds. Systems below kernelMinN run the plain
-// serial loops; at or above it, reductions switch to a fixed block
-// partition (kernelBlock entries per block, partial sums combined in block
-// order) executed on a bounded worker pool. Because the partition depends
-// only on the vector length — never on the worker count — every result is
-// bit-for-bit identical for any -workers setting, including 1.
+// Summation order of the CG reductions. Below kernelMinN entries, dot and
+// axpyNormSq add in one plain loop; from kernelMinN up they sum
+// kernelBlock-entry blocks and add the partial sums in block order, on
+// one goroutine and with no allocation. The order depends only on the
+// vector length, so every answer is a pure function of the system, and
+// it is the order every pinned answer was computed in
+// (irdrop.TestAnswersBitStable, BENCH_solver.json's iteration counts).
+// axpy, xpby and SpMV are element-wise and do not depend on order.
 const (
 	kernelMinN  = 8192
 	kernelBlock = 4096
 )
 
-// kernels bundles the BLAS-1/SpMV primitives of one solver instance with
-// its worker budget.
-type kernels struct {
-	workers int
+// blockLen is the reduction block of an n-entry vector: the whole vector
+// below kernelMinN, kernelBlock entries from there up. A single block
+// adds its sum to zero, which leaves it bit-identical: a sum that starts
+// at +0 is never −0.
+func blockLen(n int) int {
+	if n < kernelMinN {
+		return n
+	}
+	return kernelBlock
 }
 
-func (k kernels) sharded(n int) bool { return n >= kernelMinN }
-
 // dot computes a·b.
-func (k kernels) dot(a, b []float64) float64 {
-	n := len(a)
-	if !k.sharded(n) {
-		return dot(a, b)
-	}
-	partial := make([]float64, (n+kernelBlock-1)/kernelBlock)
-	par.Blocks(k.workers, n, kernelBlock, func(blk, lo, hi int) {
-		var s float64
-		for i := lo; i < hi; i++ {
-			s += a[i] * b[i]
-		}
-		partial[blk] = s
-	})
+func dot(a, b []float64) float64 {
 	var s float64
-	for _, p := range partial {
+	bl := blockLen(len(a))
+	for lo := 0; lo < len(a); lo += bl {
+		x := a[lo:min(lo+bl, len(a))]
+		y := b[lo : lo+len(x)]
+		var p float64
+		for i := range x {
+			p += x[i] * y[i]
+		}
 		s += p
 	}
 	return s
 }
 
 // norm2 computes ‖a‖₂.
-func (k kernels) norm2(a []float64) float64 { return math.Sqrt(k.dot(a, a)) }
+func norm2(a []float64) float64 { return math.Sqrt(dot(a, a)) }
 
 // axpy computes y += alpha·x.
-func (k kernels) axpy(y []float64, alpha float64, x []float64) {
-	n := len(y)
-	if !k.sharded(n) {
-		axpy(y, alpha, x)
-		return
+func axpy(y []float64, alpha float64, x []float64) {
+	x = x[:len(y)]
+	for i := range y {
+		y[i] += alpha * x[i]
 	}
-	par.Blocks(k.workers, n, kernelBlock, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			y[i] += alpha * x[i]
-		}
-	})
 }
 
 // axpyNormSq fuses the residual update r += alpha·ap with the squared-norm
 // accumulation Σ r'² in a single pass, eliminating the separate norm2(r)
-// sweep every CG iteration needs for its convergence check.
-func (k kernels) axpyNormSq(y []float64, alpha float64, x []float64) float64 {
-	n := len(y)
-	if !k.sharded(n) {
-		var s float64
-		for i := range y {
-			y[i] += alpha * x[i]
-			s += y[i] * y[i]
-		}
-		return s
-	}
-	partial := make([]float64, (n+kernelBlock-1)/kernelBlock)
-	par.Blocks(k.workers, n, kernelBlock, func(blk, lo, hi int) {
-		var s float64
-		for i := lo; i < hi; i++ {
-			y[i] += alpha * x[i]
-			s += y[i] * y[i]
-		}
-		partial[blk] = s
-	})
+// sweep every CG iteration needs for its convergence check. It sums in
+// dot's order.
+func axpyNormSq(y []float64, alpha float64, x []float64) float64 {
 	var s float64
-	for _, p := range partial {
+	bl := blockLen(len(y))
+	for lo := 0; lo < len(y); lo += bl {
+		yb := y[lo:min(lo+bl, len(y))]
+		xb := x[lo : lo+len(yb)]
+		var p float64
+		for i := range yb {
+			yb[i] += alpha * xb[i]
+			p += yb[i] * yb[i]
+		}
 		s += p
 	}
 	return s
 }
 
 // xpby computes p = z + beta·p (the CG direction update).
-func (k kernels) xpby(p []float64, beta float64, z []float64) {
-	n := len(p)
-	if !k.sharded(n) {
-		for i := range p {
-			p[i] = z[i] + beta*p[i]
-		}
-		return
+func xpby(p []float64, beta float64, z []float64) {
+	z = z[:len(p)]
+	for i := range p {
+		p[i] = z[i] + beta*p[i]
 	}
-	par.Blocks(k.workers, n, kernelBlock, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			p[i] = z[i] + beta*p[i]
-		}
-	})
-}
-
-// mulVec computes y = A·x, sharding rows over the worker pool for large
-// systems.
-func (k kernels) mulVec(a *sparse.CSR, y, x []float64) {
-	if !k.sharded(a.N) {
-		a.MulVec(y, x)
-		return
-	}
-	a.MulVecPar(y, x, k.workers, kernelBlock)
 }

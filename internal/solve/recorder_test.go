@@ -2,6 +2,7 @@ package solve
 
 import (
 	"errors"
+	"sync"
 	"testing"
 
 	"pdn3d/internal/obs"
@@ -12,7 +13,7 @@ import (
 func recordedSolve(t *testing.T, method string, rhs []float64, opt CGOptions) (CGStats, obs.SolveRecord, error) {
 	t.Helper()
 	a := grid2D(16, 16)
-	s, err := New(a, Options{Method: method, Workers: 1})
+	s, err := New(a, Options{Method: method})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,7 @@ func TestRecorderStagnatedSolve(t *testing.T) {
 	a := grid2D(16, 16)
 	buf := obs.NewSolveBuffer(1)
 	rec := buf.StartSolveRecord()
-	_, _, err := pcg(a, &thrashPre{}, benchRHS(a.N), CGOptions{Tol: 1e-10, MaxIter: 1000, Rec: rec}, kernels{workers: 1})
+	_, _, err := pcg(a, &thrashPre{}, benchRHS(a.N), CGOptions{Tol: 1e-10, MaxIter: 1000, Rec: rec})
 	if !errors.Is(err, ErrNotConverged) {
 		t.Fatalf("err = %v, want ErrNotConverged", err)
 	}
@@ -128,38 +129,51 @@ func TestRecorderCancelledSolve(t *testing.T) {
 }
 
 // TestRecorderShapeWorkerIndependent pins the determinism contract the
-// serve-layer tests rely on: the sharded kernels are bit-identical for
-// any worker count, so the recorded trajectory is too.
+// serve-layer tests rely on: a solve's recorded trajectory does not depend
+// on how many sweep workers share its solver. Eight concurrent solves on
+// one solver record exactly what a lone solve does.
 func TestRecorderShapeWorkerIndependent(t *testing.T) {
-	run := func(workers int) obs.SolveRecord {
-		a := grid2D(24, 24)
-		s, err := New(a, Options{Method: MethodCGAMG, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
+	a := grid2D(24, 24)
+	s, err := New(a, Options{Method: MethodCGAMG})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() obs.SolveRecord {
 		buf := obs.NewSolveBuffer(1)
 		rec := buf.StartSolveRecord()
 		if _, _, err := s.Solve(benchRHS(a.N), CGOptions{Tol: 1e-10, Rec: rec}); err != nil {
-			t.Fatal(err)
+			t.Error(err)
 		}
 		return rec.Commit()
 	}
-	r1, r8 := run(1), run(8)
-	if r1.Iterations != r8.Iterations || r1.Residual != r8.Residual || r1.CondEst != r8.CondEst {
-		t.Fatalf("scalar shape differs across workers:\n1: %+v\n8: %+v", r1, r8)
+	r1 := run()
+	shared := make([]obs.SolveRecord, 8)
+	var wg sync.WaitGroup
+	for w := range shared {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			shared[w] = run()
+		}()
 	}
-	for name, pair := range map[string][2][]float64{
-		"residuals": {r1.Residuals, r8.Residuals},
-		"alphas":    {r1.Alphas, r8.Alphas},
-		"betas":     {r1.Betas, r8.Betas},
-	} {
-		a, b := pair[0], pair[1]
-		if len(a) != len(b) {
-			t.Fatalf("%s length differs across workers: %d vs %d", name, len(a), len(b))
+	wg.Wait()
+	for w, r8 := range shared {
+		if r1.Iterations != r8.Iterations || r1.Residual != r8.Residual || r1.CondEst != r8.CondEst {
+			t.Fatalf("worker %d: scalar shape differs from a lone solve:\n1: %+v\n8: %+v", w, r1, r8)
 		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("%s[%d] differs across workers: %g vs %g", name, i, a[i], b[i])
+		for name, pair := range map[string][2][]float64{
+			"residuals": {r1.Residuals, r8.Residuals},
+			"alphas":    {r1.Alphas, r8.Alphas},
+			"betas":     {r1.Betas, r8.Betas},
+		} {
+			a, b := pair[0], pair[1]
+			if len(a) != len(b) {
+				t.Fatalf("worker %d: %s length differs from a lone solve: %d vs %d", w, name, len(a), len(b))
+			}
+			for i := range a {
+				if a[i] != b[i] {
+					t.Fatalf("worker %d: %s[%d] differs from a lone solve: %g vs %g", w, name, i, a[i], b[i])
+				}
 			}
 		}
 	}

@@ -26,10 +26,6 @@ type Options struct {
 	// Method is the registry name: "cg-ic0" or "cg-amg" (plus anything
 	// registered by tests). Empty lets MethodFor pick by system size.
 	Method string
-	// Workers bounds the worker pool the BLAS-1/SpMV kernels shard
-	// across on large systems. <= 0 selects GOMAXPROCS. Results are
-	// identical for every value (deterministic sharding).
-	Workers int
 	// CGOptions is the default per-call tuning passed to Solve by
 	// callers that hold an Options rather than separate knobs.
 	CGOptions
@@ -144,7 +140,7 @@ func cgFactory(method, precond string, setup func(*sparse.CSR) (Preconditioner, 
 		if opt.Obs != nil {
 			pre = timedPre{pre: pre, t: m.apply}
 		}
-		return &cgSolver{method: method, a: a, pre: pre, k: kernels{workers: opt.Workers}, m: m, precond: precond}, nil
+		return &cgSolver{method: method, a: a, pre: pre, m: m, precond: precond}, nil
 	}
 }
 
@@ -155,7 +151,6 @@ type cgSolver struct {
 	method  string
 	a       *sparse.CSR
 	pre     Preconditioner
-	k       kernels
 	m       solverMetrics
 	precond string
 }
@@ -167,7 +162,7 @@ func (s *cgSolver) Solve(b []float64, opt CGOptions) ([]float64, CGStats, error)
 	// failed record names the method and its preconditioner.
 	opt.Rec.SetSolver(s.method, s.precond)
 	stop := s.m.solveTime.Start()
-	x, stats, err := pcg(s.a, s.pre, b, opt, s.k)
+	x, stats, err := pcg(s.a, s.pre, b, opt)
 	stop()
 	if opt.Span != nil {
 		opt.Span.Annotate(obs.A("precond", s.precond))

@@ -158,10 +158,8 @@ func diagCG(a *sparse.CSR, b []float64, opt CGOptions) ([]float64, CGStats, erro
 	if err != nil {
 		return nil, CGStats{}, err
 	}
-	return pcg(a, diagPre{invD}, b, opt, kernels{workers: 1})
+	return pcg(a, diagPre{invD}, b, opt)
 }
-
-func norm2(a []float64) float64 { return math.Sqrt(dot(a, a)) }
 
 // hadamard computes z = d .* r elementwise.
 func hadamard(z, d, r []float64) {
@@ -263,41 +261,57 @@ func TestFusedNormIdenticalConvergence(t *testing.T) {
 	}
 }
 
-// Above the sharding threshold, the deterministic block reduction must
-// produce bit-identical solutions for every worker count.
-func TestShardedKernelsDeterministicAcrossWorkers(t *testing.T) {
-	if testing.Short() {
-		t.Skip("large system")
-	}
-	a := grid2D(96, 96) // 9216 nodes >= kernelMinN
-	if a.N < kernelMinN {
-		t.Fatalf("test system too small: %d < %d", a.N, kernelMinN)
-	}
-	b := make([]float64, a.N)
-	b[a.N-1] = 0.1
-	b[0] = -0.05
-	var ref []float64
-	var refSt CGStats
-	for _, workers := range []int{1, 2, 7} {
-		s, err := New(a, Options{Method: MethodCGIC0, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
+// The CG reductions sum in one fixed order: a plain loop below 8,192
+// entries, and from there up 4,096-entry partial sums added in block
+// order, allocating nothing. Every pinned answer was computed in that
+// order, so the reference spells out its numbers rather than reading
+// kernelMinN and kernelBlock: moving either moves the answers' bits.
+func TestReductionsSumInBlockOrder(t *testing.T) {
+	const minN, block = 8192, 4096
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range []int{minN - 1, minN, 3*block + 17} {
+		a, b := make([]float64, n), make([]float64, n)
+		for i := range a {
+			a[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(9)-4))
+			b[i] = rng.NormFloat64()
 		}
-		x, st, err := s.Solve(b, CGOptions{Tol: 1e-10})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ref == nil {
-			ref, refSt = x, st
-			continue
-		}
-		if st != refSt {
-			t.Fatalf("workers=%d: stats %+v vs %+v", workers, st, refSt)
-		}
-		for i := range x {
-			if x[i] != ref[i] {
-				t.Fatalf("workers=%d: x[%d] differs (must be bit-identical)", workers, i)
+		sum := func(lo, hi int, f func(i int) float64) float64 {
+			var s float64
+			for i := lo; i < hi; i++ {
+				s += f(i)
 			}
+			return s
+		}
+		ordered := func(f func(i int) float64) float64 {
+			if n < minN {
+				return sum(0, n, f)
+			}
+			var s float64
+			for lo := 0; lo < n; lo += block {
+				s += sum(lo, min(lo+block, n), f)
+			}
+			if s == sum(0, n, f) {
+				t.Fatalf("n=%d: inputs do not tell the blocked order from the plain one", n)
+			}
+			return s
+		}
+		want := ordered(func(i int) float64 { return a[i] * b[i] })
+		if got := dot(a, b); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("n=%d: dot = %x, want %x", n, math.Float64bits(got), math.Float64bits(want))
+		}
+		const alpha = -0.37
+		y := slices.Clone(a)
+		got := axpyNormSq(y, alpha, b)
+		for i := range y {
+			if y[i] != a[i]+alpha*b[i] {
+				t.Fatalf("n=%d: axpyNormSq y[%d] = %g, want %g", n, i, y[i], a[i]+alpha*b[i])
+			}
+		}
+		if want := ordered(func(i int) float64 { return y[i] * y[i] }); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("n=%d: axpyNormSq = %x, want %x", n, math.Float64bits(got), math.Float64bits(want))
+		}
+		if allocs := testing.AllocsPerRun(5, func() { dot(a, b); axpyNormSq(y, alpha, b) }); allocs != 0 {
+			t.Errorf("n=%d: reductions allocate %v times", n, allocs)
 		}
 	}
 }

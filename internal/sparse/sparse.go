@@ -10,8 +10,6 @@ package sparse
 import (
 	"fmt"
 	"slices"
-
-	"pdn3d/internal/par"
 )
 
 // Builder accumulates symmetric stamps in coordinate form. Only one triangle
@@ -238,34 +236,13 @@ func (m *CSR) MulVec(y, x []float64) {
 	if len(x) != m.N || len(y) != m.N {
 		panic(fmt.Sprintf("sparse: MulVec dimension mismatch: n=%d len(x)=%d len(y)=%d", m.N, len(x), len(y)))
 	}
-	m.MulVecRange(y, x, 0, m.N)
-}
-
-// MulVecRange computes y[lo:hi] = (A·x)[lo:hi] — the row slab of a
-// matrix-vector product. Disjoint slabs touch disjoint parts of y, so
-// concurrent calls over a partition of [0, N) are safe; this is the
-// sharding primitive behind MulVecPar.
-func (m *CSR) MulVecRange(y, x []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
+	for i := range y {
 		var s float64
 		for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
 			s += m.Val[p] * x[m.Col[p]]
 		}
 		y[i] = s
 	}
-}
-
-// MulVecPar computes y = A·x with the rows sharded over at most workers
-// goroutines (<= 0 selects GOMAXPROCS). Every row is computed exactly as
-// in MulVec, so the result is bit-for-bit identical to the serial product
-// for any worker count.
-func (m *CSR) MulVecPar(y, x []float64, workers, block int) {
-	if len(x) != m.N || len(y) != m.N {
-		panic(fmt.Sprintf("sparse: MulVecPar dimension mismatch: n=%d len(x)=%d len(y)=%d", m.N, len(x), len(y)))
-	}
-	par.Blocks(workers, m.N, block, func(_, lo, hi int) {
-		m.MulVecRange(y, x, lo, hi)
-	})
 }
 
 // Diag extracts the diagonal into a new slice. Missing diagonal entries are

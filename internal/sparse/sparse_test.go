@@ -187,36 +187,6 @@ func TestRowPtrConsistency(t *testing.T) {
 	}
 }
 
-func TestMulVecParMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	b := NewBuilder(500)
-	for i := 0; i < 500; i++ {
-		b.AddToGround(i, 0.1+rng.Float64())
-	}
-	for k := 0; k < 2000; k++ {
-		i, j := rng.Intn(500), rng.Intn(500)
-		if i != j {
-			b.AddConductance(i, j, rng.Float64())
-		}
-	}
-	m := b.Compress()
-	x := make([]float64, m.N)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	want := make([]float64, m.N)
-	m.MulVec(want, x)
-	for _, workers := range []int{1, 2, 8} {
-		got := make([]float64, m.N)
-		m.MulVecPar(got, x, workers, 64)
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: y[%d] = %g, serial %g (must be bit-identical)", workers, i, got[i], want[i])
-			}
-		}
-	}
-}
-
 // buildRandomStamps fills a builder with a deterministic pseudo-random
 // stamp stream containing duplicates, negatives, and ground ties.
 func buildRandomStamps(n, stamps int) *Builder {

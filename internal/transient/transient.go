@@ -172,9 +172,8 @@ func New(model *rmesh.Model, cfg Config, rhsInit []float64) (*Sim, error) {
 		b.Add(d.Node, d.Node, s.decapG[k])
 		s.vc[k] = model.VDD
 	}
-	// The stepped system is factored once and reused by every Step; one
-	// worker runs each step's kernels on the caller's goroutine.
-	solver, err := solve.New(b.Compress(), solve.Options{Method: solve.MethodCGIC0, Workers: 1})
+	// The stepped system is factored once and reused by every Step.
+	solver, err := solve.New(b.Compress(), solve.Options{Method: solve.MethodCGIC0})
 	if err != nil {
 		return nil, fmt.Errorf("transient: preconditioner: %w", err)
 	}

@@ -83,7 +83,6 @@ echo "wrote BENCH_lint.json (pdnlint ./... in ${lint_ms} ms, ${lint_findings} fi
 # the -convergence section: per-run condition estimates / terminations
 # from the solve flight recorder and the per-family iteration/κ envelope.
 # No timestamps or host data — the numbers move only when the corpus, the
-# solver registry, or solver numerics change (error magnitudes can wiggle
-# at the last digits with the worker count's reduction order).
+# solver registry, or solver numerics change.
 go run ./cmd/pdnbench -convergence -out BENCH_diff.json >/dev/null
 echo "wrote BENCH_diff.json ($(go run ./cmd/pdnbench -list | wc -l) corpus entries)"
