@@ -44,9 +44,7 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight work on shutdown")
 	logFormat := flag.String("log-format", obs.LogText, "log output format: text or json")
 	traceBuf := flag.Int("trace-buf", 0, "request traces retained for /debug/requests, per recent/slowest buffer (<= 0: default)")
-	noTrace := flag.Bool("no-trace", false, "disable request tracing (X-Trace-Id is still issued; /debug/requests stays empty)")
 	solveBuf := flag.Int("solve-buf", 0, "solve records retained for /debug/solves, per recent/worst buffer (<= 0: default)")
-	noSolveRec := flag.Bool("no-solve-rec", false, "disable the solve flight recorder (/debug/solves stays empty; solve histograms are not registered)")
 	healthInterval := flag.Duration("health-interval", obs.DefaultHealthInterval, "runtime-health gauge sampling period (0: disable the sampler)")
 	flag.Parse()
 
@@ -64,17 +62,15 @@ func main() {
 	}
 
 	s := serve.New(serve.Config{
-		Workers:             *workers,
-		MeshPitch:           *pitch,
-		MaxInFlight:         *maxInflight,
-		QueueWait:           *queueWait,
-		CacheSize:           *cacheSize,
-		MaxBatch:            *maxBatch,
-		TraceBufSize:        *traceBuf,
-		DisableTracing:      *noTrace,
-		SolveBufSize:        *solveBuf,
-		DisableSolveRecords: *noSolveRec,
-		Log:                 logger,
+		Workers:      *workers,
+		MeshPitch:    *pitch,
+		MaxInFlight:  *maxInflight,
+		QueueWait:    *queueWait,
+		CacheSize:    *cacheSize,
+		MaxBatch:     *maxBatch,
+		TraceBufSize: *traceBuf,
+		SolveBufSize: *solveBuf,
+		Log:          logger,
 	})
 	if *healthInterval > 0 {
 		// Runtime-health gauges (heap, goroutines, GC/scheduler pause p99s)
@@ -97,8 +93,7 @@ func main() {
 	go func() { errc <- httpSrv.ListenAndServe() }()
 	logger.Event("start",
 		obs.F("addr", *addr),
-		obs.F("log_format", *logFormat),
-		obs.F("tracing", !*noTrace))
+		obs.F("log_format", *logFormat))
 
 	select {
 	case err := <-errc:

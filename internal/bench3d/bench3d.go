@@ -46,6 +46,16 @@ type Benchmark struct {
 	ChannelOf func(die, bank int) int
 }
 
+// LogicFor returns the logic die's power model for spec, a design of this
+// benchmark: the benchmark's model exactly when spec mounts the stack on
+// the logic die, nil otherwise.
+func (b *Benchmark) LogicFor(spec *pdn.Spec) *powermap.LogicModel {
+	if !spec.OnLogic {
+		return nil
+	}
+	return b.LogicPower
+}
+
 // Space bounds the design space for one benchmark.
 type Space struct {
 	// M2Range and M3Range bound the layer VDD usages.

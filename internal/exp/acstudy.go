@@ -76,7 +76,7 @@ func (r *Runner) ACStudy() (*report.Table, error) {
 		if err != nil {
 			return outcome{}, err
 		}
-		dc, err := a.Analyze(defaultState(b), b.DefaultIO)
+		dc, err := r.analyze(b, spec, defaultState(b), b.DefaultIO)
 		if err != nil {
 			return outcome{}, err
 		}

@@ -32,7 +32,7 @@ func (r *Runner) CrowdingStudy() (*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := a.Analyze(defaultState(b), b.DefaultIO)
+		res, err := r.analyze(b, spec, defaultState(b), b.DefaultIO)
 		if err != nil {
 			return nil, err
 		}

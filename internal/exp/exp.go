@@ -19,7 +19,6 @@ import (
 	"pdn3d/internal/opt"
 	"pdn3d/internal/par"
 	"pdn3d/internal/pdn"
-	"pdn3d/internal/powermap"
 	"pdn3d/internal/speckey"
 )
 
@@ -36,20 +35,22 @@ type Config struct {
 	Workers int
 	// Obs, when non-nil, receives run metrics and, on its run trace, a
 	// span per experiment: mesh/solver instrumentation from the layers
-	// below, sweep pool metrics under "exp.sweep.*", and analyzer/LUT/fit
-	// cache hit rates. Results are identical with or without it.
+	// below, sweep pool metrics under "exp.sweep.*", and analyzer/result/
+	// LUT/fit cache hit rates. Results are identical with or without it.
 	Obs *obs.Registry
 }
 
-// Runner executes experiments, caching what they reuse: analyzers and
-// look-up tables across experiments that share a design, and each
-// benchmark's fitted co-optimizer across Table 9 and the regression study.
-// It is safe for concurrent use: cache misses on the same key are
-// deduplicated so each analyzer, table, and fit is built exactly once.
+// Runner executes experiments, caching what they reuse: analyzers,
+// answers and look-up tables across experiments that share a design, and
+// each benchmark's fitted co-optimizer across Table 9 and the regression
+// study. It is safe for concurrent use: cache misses on the same key are
+// deduplicated so each analyzer, answer, table, and fit is built exactly
+// once.
 type Runner struct {
 	Cfg Config
 
 	analyzers par.Cache[*irdrop.Analyzer]
+	results   par.Cache[*irdrop.Result]
 	luts      par.Cache[*lut.Table]
 	fits      par.Cache[*opt.Optimizer]
 	sweeps    *obs.SweepMetrics
@@ -62,6 +63,8 @@ func NewRunner(cfg Config) *Runner {
 	r.sweeps = reg.SweepMetrics("exp.sweep")
 	r.analyzers.Hits = reg.Counter("exp.analyzer_cache.hits")
 	r.analyzers.Misses = reg.Counter("exp.analyzer_cache.misses")
+	r.results.Hits = reg.Counter("exp.result_cache.hits")
+	r.results.Misses = reg.Counter("exp.result_cache.misses")
 	r.luts.Hits = reg.Counter("exp.lut_cache.hits")
 	r.luts.Misses = reg.Counter("exp.lut_cache.misses")
 	r.fits.Hits = reg.Counter("exp.fit_cache.hits")
@@ -139,41 +142,29 @@ func (r *Runner) prepare(spec *pdn.Spec) *pdn.Spec {
 	return s
 }
 
-// specKey fingerprints a design for the analyzer/LUT caches. The
-// implementation lives in internal/speckey so the serving layer's result
-// cache shares the exact same key contract.
-func specKey(s *pdn.Spec, withLogic bool) string {
-	return speckey.Spec(s, withLogic)
-}
-
-// logicFor returns the logic die's power model for spec, a design of
-// benchmark b: the benchmark's model when spec mounts the stack on the
-// logic die, nil otherwise.
-func logicFor(b *bench3d.Benchmark, spec *pdn.Spec) *powermap.LogicModel {
-	if !spec.OnLogic {
-		return nil
-	}
-	return b.LogicPower
-}
-
 // analyzer returns a cached analyzer for spec, a prepared design of
 // benchmark b, building its mesh exactly once even under concurrent
 // misses.
 func (r *Runner) analyzer(b *bench3d.Benchmark, spec *pdn.Spec) (*irdrop.Analyzer, error) {
-	logic := logicFor(b, spec)
-	return r.analyzers.Do(context.TODO(), specKey(spec, logic != nil), nil, func() (*irdrop.Analyzer, error) {
+	logic := b.LogicFor(spec)
+	return r.analyzers.Do(context.TODO(), speckey.Spec(spec, logic != nil), nil, func() (*irdrop.Analyzer, error) {
 		return irdrop.NewObs(spec, b.DRAMPower, logic, r.Cfg.Obs)
 	})
 }
 
 // analyze answers one design point: spec, a prepared design of benchmark
-// b, in memory state st at per-die I/O activity io.
+// b, in memory state st at per-die I/O activity io. Each point is solved
+// exactly once per runner, even under concurrent misses; experiments that
+// revisit a point (a baseline shared by several tables) share its answer.
 func (r *Runner) analyze(b *bench3d.Benchmark, spec *pdn.Spec, st memstate.State, io float64) (*irdrop.Result, error) {
-	a, err := r.analyzer(b, spec)
-	if err != nil {
-		return nil, err
-	}
-	return a.Analyze(st, io)
+	key := speckey.Point(speckey.Spec(spec, b.LogicFor(spec) != nil), st.Key(), io)
+	return r.results.Do(context.TODO(), key, nil, func() (*irdrop.Result, error) {
+		a, err := r.analyzer(b, spec)
+		if err != nil {
+			return nil, err
+		}
+		return a.Analyze(st, io)
+	})
 }
 
 // defaultState returns benchmark b's default memory state: its
@@ -191,7 +182,7 @@ func defaultState(b *bench3d.Benchmark) memstate.State {
 // design of benchmark b, building it exactly once even under concurrent
 // misses.
 func (r *Runner) lutFor(b *bench3d.Benchmark, spec *pdn.Spec) (*lut.Table, error) {
-	return r.luts.Do(context.TODO(), specKey(spec, logicFor(b, spec) != nil), nil, func() (*lut.Table, error) {
+	return r.luts.Do(context.TODO(), speckey.Spec(spec, b.LogicFor(spec) != nil), nil, func() (*lut.Table, error) {
 		a, err := r.analyzer(b, spec)
 		if err != nil {
 			return nil, err

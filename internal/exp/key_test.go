@@ -5,8 +5,10 @@ import (
 	"testing"
 
 	"pdn3d/internal/bench3d"
+	"pdn3d/internal/irdrop"
 	"pdn3d/internal/obs"
 	"pdn3d/internal/pdn"
+	"pdn3d/internal/speckey"
 )
 
 func baseSpec(t testing.TB) *pdn.Spec {
@@ -44,12 +46,12 @@ func TestSpecKeyDistinguishesSpecs(t *testing.T) {
 		{"AlignTSV", func(s *pdn.Spec) { s.AlignTSV = true }},
 		{"FailedTSVs", func(s *pdn.Spec) { s.FailedTSVs = map[int]bool{3: true} }},
 	}
-	baseKey := specKey(base, false)
+	baseKey := speckey.Spec(base, false)
 	seen := map[string]string{"base": baseKey}
 	for _, m := range muts {
 		s := base.Clone()
 		m.mut(s)
-		k := specKey(s, false)
+		k := speckey.Spec(s, false)
 		for prev, pk := range seen {
 			if k == pk {
 				t.Errorf("spec mutated by %q collides with %q:\n%s", m.name, prev, k)
@@ -57,7 +59,7 @@ func TestSpecKeyDistinguishesSpecs(t *testing.T) {
 		}
 		seen[m.name] = k
 	}
-	if k := specKey(base, true); k == baseKey {
+	if k := speckey.Spec(base, true); k == baseKey {
 		t.Error("withLogic must change the key")
 	}
 }
@@ -68,15 +70,16 @@ func TestSpecKeyStableAcrossClones(t *testing.T) {
 	base.FailedTSVs = map[int]bool{7: true, 2: true, 19: true}
 	c1, c2 := base.Clone(), base.Clone()
 	for i := 0; i < 20; i++ { // map iteration order must not leak in
-		if specKey(c1, true) != specKey(c2, true) {
+		if speckey.Spec(c1, true) != speckey.Spec(c2, true) {
 			t.Fatal("clones produced different keys")
 		}
 	}
 }
 
 // Hammer the Runner's caches from many goroutines: every distinct design
-// must be built exactly once, with one full mesh build and no restamp, and
-// all callers must share the one analyzer. Run with -race.
+// must be built exactly once, with one full mesh build and no restamp, its
+// one (state, io) point solved exactly once, and all callers must share
+// the one analyzer and the one answer. Run with -race.
 func TestRunnerConcurrentExactlyOnce(t *testing.T) {
 	b, err := bench3d.StackedDDR3Off()
 	if err != nil {
@@ -91,9 +94,13 @@ func TestRunnerConcurrentExactlyOnce(t *testing.T) {
 		specs[i] = s
 	}
 	const goroutinesPerSpec = 12
-	got := make([][]interface{}, len(specs))
-	for i := range got {
-		got[i] = make([]interface{}, goroutinesPerSpec)
+	type got struct {
+		a   *irdrop.Analyzer
+		res *irdrop.Result
+	}
+	gots := make([][]got, len(specs))
+	for i := range gots {
+		gots[i] = make([]got, goroutinesPerSpec)
 	}
 	var wg sync.WaitGroup
 	for si, s := range specs {
@@ -106,12 +113,12 @@ func TestRunnerConcurrentExactlyOnce(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				// Drive a real analysis through the shared analyzer too.
-				if _, err := a.AnalyzeCounts(b.DefaultCounts, b.DefaultIO); err != nil {
+				res, err := r.analyze(b, s, defaultState(b), b.DefaultIO)
+				if err != nil {
 					t.Error(err)
 					return
 				}
-				got[si][g] = a
+				gots[si][g] = got{a, res}
 			}(si, g, s)
 		}
 	}
@@ -119,10 +126,13 @@ func TestRunnerConcurrentExactlyOnce(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	for si := range got {
+	for si := range gots {
 		for g := 1; g < goroutinesPerSpec; g++ {
-			if got[si][g] != got[si][0] {
+			if gots[si][g].a != gots[si][0].a {
 				t.Errorf("spec %d: goroutine %d got a different analyzer — built more than once", si, g)
+			}
+			if gots[si][g].res != gots[si][0].res {
+				t.Errorf("spec %d: goroutine %d got a different answer — solved more than once", si, g)
 			}
 		}
 	}
@@ -136,10 +146,8 @@ func TestRunnerConcurrentExactlyOnce(t *testing.T) {
 	}
 	// Each design's (state, io) point must have been solved exactly once in
 	// total, despite 12 concurrent callers.
-	for si := range specs {
-		a := got[si][0].(interface{ Solves() int })
-		if n := a.Solves(); n != 1 {
-			t.Errorf("spec %d: %d solves for one distinct (state, io) key", si, n)
-		}
+	if misses, solves := counters["exp.result_cache.misses"], counters["rmesh.solves"]; misses != int64(len(specs)) || solves != int64(len(specs)) {
+		t.Errorf("exp.result_cache.misses %d, rmesh.solves %d: want one per distinct point (%d)",
+			misses, solves, len(specs))
 	}
 }

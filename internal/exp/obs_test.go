@@ -37,7 +37,7 @@ func TestMetricsDeterministicAcrossWorkers(t *testing.T) {
 	}
 	// The snapshot must actually cover the instrumented layers, or the
 	// comparison above proves nothing.
-	for _, name := range []string{"exp.sweep.tasks_completed", "rmesh.builds", "irdrop.result_cache.misses"} {
+	for _, name := range []string{"exp.sweep.tasks_completed", "rmesh.builds", "exp.result_cache.misses"} {
 		if !bytes.Contains(serial, []byte(name)) {
 			t.Errorf("snapshot is missing %q:\n%s", name, serial)
 		}

@@ -24,11 +24,7 @@ const balanceBound = 1e-6
 // benchmark b, with b's logic load when spec puts it on the stack.
 func designAnalyzer(t *testing.T, b *bench3d.Benchmark, spec *pdn.Spec) *irdrop.Analyzer {
 	t.Helper()
-	logic := b.LogicPower
-	if !spec.OnLogic {
-		logic = nil
-	}
-	a, err := irdrop.New(spec, b.DRAMPower, logic)
+	a, err := irdrop.New(spec, b.DRAMPower, b.LogicFor(spec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,10 +107,7 @@ func TestTermResponsesBalanceKirchhoff(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, b := range bs {
-		logic := b.LogicPower
-		if !b.Spec.OnLogic {
-			logic = nil
-		}
+		logic := b.LogicFor(b.Spec)
 		a, err := irdrop.New(b.Spec, b.DRAMPower, logic)
 		if err != nil {
 			t.Fatal(err)

@@ -4,24 +4,24 @@
 // IR drops that every experiment in the paper is built on.
 //
 // An Analyzer reuses its conductance matrix and solver set-up across
-// memory states (only the right-hand side changes) and memoizes results by
-// state, which keeps design-space sweeps cheap — the same property the
-// paper exploits by replacing EPS extraction with the R-Mesh (§2.2).
-// Look-up-table generation goes further: the mesh is linear and a state's
-// loads are a weighted sum of fixed unit load terms (Term), so ResponseCtx
-// solves one response per term and the table's states are weighted sums
-// of those responses.
+// memory states (only the right-hand side changes), which keeps
+// design-space sweeps cheap — the same property the paper exploits by
+// replacing EPS extraction with the R-Mesh (§2.2). It keeps no answers:
+// every analysis runs one solve, and a caller that repeats points keeps
+// their answers itself (exp.Runner and the serving layer each key theirs
+// by speckey.Point). Look-up-table generation goes further: the mesh is
+// linear and a state's loads are a weighted sum of fixed unit load terms
+// (Term), so ResponseCtx solves one response per term and the table's
+// states are weighted sums of those responses.
 package irdrop
 
 import (
 	"context"
 	"fmt"
-	"strconv"
 	"sync/atomic"
 
 	"pdn3d/internal/memstate"
 	"pdn3d/internal/obs"
-	"pdn3d/internal/par"
 	"pdn3d/internal/pdn"
 	"pdn3d/internal/powermap"
 	"pdn3d/internal/rmesh"
@@ -48,9 +48,8 @@ type Analyzer struct {
 	// first Analyze call.
 	SolveRecords *obs.SolveBuffer
 
-	results par.Cache[*Result]
-	solves  atomic.Int64
-	obs     *obs.Registry
+	solves atomic.Int64
+	obs    *obs.Registry
 }
 
 // Result is one IR-drop analysis outcome.
@@ -86,9 +85,8 @@ func New(spec *pdn.Spec, dramPower *powermap.DRAMModel, logicPower *powermap.Log
 }
 
 // NewObs is New with instrumentation: the mesh build, solver setup, and
-// every solve report into reg, and the analyzer's result memoization
-// reports hit/miss counts under "irdrop.result_cache.*". A nil registry
-// disables instrumentation; analysis results are identical either way.
+// every solve report into reg. A nil registry disables instrumentation;
+// analysis results are identical either way.
 func NewObs(spec *pdn.Spec, dramPower *powermap.DRAMModel, logicPower *powermap.LogicModel, reg *obs.Registry) (*Analyzer, error) {
 	if err := validatePowers(spec, dramPower, logicPower); err != nil {
 		return nil, err
@@ -105,20 +103,14 @@ func NewObs(spec *pdn.Spec, dramPower *powermap.DRAMModel, logicPower *powermap.
 // restamped matrix is bit-identical to a full build's, so analysis
 // results are too. spec must share t's topology key.
 func NewFromTopology(t *rmesh.Topology, spec *pdn.Spec, dramPower *powermap.DRAMModel, logicPower *powermap.LogicModel) (*Analyzer, error) {
-	return NewFromTopologyObs(t, spec, dramPower, logicPower, nil)
-}
-
-// NewFromTopologyObs is NewFromTopology with instrumentation (see NewObs);
-// the mesh reports under "rmesh.restamps" instead of "rmesh.builds".
-func NewFromTopologyObs(t *rmesh.Topology, spec *pdn.Spec, dramPower *powermap.DRAMModel, logicPower *powermap.LogicModel, reg *obs.Registry) (*Analyzer, error) {
 	if err := validatePowers(spec, dramPower, logicPower); err != nil {
 		return nil, err
 	}
-	m, err := t.NewModelObs(spec, reg)
+	m, err := t.NewModel(spec)
 	if err != nil {
 		return nil, err
 	}
-	return newAnalyzer(m, dramPower, logicPower, reg), nil
+	return newAnalyzer(m, dramPower, logicPower, nil), nil
 }
 
 func validatePowers(spec *pdn.Spec, dramPower *powermap.DRAMModel, logicPower *powermap.LogicModel) error {
@@ -137,49 +129,38 @@ func validatePowers(spec *pdn.Spec, dramPower *powermap.DRAMModel, logicPower *p
 }
 
 func newAnalyzer(m *rmesh.Model, dramPower *powermap.DRAMModel, logicPower *powermap.LogicModel, reg *obs.Registry) *Analyzer {
-	a := &Analyzer{
+	return &Analyzer{
 		Model:      m,
 		DRAMPower:  dramPower,
 		LogicPower: logicPower,
 		Opts:       solve.Options{CGOptions: solve.CGOptions{Tol: 1e-8, MaxIter: 60000}, Obs: reg},
 		obs:        reg,
 	}
-	a.results.Hits = reg.Counter("irdrop.result_cache.hits")
-	a.results.Misses = reg.Counter("irdrop.result_cache.misses")
-	return a
 }
 
 // Spec returns the analyzed design.
 func (a *Analyzer) Spec() *pdn.Spec { return a.Model.Spec }
 
-// Analyze is AnalyzeCtx without cancellation, memoized by (state, io).
-// Analyze is safe for concurrent use: the conductance matrix is immutable
-// after Build, each solve works on its own vectors, and concurrent misses
-// on the same key are deduplicated so every (state, io) pair is solved
-// exactly once.
+// Analyze is AnalyzeCtx without cancellation.
 func (a *Analyzer) Analyze(state memstate.State, io float64) (*Result, error) {
-	key := state.Key() + "@" + strconv.FormatFloat(io, 'g', -1, 64)
-	return a.results.Do(context.TODO(), key, nil, func() (*Result, error) {
-		return a.AnalyzeCtx(context.Background(), state, io)
-	})
+	return a.AnalyzeCtx(context.Background(), state, io)
 }
 
-// Solves reports how many nodal solves the analyzer has run — cache hits
-// and deduplicated concurrent misses do not count. Exposed for the
-// exactly-once concurrency tests and solve-count accounting.
+// Solves reports how many nodal solves the analyzer has run. Exposed for
+// solve-count accounting in tests.
 func (a *Analyzer) Solves() int { return int(a.solves.Load()) }
 
 // AnalyzeCtx solves the design under the given memory state and I/O
-// activity, with cooperative cancellation and WITHOUT the analyzer's
-// unbounded memoization: ctx is polled at every solver iteration, so an
-// abandoned request stops at the next iteration boundary. The serving
-// layer uses this — it brings its own bounded cache, and per-request
-// cancellation must not poison a shared memo entry that other callers
-// would then retry. When ctx carries a request-trace span (obs.WithSpan),
-// the analysis records "stamp" and "solve" child spans under it, the
-// latter annotated with the solver's iteration count; with no span in ctx
-// tracing is a no-op. Every solve starts from zero, so a completed solve
-// returns values identical to Analyze's.
+// activity, with cooperative cancellation: ctx is polled at every solver
+// iteration, so an abandoned request stops at the next iteration
+// boundary. Every call runs one solve, from zero, so a completed solve's
+// answer depends on nothing but the design, state and activity; callers
+// that repeat points keep their own answers. When ctx carries a
+// request-trace span (obs.WithSpan), the analysis records "stamp" and
+// "solve" child spans under it, the latter annotated with the solver's
+// iteration count; with no span in ctx tracing is a no-op. AnalyzeCtx is
+// safe for concurrent use: the conductance matrix is immutable after
+// Build and each solve works on its own vectors.
 func (a *Analyzer) AnalyzeCtx(ctx context.Context, state memstate.State, io float64) (*Result, error) {
 	defer a.obs.Timer("irdrop.analyze_time").Start()()
 	spec := a.Spec()
@@ -271,8 +252,7 @@ func (t Term) String() string {
 //
 // Like AnalyzeCtx, ResponseCtx polls ctx at every solver iteration,
 // records "stamp" and "solve" spans under ctx's span and commits a solve
-// record carrying the response's Kirchhoff balance. It keeps nothing in
-// the per-state memo.
+// record carrying the response's Kirchhoff balance.
 func (a *Analyzer) ResponseCtx(ctx context.Context, t Term) ([]float64, error) {
 	stamp := obs.SpanFrom(ctx).Child("stamp")
 	rhs := make([]float64, a.Model.N())
@@ -342,7 +322,7 @@ func (a *Analyzer) AnalyzeCounts(counts []int, io float64) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return a.Analyze(st, io)
+	return a.AnalyzeCtx(context.Background(), st, io)
 }
 
 // LoadedRHS assembles the folded right-hand side for a state without

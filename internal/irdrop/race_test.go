@@ -1,15 +1,16 @@
 package irdrop
 
 import (
+	"math"
 	"sync"
 	"testing"
 
 	"pdn3d/internal/powermap"
 )
 
-// Hammer the analyzer from many goroutines: every distinct (state, io) key
-// must be solved exactly once (singleflight), all callers of one key must
-// get the same *Result, and the whole thing must be clean under -race.
+// Hammer the analyzer from many goroutines: every call must run exactly
+// one solve of its own, all callers of one (state, io) point must get
+// bit-identical IR vectors, and the whole thing must be clean under -race.
 func TestAnalyzeConcurrentExactlyOnce(t *testing.T) {
 	a, err := New(coarseSpec(t), powermap.StackedDDR3Power(), nil)
 	if err != nil {
@@ -51,13 +52,21 @@ func TestAnalyzeConcurrentExactlyOnce(t *testing.T) {
 		return
 	}
 	for pi := range results {
+		want := results[pi][0].IR
 		for g := 1; g < goroutinesPerPoint; g++ {
-			if results[pi][g] != results[pi][0] {
-				t.Errorf("point %d: goroutine %d got a different *Result — key solved more than once", pi, g)
+			got := results[pi][g].IR
+			if len(got) != len(want) {
+				t.Fatalf("point %d: goroutine %d got %d nodes, want %d", pi, g, len(got), len(want))
+			}
+			for k := range want {
+				if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+					t.Errorf("point %d: goroutine %d node %d = %g, want %g bit for bit", pi, g, k, got[k], want[k])
+					break
+				}
 			}
 		}
 	}
-	if got := a.Solves(); got != len(points) {
-		t.Errorf("analyzer ran %d solves for %d distinct keys; want exactly one each", got, len(points))
+	if got, want := a.Solves(), len(points)*goroutinesPerPoint; got != want {
+		t.Errorf("analyzer ran %d solves for %d calls; want exactly one each", got, want)
 	}
 }

@@ -20,11 +20,7 @@ func analyzerFor(t *testing.T, b *bench3d.Benchmark, pitch float64) *irdrop.Anal
 	if pitch > 0 {
 		spec.MeshPitch = pitch
 	}
-	logic := b.LogicPower
-	if !spec.OnLogic {
-		logic = nil
-	}
-	a, err := irdrop.New(spec, b.DRAMPower, logic)
+	a, err := irdrop.New(spec, b.DRAMPower, b.LogicFor(spec))
 	if err != nil {
 		t.Fatal(err)
 	}

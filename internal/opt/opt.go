@@ -166,11 +166,7 @@ func (o *Optimizer) measure(c Candidate) (float64, int, error) {
 	if o.MeshPitch > 0 {
 		spec.MeshPitch = o.MeshPitch
 	}
-	var logic = o.Bench.LogicPower
-	if !spec.OnLogic {
-		logic = nil
-	}
-	a, err := irdrop.NewObs(spec, o.Bench.DRAMPower, logic, o.Obs)
+	a, err := irdrop.NewObs(spec, o.Bench.DRAMPower, o.Bench.LogicFor(spec), o.Obs)
 	if err != nil {
 		return 0, 0, err
 	}

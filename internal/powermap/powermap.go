@@ -190,9 +190,6 @@ func (m *DRAMModel) DiePower(nActive int, io float64) float64 {
 	return m.Scale * (idle + m.BankPower*float64(nActive) + v)
 }
 
-// IdlePower returns the standby power of an idle die.
-func (m *DRAMModel) IdlePower() float64 { return m.DiePower(0, m.Anchors[0].IO) }
-
 // Weights returns the two I/O-dependent weights of a die's load patterns
 // at activity io, both in mW: idle, the standby power every die draws
 // (StandbyLoads), and ioP, the I/O power an active die adds on top of its

@@ -187,11 +187,7 @@ func (q Query) ResolveDesign() (*Resolved, error) {
 	if err := rmesh.CheckSize(spec); err != nil {
 		return nil, fieldErr("pitch", "%v", err)
 	}
-	r := &Resolved{Query: q, Bench: b, Spec: spec}
-	if spec.OnLogic {
-		r.Logic = b.LogicPower
-	}
-	return r, nil
+	return &Resolved{Query: q, Bench: b, Spec: spec, Logic: b.LogicFor(spec)}, nil
 }
 
 // Resolve validates the query, loads its benchmark, applies the packaging
@@ -226,12 +222,7 @@ func (r *Resolved) SpecKey() string {
 
 // CacheKey canonically identifies the full analysis (design, explicit
 // state, I/O activity): the serving layer's result-cache and singleflight
-// key. Length-prefixed framing keeps the three parts from absorbing each
-// other.
+// key, the same speckey.Point the experiment runner keys its answers by.
 func (r *Resolved) CacheKey() string {
-	var k speckey.Builder
-	k.Str(r.SpecKey())
-	k.Str(r.State.Key())
-	k.Float(r.Query.IO)
-	return k.String()
+	return speckey.Point(r.SpecKey(), r.State.Key(), r.Query.IO)
 }

@@ -61,13 +61,6 @@ func (l *Layer) Contains(n int) bool {
 	return n >= l.Offset && n < l.Offset+l.Grid.N()
 }
 
-// Pos returns the physical position of global node n (which must belong to
-// this layer).
-func (l *Layer) Pos(n int) geom.Point {
-	i, j := l.Grid.Coords(n - l.Offset)
-	return l.Grid.Pos(i, j)
-}
-
 func (l *Layer) String() string {
 	return fmt.Sprintf("%s[%dx%d @%d]", l.Key, l.Grid.NX, l.Grid.NY, l.Offset)
 }

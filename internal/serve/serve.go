@@ -103,19 +103,10 @@ type Config struct {
 	// most recent and N slowest request traces); <= 0 selects
 	// obs.DefaultRetainCap.
 	TraceBufSize int
-	// DisableTracing turns off request-scoped trace recording: responses
-	// still carry X-Trace-Id and latency telemetry still flows, but no
-	// phase spans are recorded, nothing reaches /debug/requests, and the
-	// solver layers see nil spans (their no-op path).
-	DisableTracing bool
 	// SolveBufSize bounds each /debug/solves retention class (the N most
 	// recent and N worst-by-iterations solve records); <= 0 selects
 	// obs.DefaultRetainCap.
 	SolveBufSize int
-	// DisableSolveRecords turns off the solve flight recorder: solves run
-	// with a nil recorder (their no-op path), /debug/solves serves empty
-	// lists, and the iterations/condition histograms stay at zero.
-	DisableSolveRecords bool
 
 	// Log receives one structured access record per request; nil
 	// disables access logging.
@@ -200,17 +191,14 @@ func New(cfg Config) *Server {
 	s.rejectedDraining = s.reg.Counter("serve.admission.rejected_draining")
 
 	s.traces = obs.NewRetain(cfg.TraceBufSize, func(ts obs.TraceSnapshot) float64 { return ts.DurMS })
-	if !cfg.DisableSolveRecords {
-		// Solve iteration counts, condition estimates and balances are
-		// deterministic for one workload (the recorded shapes are worker-
-		// count-independent by the solver contract), so these histograms
-		// join the deterministic snapshot — unlike the wall-clock latency
-		// ones.
-		s.solves = obs.NewSolveBuffer(cfg.SolveBufSize)
-		s.solves.IterHist = s.reg.Histogram("serve.solve.iterations", solveIterBounds)
-		s.solves.CondHist = s.reg.Histogram("serve.solve.cond_est", solveCondBounds)
-		s.solves.BalanceHist = s.reg.Histogram("serve.solve.balance", solveBalanceBounds)
-	}
+	// Solve iteration counts, condition estimates and balances are
+	// deterministic for one workload (the recorded shapes are worker-
+	// count-independent by the solver contract), so these histograms join
+	// the deterministic snapshot — unlike the wall-clock latency ones.
+	s.solves = obs.NewSolveBuffer(cfg.SolveBufSize)
+	s.solves.IterHist = s.reg.Histogram("serve.solve.iterations", solveIterBounds)
+	s.solves.CondHist = s.reg.Histogram("serve.solve.cond_est", solveCondBounds)
+	s.solves.BalanceHist = s.reg.Histogram("serve.solve.balance", solveBalanceBounds)
 	s.log = cfg.Log
 	s.ep = map[string]*epMetrics{
 		"analyze": newEPMetrics(s.reg, "analyze"),
@@ -326,20 +314,14 @@ func (s *Server) throttled(name string, h http.HandlerFunc) http.HandlerFunc {
 				return
 			}
 			defer release()
-			ctx := req.Context()
-			if !s.cfg.DisableTracing {
-				ctx = obs.WithSpan(obs.WithTrace(ctx, tr), root)
-			}
-			h(sw, req.WithContext(ctx))
+			h(sw, req.WithContext(obs.WithSpan(obs.WithTrace(req.Context(), tr), root)))
 		}()
 		ep.inflight.Add(-1)
 		root.End()
 		tr.Finish()
 		snap := tr.Snapshot()
 		ep.observe(sw.status, queueWait, tr.Dur())
-		if !s.cfg.DisableTracing {
-			s.traces.Add(snap)
-		}
+		s.traces.Add(snap)
 		s.logRequest(name, req, sw, snap, queueWait)
 	}
 }
@@ -537,8 +519,7 @@ func (s *Server) analyzerFor(ctx context.Context, r *query.Resolved) (*irdrop.An
 			return nil, err
 		}
 		a.Opts.Method = s.cfg.method
-		// All designs share the server's one solve buffer (nil when
-		// recording is disabled — the analyzer's no-op path).
+		// All designs share the server's one solve buffer.
 		a.SolveRecords = s.solves
 		return a, nil
 	})

@@ -69,25 +69,6 @@ func TestDebugSolvesEndpoint(t *testing.T) {
 	}
 }
 
-func TestDebugSolvesDisabled(t *testing.T) {
-	s, ts := newTestServer(t, Config{DisableSolveRecords: true})
-	post(t, ts.URL+"/v1/analyze", goodQuery)
-	resp, body := getBody(t, ts.URL+"/debug/solves")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d, want 200 with recording disabled", resp.StatusCode)
-	}
-	var b debugBody[obs.SolveRecord]
-	if err := json.Unmarshal(body, &b); err != nil {
-		t.Fatal(err)
-	}
-	if b.Added != 0 || len(b.Recent) != 0 || len(b.Worst) != 0 {
-		t.Fatalf("records retained with recording disabled: %s", body)
-	}
-	if _, ok := s.reg.Snapshot().Histograms["serve.solve.iterations"]; ok {
-		t.Error("solve histograms registered with recording disabled")
-	}
-}
-
 // paperBenches are the four packaging configurations of the source paper
 // — the workload the worker-count determinism contract is pinned on.
 var paperBenches = []string{"ddr3-off", "ddr3-on", "wideio", "hmc"}

@@ -190,25 +190,6 @@ func TestBatchTraceDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-func TestDisableTracing(t *testing.T) {
-	_, ts := newTestServer(t, Config{DisableTracing: true})
-	resp, _ := post(t, ts.URL+"/v1/analyze", goodQuery)
-	if id := resp.Header.Get("X-Trace-Id"); !obs.ValidTraceID(id) {
-		t.Fatalf("disabled tracing must still issue X-Trace-Id, got %q", id)
-	}
-	dresp, dbody := getBody(t, ts.URL+"/debug/requests")
-	if dresp.StatusCode != http.StatusOK {
-		t.Fatalf("/debug/requests status = %d", dresp.StatusCode)
-	}
-	var b debugBody[obs.TraceSnapshot]
-	if err := json.Unmarshal(dbody, &b); err != nil {
-		t.Fatal(err)
-	}
-	if b.Added != 0 || len(b.Recent) != 0 || len(b.Slowest) != 0 {
-		t.Fatalf("disabled tracing retained traces: %s", dbody)
-	}
-}
-
 // debugBody decodes either /debug/* list body.
 type debugBody[T any] struct {
 	Added                  int64
@@ -219,7 +200,7 @@ type debugBody[T any] struct {
 // field order added, recent, then slowest or worst, with empty lists
 // rendered as [].
 func TestDebugListShape(t *testing.T) {
-	_, ts := newTestServer(t, Config{DisableSolveRecords: true})
+	_, ts := newTestServer(t, Config{})
 	for _, c := range []struct{ path, want string }{
 		{"/debug/requests", `{"added":0,"recent":[],"slowest":[]}` + "\n"},
 		{"/debug/solves", `{"added":0,"recent":[],"worst":[]}` + "\n"},

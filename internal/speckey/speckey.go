@@ -1,8 +1,9 @@
-// Package speckey canonically fingerprints pdn.Spec designs for cache
-// keys. One implementation serves every caching layer — the experiment
-// runner's analyzer/LUT caches and the serving layer's result cache — so
-// the cache-key contract ("distinct designs cannot collide, identical
-// designs always hit") is defined in exactly one place.
+// Package speckey canonically fingerprints pdn.Spec designs and analysis
+// points for cache keys. One implementation serves every caching layer —
+// the experiment runner's analyzer, LUT and result caches and the serving
+// layer's result cache — so the cache-key contract ("distinct designs
+// cannot collide, identical designs always hit") is defined in exactly
+// one place.
 package speckey
 
 import (
@@ -127,5 +128,17 @@ func Spec(s *pdn.Spec, withLogic bool) string {
 	var k Builder
 	k.Str(Topology(s))
 	k.Str(Values(s, withLogic))
+	return k.String()
+}
+
+// Point fingerprints one analysis: a design's Spec key, a memory state's
+// canonical key (memstate.State.Key: exact bank placement, not just
+// counts) and the per-die I/O activity. It keys every per-point answer
+// cache, the experiment runner's and the serving layer's alike.
+func Point(designKey, stateKey string, io float64) string {
+	var k Builder
+	k.Str(designKey)
+	k.Str(stateKey)
+	k.Float(io)
 	return k.String()
 }

@@ -119,3 +119,18 @@ func TestSpecIsFramedSplit(t *testing.T) {
 		t.Fatal("Spec is not the framed Topology+Values concatenation")
 	}
 }
+
+// Point is the framed concatenation of its three parts, so a design key,
+// a state key and an activity can never absorb one another.
+func TestPointIsFramed(t *testing.T) {
+	var k speckey.Builder
+	k.Str("design")
+	k.Str("state")
+	k.Float(0.25)
+	if got := speckey.Point("design", "state", 0.25); got != k.String() {
+		t.Fatalf("Point = %q, want the framed concatenation %q", got, k.String())
+	}
+	if speckey.Point("ab", "c", 1) == speckey.Point("a", "bc", 1) {
+		t.Error("framing collision between the design and state keys")
+	}
+}

@@ -3,8 +3,8 @@
 # solver-side benchmark suite once and compares every fresh line against
 # the committed snapshot.
 #
-#   - iters_per_solve: deterministic integers from the sharded kernels,
-#     compared exactly. Any drift — a regression or an improvement —
+#   - iters_per_solve: deterministic integers (the CG kernels are serial
+#     and sum their reductions in a fixed block order), compared exactly. Any drift — a regression or an improvement —
 #     must be acknowledged by refreshing the snapshot
 #     (scripts/bench_snapshot.sh), so the committed convergence story
 #     never goes stale.
