@@ -7,25 +7,18 @@
 //
 //	go run ./cmd/pdnlint ./...
 //
-// Findings print one per line as file:line:col: message (analyzer); the
-// exit status is 1 if any error-severity finding remains, so CI can
-// gate on it. With -json the findings are emitted as a JSON array
-// instead (fields analyzer, file, line, col, severity, message; paths
-// relative to the working directory).
+// Findings print one per line as file:line:col: message (analyzer), and
+// the exit status is 1 if any finding remains, so CI can gate on it.
+// With -json the findings are emitted as a JSON array instead (fields
+// analyzer, file, line, col, message; paths relative to the working
+// directory).
 //
-// A finding that is a deliberate, justified exception can be waived in
-// place:
+// A finding that is a deliberate, justified exception is waived in
+// place — the one way to waive a finding:
 //
 //	//pdnlint:ignore <analyzer> <reason>
 //
 // Stale or malformed waivers are themselves findings (unusedsuppress).
-// For gradual adoption of a new analyzer, pre-existing findings can be
-// parked in a lint.baseline file (-baseline; tab-separated analyzer,
-// path, message per line) — baselined findings do not gate, and stale
-// baseline entries are reported so the file only shrinks. -severity
-// downgrades or disables whole analyzers, e.g.
-//
-//	pdnlint -severity ctxflow=warn,walltime=off ./...
 package main
 
 import (
@@ -33,17 +26,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"pdn3d/internal/lint"
-	"pdn3d/internal/lint/baseline"
 )
 
-var (
-	jsonFlag     = flag.Bool("json", false, "emit findings as a JSON array instead of plain lines")
-	baselineFlag = flag.String("baseline", "lint.baseline", "baseline file of allowlisted findings (missing file = empty baseline)")
-	severityFlag = flag.String("severity", "", "comma-separated per-analyzer overrides, e.g. ctxflow=warn,walltime=off")
-)
+var jsonFlag = flag.Bool("json", false, "emit findings as a JSON array instead of plain lines")
 
 func main() {
 	flag.Usage = usage
@@ -58,34 +45,7 @@ func main() {
 	}
 }
 
-func parseSeverity(spec string) (map[string]lint.Severity, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	out := map[string]lint.Severity{}
-	for _, part := range strings.Split(spec, ",") {
-		name, level, ok := strings.Cut(strings.TrimSpace(part), "=")
-		if !ok || name == "" {
-			return nil, fmt.Errorf("bad -severity element %q (want analyzer=level)", part)
-		}
-		sev, err := lint.ParseSeverity(level)
-		if err != nil {
-			return nil, fmt.Errorf("-severity %s: %v", name, err)
-		}
-		out[name] = sev
-	}
-	return out, nil
-}
-
 func run(patterns []string) error {
-	severity, err := parseSeverity(*severityFlag)
-	if err != nil {
-		return err
-	}
-	base, err := baseline.LoadFile(*baselineFlag)
-	if err != nil {
-		return err
-	}
 	root, err := filepath.Abs(".")
 	if err != nil {
 		return err
@@ -94,12 +54,7 @@ func run(patterns []string) error {
 	if err != nil {
 		return err
 	}
-	findings, err := lint.RunWith(prog, lint.Suite(), lint.Options{
-		Severity:     severity,
-		Baseline:     base,
-		BaselinePath: *baselineFlag,
-		Root:         root,
-	})
+	findings, err := lint.Run(prog, lint.Suite())
 	if err != nil {
 		return err
 	}
@@ -109,14 +64,10 @@ func run(patterns []string) error {
 		}
 	} else {
 		for _, f := range findings {
-			if f.Severity == lint.SeverityWarn {
-				fmt.Printf("%s [warn]\n", f)
-			} else {
-				fmt.Println(f)
-			}
+			fmt.Println(f)
 		}
 	}
-	if lint.ErrorCount(findings) > 0 {
+	if len(findings) > 0 {
 		os.Exit(1)
 	}
 	return nil

@@ -33,11 +33,6 @@ func (p Point) Dist(q Point) float64 {
 	return math.Hypot(p.X-q.X, p.Y-q.Y)
 }
 
-// ManhattanDist returns the L1 distance between p and q.
-func (p Point) ManhattanDist(q Point) float64 {
-	return math.Abs(p.X-q.X) + math.Abs(p.Y-q.Y)
-}
-
 func (p Point) String() string { return fmt.Sprintf("(%.3f,%.3f)", p.X, p.Y) }
 
 // Rect is an axis-aligned rectangle [X0,X1) x [Y0,Y1) in mm.
@@ -47,14 +42,6 @@ type Rect struct {
 
 // R builds a rectangle from its lower-left corner and size.
 func R(x, y, w, h float64) Rect { return Rect{x, y, x + w, y + h} }
-
-// RectFromCorners builds a rectangle from two opposite corners in any order.
-func RectFromCorners(a, b Point) Rect {
-	return Rect{
-		X0: math.Min(a.X, b.X), Y0: math.Min(a.Y, b.Y),
-		X1: math.Max(a.X, b.X), Y1: math.Max(a.Y, b.Y),
-	}
-}
 
 // W returns the rectangle width.
 func (r Rect) W() float64 { return r.X1 - r.X0 }
@@ -109,11 +96,6 @@ func (r Rect) Translate(p Point) Rect {
 // MirrorX mirrors the rectangle about the vertical line x = axis.
 func (r Rect) MirrorX(axis float64) Rect {
 	return Rect{2*axis - r.X1, r.Y0, 2*axis - r.X0, r.Y1}
-}
-
-// MirrorY mirrors the rectangle about the horizontal line y = axis.
-func (r Rect) MirrorY(axis float64) Rect {
-	return Rect{r.X0, 2*axis - r.Y1, r.X1, 2*axis - r.Y0}
 }
 
 func (r Rect) String() string {

@@ -23,9 +23,6 @@ func TestPointDist(t *testing.T) {
 	if d := Pt(0, 0).Dist(Pt(3, 4)); math.Abs(d-5) > 1e-12 {
 		t.Errorf("Dist = %g, want 5", d)
 	}
-	if d := Pt(1, 1).ManhattanDist(Pt(-2, 3)); math.Abs(d-5) > 1e-12 {
-		t.Errorf("ManhattanDist = %g, want 5", d)
-	}
 }
 
 func TestRectBasics(t *testing.T) {
@@ -44,13 +41,6 @@ func TestRectBasics(t *testing.T) {
 	}
 	if !(Rect{}).Empty() {
 		t.Error("zero rect should be empty")
-	}
-}
-
-func TestRectFromCorners(t *testing.T) {
-	r := RectFromCorners(Pt(3, 4), Pt(1, 2))
-	if r != (Rect{1, 2, 3, 4}) {
-		t.Errorf("RectFromCorners = %v", r)
 	}
 }
 
@@ -111,9 +101,6 @@ func TestRectInsetTranslateMirror(t *testing.T) {
 	if got := r.MirrorX(3); got != (Rect{1, 1, 5, 3}) {
 		t.Errorf("MirrorX = %v", got)
 	}
-	if got := r.MirrorY(2); got != (Rect{1, 1, 5, 3}) {
-		t.Errorf("MirrorY = %v", got)
-	}
 }
 
 func TestMirrorPreservesArea(t *testing.T) {
@@ -122,9 +109,7 @@ func TestMirrorPreservesArea(t *testing.T) {
 		w, h = math.Abs(norm(w))+0.01, math.Abs(norm(h))+0.01
 		r := R(x, y, w, h)
 		mx := r.MirrorX(axis)
-		my := r.MirrorY(axis)
-		return approx(mx.Area(), r.Area()) && approx(my.Area(), r.Area()) &&
-			approx(mx.MirrorX(axis).X0, r.X0) && approx(my.MirrorY(axis).Y0, r.Y0)
+		return approx(mx.Area(), r.Area()) && approx(mx.MirrorX(axis).X0, r.X0)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

@@ -62,9 +62,6 @@ func (g Grid) StepY() float64 { return g.Outline.H() / float64(g.NY-1) }
 // Index maps grid coordinates to the linear node index.
 func (g Grid) Index(i, j int) int { return j*g.NX + i }
 
-// Coords maps a linear node index back to grid coordinates.
-func (g Grid) Coords(idx int) (i, j int) { return idx % g.NX, idx / g.NX }
-
 // Pos returns the physical location of node (i, j).
 func (g Grid) Pos(i, j int) Point {
 	return Point{
@@ -116,18 +113,6 @@ func (g Grid) NodesIn(r Rect) []int {
 		for i := i0; i <= i1; i++ {
 			out = append(out, g.Index(i, j))
 		}
-	}
-	return out
-}
-
-// EdgeNodes returns the indices of nodes lying on the grid boundary.
-func (g Grid) EdgeNodes() []int {
-	out := make([]int, 0, 2*g.NX+2*g.NY)
-	for i := 0; i < g.NX; i++ {
-		out = append(out, g.Index(i, 0), g.Index(i, g.NY-1))
-	}
-	for j := 1; j < g.NY-1; j++ {
-		out = append(out, g.Index(0, j), g.Index(g.NX-1, j))
 	}
 	return out
 }

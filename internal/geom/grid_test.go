@@ -51,12 +51,17 @@ func TestGridMinimumTwoNodes(t *testing.T) {
 }
 
 func TestGridIndexRoundTrip(t *testing.T) {
-	g := MustGrid(R(0, 0, 1, 1), 0.25)
+	g := MustGrid(R(0, 0, 1, 0.5), 0.25)
+	seen := make([]bool, g.N())
 	for j := 0; j < g.NY; j++ {
 		for i := 0; i < g.NX; i++ {
-			ii, jj := g.Coords(g.Index(i, j))
-			if ii != i || jj != j {
-				t.Fatalf("round trip (%d,%d) -> (%d,%d)", i, j, ii, jj)
+			idx := g.Index(i, j)
+			if idx < 0 || idx >= g.N() || seen[idx] {
+				t.Fatalf("Index(%d,%d) = %d repeats or leaves [0,%d)", i, j, idx, g.N())
+			}
+			seen[idx] = true
+			if back := g.NearestIndex(g.Pos(i, j)); back != idx {
+				t.Fatalf("round trip (%d,%d) -> index %d -> nearest %d", i, j, idx, back)
 			}
 		}
 	}
@@ -104,25 +109,6 @@ func TestGridNodesIn(t *testing.T) {
 	}
 	if got := g.NodesIn(Rect{5, 5, 6, 6}); got != nil {
 		t.Errorf("outside NodesIn = %v, want nil", got)
-	}
-}
-
-func TestGridEdgeNodes(t *testing.T) {
-	g := MustGrid(R(0, 0, 1, 1), 0.25) // 5x5
-	edges := g.EdgeNodes()
-	if len(edges) != 16 {
-		t.Fatalf("edge count = %d, want 16", len(edges))
-	}
-	seen := map[int]bool{}
-	for _, idx := range edges {
-		if seen[idx] {
-			t.Fatalf("duplicate edge node %d", idx)
-		}
-		seen[idx] = true
-		i, j := g.Coords(idx)
-		if i != 0 && i != g.NX-1 && j != 0 && j != g.NY-1 {
-			t.Errorf("node (%d,%d) is not on the boundary", i, j)
-		}
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"math"
 
 	"pdn3d/internal/floorplan"
 	"pdn3d/internal/pdn"
@@ -130,19 +129,4 @@ func WriteSVG(w io.Writer, spec *pdn.Spec, fp *floorplan.Floorplan, opt Options)
 	}
 	fmt.Fprint(bw, "</svg>\n")
 	return bw.Flush()
-}
-
-// HeatRange returns the (min, max) IR drop over a layer, for captions.
-func HeatRange(ir []float64, l *rmesh.Layer) (lo, hi float64) {
-	lo = math.Inf(1)
-	for n := l.Offset; n < l.Offset+l.Grid.N(); n++ {
-		v := ir[n]
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	return lo, hi
 }

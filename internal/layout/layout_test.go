@@ -1,6 +1,8 @@
 package layout
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -58,16 +60,19 @@ func TestWriteSVGWithIROverlay(t *testing.T) {
 	if err := WriteSVG(&sb, spec, spec.DRAM, Options{IR: res.IR, Layer: l}); err != nil {
 		t.Fatal(err)
 	}
+	lo, hi := math.Inf(1), 0.0
+	for _, v := range res.IR[l.Offset : l.Offset+l.Grid.N()] {
+		lo, hi = math.Min(lo, v), math.Max(hi, v)
+	}
+	if lo < 0 || hi <= lo {
+		t.Fatalf("layer IR range [%g, %g] inconsistent", lo, hi)
+	}
 	svg := sb.String()
-	if !strings.Contains(svg, "max IR") {
-		t.Error("heat caption missing")
+	if caption := fmt.Sprintf("max IR %.2f mV (%s)", hi*1000, l.Key); !strings.Contains(svg, caption) {
+		t.Errorf("heat caption %q missing", caption)
 	}
 	if strings.Count(svg, "fill-opacity") < 10 {
 		t.Error("expected a populated heat overlay")
-	}
-	lo, hi := HeatRange(res.IR, l)
-	if lo < 0 || hi <= lo {
-		t.Errorf("heat range [%g, %g] inconsistent", lo, hi)
 	}
 }
 

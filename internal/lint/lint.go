@@ -1,11 +1,11 @@
 // Package lint is the pdnlint runner: it drives the project's analyzer
 // suite over type-checked packages in dependency order (so cross
 // -package facts flow from defining package to importer), applies
-// //pdnlint:ignore suppression directives and the lint.baseline
-// allowlist, and implements the unusedsuppress check that keeps those
-// waivers honest. cmd/pdnlint is the CLI front end;
-// internal/lint/analysistest reuses the same runner so fixtures see
-// exactly the CI behavior.
+// //pdnlint:ignore suppression directives — the one way to waive a
+// finding — and implements the unusedsuppress check that keeps those
+// waivers honest. Every finding that survives fails the run.
+// cmd/pdnlint is the CLI front end; internal/lint/analysistest reuses
+// the same runner so fixtures see exactly the CI behavior.
 package lint
 
 import (
@@ -17,7 +17,6 @@ import (
 	"sort"
 
 	"pdn3d/internal/lint/analysis"
-	"pdn3d/internal/lint/baseline"
 	"pdn3d/internal/lint/ctxflow"
 	"pdn3d/internal/lint/floateq"
 	"pdn3d/internal/lint/frozenmut"
@@ -55,28 +54,6 @@ func Load(dir string, patterns ...string) (*load.Program, error) {
 	return load.Load(dir, patterns...)
 }
 
-// Severity classifies how a finding gates the run.
-type Severity string
-
-const (
-	// SeverityError findings fail the run (exit status 1).
-	SeverityError Severity = "error"
-	// SeverityWarn findings are printed but do not fail the run.
-	SeverityWarn Severity = "warn"
-	// SeverityOff disables an analyzer entirely (accepted only as an
-	// override; no finding ever carries it).
-	SeverityOff Severity = "off"
-)
-
-// ParseSeverity validates a severity override value.
-func ParseSeverity(s string) (Severity, error) {
-	switch Severity(s) {
-	case SeverityError, SeverityWarn, SeverityOff:
-		return Severity(s), nil
-	}
-	return "", fmt.Errorf("invalid severity %q (want error, warn, or off)", s)
-}
-
 // Finding is one unsuppressed diagnostic.
 type Finding struct {
 	// Analyzer names the check that produced the finding.
@@ -85,8 +62,6 @@ type Finding struct {
 	Pos token.Position
 	// Message describes the violation.
 	Message string
-	// Severity is SeverityError unless overridden per analyzer.
-	Severity Severity
 }
 
 // String renders the finding in the conventional file:line:col form.
@@ -94,54 +69,21 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s (%s)", f.Pos.Filename, f.Pos.Line, f.Pos.Column, f.Message, f.Analyzer)
 }
 
-// Options tunes one runner invocation. The zero value runs every
-// analyzer at SeverityError with no baseline.
-type Options struct {
-	// Severity overrides per-analyzer gating: error (default), warn, or
-	// off. An analyzer set to off does not run at all, and its
-	// suppression directives are exempt from the unusedsuppress audit.
-	Severity map[string]Severity
-	// Baseline, when non-nil, drops findings matching the allowlist and
-	// reports entries that matched nothing (analyzer "baseline") so the
-	// file only shrinks. Matching uses paths relative to Root.
-	Baseline *baseline.Set
-	// BaselinePath names the baseline file in stale-entry findings.
-	BaselinePath string
-	// Root is the directory baseline paths (and WriteJSON paths) are
-	// relative to; empty means paths are used as recorded.
-	Root string
-}
-
-// Run executes the given analyzers over every package of prog with
-// default options. See RunWith.
-func Run(prog *load.Program, analyzers []*analysis.Analyzer) ([]Finding, error) {
-	return RunWith(prog, analyzers, Options{})
-}
-
-// RunWith executes the given analyzers over every package of prog in
+// Run executes the given analyzers over every package of prog in
 // dependency order, sharing one fact store so facts exported while
 // analyzing a package are visible to passes over its importers. It then
-// filters diagnostics through //pdnlint:ignore directives and the
-// baseline, and — when the suite includes unusedsuppress — reports
-// directives that suppressed nothing. Findings are sorted by position,
-// then analyzer, then message, so output is deterministic (the linter
-// holds itself to the contract it enforces).
-func RunWith(prog *load.Program, analyzers []*analysis.Analyzer, opts Options) ([]Finding, error) {
+// filters diagnostics through //pdnlint:ignore directives and — when the
+// suite includes unusedsuppress — reports directives that suppressed
+// nothing. Findings are sorted by position, then analyzer, then message,
+// so output is deterministic (the linter holds itself to the contract it
+// enforces).
+func Run(prog *load.Program, analyzers []*analysis.Analyzer) ([]Finding, error) {
 	known := map[string]bool{}
-	off := map[string]bool{}
 	checkSuppress := false
 	for _, a := range analyzers {
 		known[a.Name] = true
 		if a.Name == unusedsuppress.Analyzer.Name {
 			checkSuppress = true
-		}
-	}
-	for name, sev := range opts.Severity {
-		if !known[name] {
-			return nil, fmt.Errorf("lint: severity override for unknown analyzer %q", name)
-		}
-		if sev == SeverityOff {
-			off[name] = true
 		}
 	}
 
@@ -159,7 +101,7 @@ func RunWith(prog *load.Program, analyzers []*analysis.Analyzer, opts Options) (
 		directives = append(directives, dirs...)
 
 		for _, a := range analyzers {
-			if a.Run == nil || off[a.Name] {
+			if a.Run == nil {
 				continue
 			}
 			pass := &analysis.Pass{
@@ -176,26 +118,18 @@ func RunWith(prog *load.Program, analyzers []*analysis.Analyzer, opts Options) (
 			if err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("lint: %s on %s: %v", a.Name, pkg.ImportPath, err)
 			}
-			sev := SeverityError
-			if s, ok := opts.Severity[a.Name]; ok {
-				sev = s
-			}
 			for _, d := range diags {
 				pos := prog.Fset.Position(d.Pos)
 				if suppress.Match(dirs, a.Name, pos.Filename, pos.Line) != nil {
 					continue
 				}
-				findings = append(findings, Finding{Analyzer: a.Name, Pos: pos, Message: d.Message, Severity: sev})
+				findings = append(findings, Finding{Analyzer: a.Name, Pos: pos, Message: d.Message})
 			}
 		}
 	}
 
-	if checkSuppress && !off[unusedsuppress.Analyzer.Name] {
-		findings = append(findings, auditDirectives(prog.Fset, directives, known, off)...)
-	}
-
-	if opts.Baseline != nil {
-		findings = applyBaseline(findings, opts)
+	if checkSuppress {
+		findings = append(findings, auditDirectives(prog.Fset, directives, known)...)
 	}
 
 	SortFindings(findings)
@@ -225,46 +159,10 @@ func SortFindings(findings []Finding) {
 	})
 }
 
-// applyBaseline drops baselined findings and appends a stale-entry
-// finding for every allowlist line that matched nothing.
-func applyBaseline(findings []Finding, opts Options) []Finding {
-	kept := findings[:0]
-	for _, f := range findings {
-		if opts.Baseline.Match(f.Analyzer, RelPath(opts.Root, f.Pos.Filename), f.Message) {
-			continue
-		}
-		kept = append(kept, f)
-	}
-	path := opts.BaselinePath
-	if path == "" {
-		path = "lint.baseline"
-	}
-	for _, e := range opts.Baseline.Stale() {
-		kept = append(kept, Finding{
-			Analyzer: "baseline",
-			Pos:      token.Position{Filename: path, Line: e.Line, Column: 1},
-			Message:  fmt.Sprintf("stale baseline entry: no %s finding %q in %s", e.Analyzer, e.Message, e.Path),
-			Severity: SeverityError,
-		})
-	}
-	return kept
-}
-
-// ErrorCount reports how many findings gate the run (severity error).
-func ErrorCount(findings []Finding) int {
-	n := 0
-	for _, f := range findings {
-		if f.Severity != SeverityWarn {
-			n++
-		}
-	}
-	return n
-}
-
-// RelPath renders path relative to root with forward slashes — the form
-// baseline entries and JSON output use. Paths outside root (or when
-// root is empty) pass through unchanged apart from slash normalization.
-func RelPath(root, path string) string {
+// relPath renders path relative to root with forward slashes — the form
+// JSON output uses. Paths outside root (or when root is empty) pass
+// through unchanged apart from slash normalization.
+func relPath(root, path string) string {
 	if root != "" {
 		if rel, err := filepath.Rel(root, path); err == nil && rel != ".." && !filepath.IsAbs(rel) &&
 			!(len(rel) > 2 && rel[:3] == ".."+string(filepath.Separator)) {
@@ -281,7 +179,6 @@ type jsonFinding struct {
 	File     string `json:"file"`
 	Line     int    `json:"line"`
 	Col      int    `json:"col"`
-	Severity string `json:"severity"`
 	Message  string `json:"message"`
 }
 
@@ -291,16 +188,11 @@ type jsonFinding struct {
 func WriteJSON(w io.Writer, findings []Finding, root string) error {
 	out := make([]jsonFinding, 0, len(findings))
 	for _, f := range findings {
-		sev := f.Severity
-		if sev == "" {
-			sev = SeverityError
-		}
 		out = append(out, jsonFinding{
 			Analyzer: f.Analyzer,
-			File:     RelPath(root, f.Pos.Filename),
+			File:     relPath(root, f.Pos.Filename),
 			Line:     f.Pos.Line,
 			Col:      f.Pos.Column,
-			Severity: string(sev),
 			Message:  f.Message,
 		})
 	}
@@ -310,24 +202,20 @@ func WriteJSON(w io.Writer, findings []Finding, root string) error {
 }
 
 // auditDirectives produces the unusedsuppress findings for one run.
-// Directives naming an analyzer disabled by a severity override are
-// skipped — they had no chance to match.
-func auditDirectives(fset *token.FileSet, dirs []*suppress.Directive, known, off map[string]bool) []Finding {
+func auditDirectives(fset *token.FileSet, dirs []*suppress.Directive, known map[string]bool) []Finding {
 	name := unusedsuppress.Analyzer.Name
 	var out []Finding
 	for _, d := range dirs {
 		pos := fset.Position(d.Pos)
 		switch {
 		case d.Analyzer == "" || d.Reason == "":
-			out = append(out, Finding{Analyzer: name, Pos: pos, Severity: SeverityError,
+			out = append(out, Finding{Analyzer: name, Pos: pos,
 				Message: "malformed suppression; the form is //pdnlint:ignore <analyzer> <reason>"})
 		case !known[d.Analyzer]:
-			out = append(out, Finding{Analyzer: name, Pos: pos, Severity: SeverityError,
+			out = append(out, Finding{Analyzer: name, Pos: pos,
 				Message: fmt.Sprintf("suppression names unknown analyzer %q", d.Analyzer)})
-		case off[d.Analyzer]:
-			// Disabled this run; the directive could not have matched.
 		case !d.Used:
-			out = append(out, Finding{Analyzer: name, Pos: pos, Severity: SeverityError,
+			out = append(out, Finding{Analyzer: name, Pos: pos,
 				Message: fmt.Sprintf("unused suppression: no %s diagnostic on line %d", d.Analyzer, d.TargetLine)})
 		}
 	}

@@ -1,6 +1,7 @@
 // Package sev is a runner fixture carrying one walltime and one floateq
 // violation at known positions, used by the lint package's own tests to
-// exercise severity overrides, baselines, and JSON output.
+// exercise JSON output and by CI to pin pdnlint's exit status on a
+// finding.
 package sev
 
 import "time"

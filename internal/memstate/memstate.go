@@ -72,35 +72,6 @@ func WorstCaseEdge(numBanks int) Placement {
 	}
 }
 
-// BalancedPlacement spreads active banks across the layout's columns,
-// modelling location-aware scheduling.
-func BalancedPlacement(numBanks int) Placement {
-	return func(die, count int) ([]int, error) {
-		if count > numBanks {
-			return nil, fmt.Errorf("memstate: %d active banks exceed %d banks per die", count, numBanks)
-		}
-		banks := make([]int, count)
-		stride := numBanks / max(count, 1)
-		if stride == 0 {
-			stride = 1
-		}
-		for i := range banks {
-			banks[i] = (i*stride + i) % numBanks
-		}
-		seen := map[int]bool{}
-		next := 0
-		for i, b := range banks {
-			for seen[b] {
-				b = next
-				next++
-			}
-			seen[b] = true
-			banks[i] = b
-		}
-		return banks, nil
-	}
-}
-
 // Counts returns the per-die active bank counts (the R1..Rn of the paper's
 // notation).
 func (s State) Counts() []int {
@@ -113,15 +84,6 @@ func (s State) Counts() []int {
 
 // NumDies returns the die count of the state.
 func (s State) NumDies() int { return len(s.Dies) }
-
-// TotalActive returns the total number of active banks across all dies.
-func (s State) TotalActive() int {
-	n := 0
-	for _, banks := range s.Dies {
-		n += len(banks)
-	}
-	return n
-}
 
 // Active reports whether bank b on die d is active.
 func (s State) Active(die, bank int) bool {
@@ -243,11 +205,4 @@ func EnumerateCounts(dies, maxPerDie int) [][]int {
 			return out
 		}
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

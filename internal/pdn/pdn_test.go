@@ -236,11 +236,12 @@ func TestLandingCenterWithInterfaceRDL(t *testing.T) {
 	s := testSpec(t)
 	s.TSVStyle = EdgeTSV
 	s.RDL = RDLInterface
-	if !s.SupplyLandsCenter() {
-		t.Fatal("interface RDL must force a center landing")
-	}
 	c := s.DRAM.Outline.Center()
-	for _, l := range s.LandingSites() {
+	sites := s.LandingSites()
+	if len(sites) != s.TSVCount {
+		t.Fatalf("landing sites = %d, want %d", len(sites), s.TSVCount)
+	}
+	for _, l := range sites {
 		if l.Pos.Dist(c) > 1.0 {
 			t.Errorf("RDL-interface landing %v far from center", l.Pos)
 		}
@@ -269,38 +270,6 @@ func TestWireLengthGrowsUpTheStack(t *testing.T) {
 	s := testSpec(t)
 	if !(s.WireLength(0) < s.WireLength(3)) {
 		t.Error("upper-die wires should be longer")
-	}
-}
-
-func TestDedicatedSites(t *testing.T) {
-	s := testSpec(t)
-	if got := s.DedicatedSites(); got != nil {
-		t.Error("off-chip spec must have no dedicated sites")
-	}
-	on := withLogic(t, testSpec(t))
-	on.DedicatedTSV = true
-	sites := on.DedicatedSites()
-	if len(sites) != on.TSVCount {
-		t.Fatalf("dedicated sites = %d, want %d", len(sites), on.TSVCount)
-	}
-	for _, p := range sites {
-		if !on.Logic.Outline.ContainsClosed(p) {
-			t.Errorf("dedicated site %v outside logic die", p)
-		}
-	}
-}
-
-func TestF2FPartner(t *testing.T) {
-	s := testSpec(t)
-	if s.F2FPartner(0) != -1 {
-		t.Error("F2B design has no F2F partner")
-	}
-	s.Bonding = F2F
-	wants := map[int]int{0: 1, 1: 0, 2: 3, 3: 2}
-	for d, w := range wants {
-		if got := s.F2FPartner(d); got != w {
-			t.Errorf("partner(%d) = %d, want %d", d, got, w)
-		}
 	}
 }
 

@@ -248,12 +248,6 @@ func (s *Spec) logicOffset() geom.Point {
 	return lc.Sub(dc)
 }
 
-// DRAMOnLogic converts a point in DRAM-die coordinates to logic-die
-// coordinates for on-chip designs.
-func (s *Spec) DRAMOnLogic(p geom.Point) geom.Point {
-	return p.Add(s.logicOffset())
-}
-
 func nearestPoint(p geom.Point, pts []geom.Point) geom.Point {
 	best := pts[0]
 	bd := p.Dist(best)
@@ -296,20 +290,4 @@ func (s *Spec) WireLength(die int) float64 {
 	const perDie = 0.05  // mm of stack height per die
 	const baseRise = 0.3 // mm die-attach and loop height
 	return lateral + baseRise + perDie*float64(die+1)
-}
-
-// DedicatedSites returns the via-last dedicated TSV positions (in logic-die
-// coordinates) that feed the DRAM stack directly from the package. They
-// mirror the DRAM TSV pattern so each dedicated TSV lands under a DRAM TSV
-// stack. Returns nil when the spec has no dedicated TSVs.
-func (s *Spec) DedicatedSites() []geom.Point {
-	if !s.DedicatedTSV || !s.OnLogic {
-		return nil
-	}
-	pts := s.TSVSites()
-	out := make([]geom.Point, len(pts))
-	for i, p := range pts {
-		out[i] = s.DRAMOnLogic(p)
-	}
-	return out
 }

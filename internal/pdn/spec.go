@@ -281,23 +281,3 @@ func (s *Spec) Clone() *Spec {
 	}
 	return &c
 }
-
-// F2FPartner returns the F2F pair partner of die d (0-based), or -1 for
-// F2B designs.
-func (s *Spec) F2FPartner(d int) int {
-	if s.Bonding != F2F {
-		return -1
-	}
-	if d%2 == 0 {
-		return d + 1
-	}
-	return d - 1
-}
-
-// SupplyLandsCenter reports whether the supply current enters the stack
-// bottom in the die center. That happens when the TSV style is center, or
-// when an interface RDL reroutes a center landing to edge/distributed TSVs
-// (its whole purpose, paper §3.3 options (c)/(d)).
-func (s *Spec) SupplyLandsCenter() bool {
-	return s.TSVStyle == CenterTSV || s.RDL == RDLInterface
-}

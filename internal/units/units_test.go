@@ -1,31 +1,6 @@
 package units
 
-import (
-	"math"
-	"testing"
-)
-
-func TestMilliVolts(t *testing.T) {
-	if got := MilliVolts(0.03003); got != "30.03mV" {
-		t.Errorf("MilliVolts = %q, want 30.03mV", got)
-	}
-}
-
-func TestToMilliVolts(t *testing.T) {
-	if got := ToMilliVolts(0.024); math.Abs(got-24) > 1e-12 {
-		t.Errorf("ToMilliVolts = %g, want 24", got)
-	}
-}
-
-func TestCurrentMA(t *testing.T) {
-	// 220.5 mW at 1.5 V = 147 mA.
-	if got := CurrentMA(220.5, 1.5); math.Abs(got-147) > 1e-9 {
-		t.Errorf("CurrentMA = %g, want 147", got)
-	}
-	if got := CurrentMA(100, 0); got != 0 {
-		t.Errorf("CurrentMA at 0 V = %g, want 0", got)
-	}
-}
+import "testing"
 
 func TestScaleConstants(t *testing.T) {
 	if 1000*Micron != Millimetre {
