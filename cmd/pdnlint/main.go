@@ -10,8 +10,8 @@
 // Findings print one per line as file:line:col: message (analyzer), and
 // the exit status is 1 if any finding remains, so CI can gate on it.
 // With -json the findings are emitted as a JSON array instead (fields
-// analyzer, file, line, col, message; paths relative to the working
-// directory).
+// analyzer, file, line, col, message). Both forms give paths relative to
+// the working directory.
 //
 // A finding that is a deliberate, justified exception is waived in
 // place — the one way to waive a finding:
@@ -24,6 +24,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -39,38 +40,38 @@ func main() {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	if err := run(patterns); err != nil {
+	n, err := run(os.Stdout, ".", *jsonFlag, patterns)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "pdnlint:", err)
 		os.Exit(2)
 	}
+	if n > 0 {
+		os.Exit(1)
+	}
 }
 
-func run(patterns []string) error {
-	root, err := filepath.Abs(".")
+// run lints the packages matching patterns in the module at dir and
+// writes the findings to w, paths relative to dir, returning how many
+// there were.
+func run(w io.Writer, dir string, asJSON bool, patterns []string) (int, error) {
+	root, err := filepath.Abs(dir)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	prog, err := lint.Load(".", patterns...)
+	prog, err := lint.Load(dir, patterns...)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	findings, err := lint.Run(prog, lint.Suite())
 	if err != nil {
-		return err
+		return 0, err
 	}
-	if *jsonFlag {
-		if err := lint.WriteJSON(os.Stdout, findings, root); err != nil {
-			return err
-		}
+	if asJSON {
+		err = lint.WriteJSON(w, findings, root)
 	} else {
-		for _, f := range findings {
-			fmt.Println(f)
-		}
+		err = lint.WriteText(w, findings, root)
 	}
-	if len(findings) > 0 {
-		os.Exit(1)
-	}
-	return nil
+	return len(findings), err
 }
 
 func usage() {

@@ -4,9 +4,9 @@
 // is the dense Cholesky factorization; on systems too large to factor
 // densely the solvers cross-check each other against the default method.
 // Each mesh additionally re-proves the standing bit-exactness claim that
-// a restamped matrix is identical to a full build, for the mesh's own
-// spec and for a value-perturbed sibling, and round-trips through the
-// SPICE netlist interchange (internal/spice), so a solver regression, a
+// a matrix stamped over a frozen topology is identical to a full build,
+// for the mesh's own spec and for a value-perturbed sibling, and
+// round-trips through the SPICE netlist interchange (internal/spice), so a solver regression, a
 // stamp regression, or an interchange regression all surface as one
 // failing differential report.
 package diff
@@ -136,9 +136,9 @@ type MeshReport struct {
 	Runs []Run `json:"runs"`
 	// MaxRelErr is the worst RelErr over Runs.
 	MaxRelErr float64 `json:"max_rel_err"`
-	// RestampExact reports that a value-restamped matrix reproduced the
-	// full build bit for bit — both for the mesh's own spec and for a
-	// value-perturbed sibling.
+	// RestampExact reports that a matrix stamped over a frozen topology
+	// reproduced the full build bit for bit — both for the mesh's own spec
+	// and for a value-perturbed sibling.
 	RestampExact bool `json:"restamp_exact"`
 	// RoundTrip is the netlist interchange leg (nil when skipped).
 	RoundTrip *RoundTrip `json:"round_trip,omitempty"`
@@ -248,12 +248,16 @@ func Assemble(inst *gen.Instance) (*rmesh.Model, []float64, error) {
 }
 
 // restampCheck re-proves the two-phase mesh pipeline's bit-exactness
-// claim on this mesh: restamping the same spec over the frozen topology,
-// and restamping a value-perturbed sibling, must both reproduce the
+// claim on this mesh: models stamped over a frozen topology, for the same
+// spec and for a value-perturbed sibling, must both reproduce the
 // matrices a cold rmesh.Build produces bit for bit.
 func restampCheck(inst *gen.Instance, m *rmesh.Model) (bool, error) {
 	spec := inst.Spec
-	same, err := m.Topology().NewModel(spec)
+	topo, err := rmesh.BuildTopology(spec)
+	if err != nil {
+		return false, err
+	}
+	same, err := topo.NewModel(spec)
 	if err != nil {
 		return false, err
 	}
@@ -274,7 +278,7 @@ func restampCheck(inst *gen.Instance, m *rmesh.Model) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	restamped, err := m.Topology().NewModel(pinst.Spec)
+	restamped, err := topo.NewModel(pinst.Spec)
 	if err != nil {
 		return false, err
 	}

@@ -160,8 +160,8 @@ func SortFindings(findings []Finding) {
 }
 
 // relPath renders path relative to root with forward slashes — the form
-// JSON output uses. Paths outside root (or when root is empty) pass
-// through unchanged apart from slash normalization.
+// both the plain and the JSON output use. Paths outside root (or when
+// root is empty) pass through unchanged apart from slash normalization.
 func relPath(root, path string) string {
 	if root != "" {
 		if rel, err := filepath.Rel(root, path); err == nil && rel != ".." && !filepath.IsAbs(rel) &&
@@ -170,6 +170,18 @@ func relPath(root, path string) string {
 		}
 	}
 	return filepath.ToSlash(path)
+}
+
+// WriteText renders findings one per line in the file:line:col form of
+// Finding.String, with paths relative to root as in WriteJSON.
+func WriteText(w io.Writer, findings []Finding, root string) error {
+	for _, f := range findings {
+		f.Pos.Filename = relPath(root, f.Pos.Filename)
+		if _, err := fmt.Fprintln(w, f); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // jsonFinding is the -json wire form of one finding; the field set is

@@ -138,14 +138,3 @@ func (c *Cache[V]) keep(key string, v V) {
 		delete(c.kept, oldest.Value.(*entry[V]).key)
 	}
 }
-
-// Reset drops every kept value, so each key's next Do runs fn again.
-// In-flight calls are unaffected and keep their own results. Callers that
-// invalidate the inputs the values were derived from — restamping the
-// matrix a solver cache factorized — flush the stale values with it.
-func (c *Cache[V]) Reset() {
-	c.mu.Lock()
-	c.kept = nil
-	c.order.Init()
-	c.mu.Unlock()
-}

@@ -222,19 +222,3 @@ func TestCachePanicReleasesWaiters(t *testing.T) {
 		t.Fatalf("Do after the panic = %d, %v, want fn to run again", v, err)
 	}
 }
-
-func TestCacheReset(t *testing.T) {
-	var c Cache[int]
-	ctx := context.Background()
-	n := 0
-	fn := func() (int, error) { n++; return n, nil }
-	c.Do(ctx, "a", nil, fn)
-	c.Do(ctx, "b", nil, fn)
-	c.Reset()
-	if v, _ := c.Do(ctx, "a", nil, fn); v != 3 {
-		t.Fatalf("Do after Reset = %d, want 3 (fn re-run)", v)
-	}
-	if v, _ := c.Do(ctx, "a", nil, fn); v != 3 {
-		t.Fatalf("kept Do = %d, want 3", v)
-	}
-}

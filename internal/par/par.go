@@ -2,7 +2,7 @@
 // analysis stack: a bounded worker-pool sweep with first-error
 // cancellation (design-space fan-out), and Cache, the one bounded,
 // panic-safe singleflight cache behind every memoizing layer (served
-// results, analyzers, LUTs, topologies, per-state results, and
+// results, analyzers, LUTs, design-point results, fitted optimizers, and
 // per-matrix solvers).
 //
 // No panic escapes a pool worker: Sweep returns a task's panic as that

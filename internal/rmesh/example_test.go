@@ -10,11 +10,12 @@ import (
 	"pdn3d/internal/tech"
 )
 
-// A value-only design sweep freezes the mesh shape once and restamps
-// conductances per point: BuildTopology pays the geometry and symbolic
-// work, NewModel mints a solvable model, and Restamp rewrites the matrix
-// values in place for each spec that shares the topology key.
-func ExampleModel_Restamp() {
+// A value-only design sweep freezes the mesh shape once and stamps each
+// point's conductances over it: BuildTopology pays the geometry and
+// symbolic work, and NewModel mints a solvable model for every spec that
+// shares the topology key, its values stamped straight into a fresh
+// matrix over the frozen pattern.
+func ExampleTopology_NewModel() {
 	fp, err := floorplan.DDR3Die(floorplan.DefaultDDR3())
 	if err != nil {
 		log.Fatal(err)
@@ -35,25 +36,26 @@ func ExampleModel_Restamp() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	m, err := topo.NewModel(spec)
+	base, err := topo.NewModel(spec)
 	if err != nil {
 		log.Fatal(err)
 	}
-	before := m.Matrix.Val[0]
 
 	// Sweep point: same layers and TSVs, doubled metal usage. The shape is
-	// unchanged, so the frozen pattern is reused and no matrix is allocated.
+	// unchanged, so the frozen pattern is reused and only the values are
+	// stamped.
 	point := spec.Clone()
 	point.Usage = map[string]float64{"M2": 0.20, "M3": 0.40}
-	if err := m.Restamp(point); err != nil {
+	m, err := topo.NewModel(point)
+	if err != nil {
 		log.Fatal(err)
 	}
 
-	fmt.Println("same topology:", m.Topology() == topo)
 	fmt.Println("nodes unchanged:", m.N() == topo.N())
-	fmt.Println("conductances restamped:", m.Matrix.Val[0] > before)
+	fmt.Println("entries unchanged:", m.Matrix.NNZ() == topo.NNZ())
+	fmt.Println("conductances raised:", m.Matrix.Val[0] > base.Matrix.Val[0])
 	// Output:
-	// same topology: true
 	// nodes unchanged: true
-	// conductances restamped: true
+	// entries unchanged: true
+	// conductances raised: true
 }

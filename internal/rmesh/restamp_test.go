@@ -2,6 +2,7 @@ package rmesh_test
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"pdn3d/internal/bench3d"
@@ -136,10 +137,10 @@ func scaleUsage(spec *pdn.Spec, f float64) *pdn.Spec {
 }
 
 // TestRestampBitIdenticalToFullBuild is the two-phase pipeline's hard
-// contract: for each paper design, a model minted from a frozen Topology
-// (and then restamped to a value-only variant) is bitwise indistinguishable
-// from a from-scratch rmesh.Build — matrix values, ties, links, and the solved
-// node voltages.
+// contract: for each paper design, models minted from a frozen Topology —
+// for its own spec and for a value-only variant — are bitwise
+// indistinguishable from a from-scratch rmesh.Build: matrix values, ties,
+// links, and the solved node voltages.
 func TestRestampBitIdenticalToFullBuild(t *testing.T) {
 	benches, err := bench3d.All()
 	if err != nil {
@@ -151,125 +152,90 @@ func TestRestampBitIdenticalToFullBuild(t *testing.T) {
 			t.Parallel()
 			spec := b.Spec.Clone()
 			spec.MeshPitch = 0.5
-			full, err := rmesh.Build(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
 			topo, err := rmesh.BuildTopology(spec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			re, err := topo.NewModel(spec)
-			if err != nil {
-				t.Fatal(err)
+			for _, s := range []*pdn.Spec{spec, scaleUsage(spec, 0.9)} {
+				full, err := rmesh.Build(s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				re, err := topo.NewModel(s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertModelsIdentical(t, full, re)
+				assertSolvesIdentical(t, full, re, b)
 			}
-			if re.Topology() != topo {
-				t.Fatal("minted model does not reference its topology")
-			}
-			assertModelsIdentical(t, full, re)
-			assertSolvesIdentical(t, full, re, b)
-
-			// Value-only variant: restamp in place vs a fresh full build.
-			scaled := scaleUsage(spec, 0.9)
-			full2, err := rmesh.Build(scaled)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := re.Restamp(scaled); err != nil {
-				t.Fatal(err)
-			}
-			assertModelsIdentical(t, full2, re)
-			assertSolvesIdentical(t, full2, re, b)
 		})
 	}
 }
 
-// TestRestampReusesMatrixMemory guards the value-sweep cost model: a
-// restamp must rewrite the preallocated CSR in place, never allocate a
-// fresh matrix, and stay under a small fixed allocation budget (key
-// strings and the stamp-recorder header — nothing proportional to nnz).
-func TestRestampReusesMatrixMemory(t *testing.T) {
-	spec := coarseOffChip(t)
-	topo, err := rmesh.BuildTopology(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := topo.NewModel(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	matrix := m.Matrix
-	val := &m.Matrix.Val[0]
-	ties := &m.Ties[0]
-	scaled := scaleUsage(spec, 0.9)
-	specs := [2]*pdn.Spec{spec, scaled}
-	i := 0
-	allocs := testing.AllocsPerRun(20, func() {
-		i++
-		if err := m.Restamp(specs[i%2]); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if m.Matrix != matrix {
-		t.Error("Restamp replaced the matrix")
-	}
-	if &m.Matrix.Val[0] != val {
-		t.Error("Restamp reallocated the CSR value array")
-	}
-	if &m.Ties[0] != ties {
-		t.Error("Restamp reallocated the tie slice")
-	}
-	// A fresh matrix would cost O(nnz) allocations worth of floats; the
-	// observed steady-state cost is ~60 small allocations (topology-key
-	// strings). 200 leaves slack without letting a matrix copy through.
-	if allocs > 200 {
-		t.Errorf("Restamp allocs/op = %.0f, want <= 200 (no matrix-sized allocations)", allocs)
-	}
-	t.Logf("Restamp allocs/op = %.0f", allocs)
-}
-
 // TestRestampRejectsShapeChange: a spec whose topology key differs (here a
-// different TSV count) must be refused by both Restamp and NewModel.
+// different TSV count) must be refused by NewModel, and the topology goes
+// on minting models for its own shape.
 func TestRestampRejectsShapeChange(t *testing.T) {
 	spec := coarseOffChip(t)
 	topo, err := rmesh.BuildTopology(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := topo.NewModel(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
 	other := spec.Clone()
 	other.TSVCount = 64
-	if err := m.Restamp(other); err == nil {
-		t.Error("Restamp accepted a TSV-count change")
-	}
 	if _, err := topo.NewModel(other); err == nil {
 		t.Error("NewModel accepted a TSV-count change")
 	}
-	// The model must still be usable with its original values.
-	if err := m.Restamp(spec); err != nil {
-		t.Fatalf("model unusable after rejected restamp: %v", err)
+	if _, err := topo.NewModel(spec); err != nil {
+		t.Fatalf("topology unusable after a rejected spec: %v", err)
 	}
 }
 
-// TestBuildModelHasTopology: the one-shot rmesh.Build path also carries its
-// frozen topology, so callers can upgrade to the two-phase API lazily.
-func TestBuildModelHasTopology(t *testing.T) {
-	spec := coarseOffChip(t)
-	m, err := rmesh.Build(spec)
+// heapAlloc returns the live heap after a full collection.
+func heapAlloc() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestModelRetainsOnlyItsMatrix pins the memory contract: a model keeps
+// what it solves with, not the stamp stream or the pattern's per-stamp
+// slots it was built through. ddr3-off at full pitch, built by rmesh.Build
+// and by BuildTopology + NewModel with the topology dropped, may each
+// retain at most 1.5× its matrix bytes (12 B per entry, 4 B per row
+// pointer); the rest is its layers, ties and links.
+func TestModelRetainsOnlyItsMatrix(t *testing.T) {
+	b, err := bench3d.StackedDDR3Off()
 	if err != nil {
 		t.Fatal(err)
 	}
-	topo := m.Topology()
-	if topo == nil {
-		t.Fatal("rmesh.Build returned a model without a topology")
-	}
-	if topo.N() != m.N() {
-		t.Errorf("topology N = %d, model N = %d", topo.N(), m.N())
-	}
-	if topo.NNZ() != len(m.Matrix.Val) {
-		t.Errorf("topology NNZ = %d, matrix nnz = %d", topo.NNZ(), len(m.Matrix.Val))
+	spec := b.Spec
+	for _, c := range []struct {
+		name  string
+		build func() (*rmesh.Model, error)
+	}{
+		{"Build", func() (*rmesh.Model, error) { return rmesh.Build(spec) }},
+		{"NewModel", func() (*rmesh.Model, error) {
+			topo, err := rmesh.BuildTopology(spec)
+			if err != nil {
+				return nil, err
+			}
+			return topo.NewModel(spec)
+		}},
+	} {
+		before := heapAlloc()
+		m, err := c.build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		retained := heapAlloc() - before
+		matrix := 12*m.Matrix.NNZ() + 4*len(m.Matrix.RowPtr)
+		ratio := float64(retained) / float64(matrix)
+		t.Logf("%s: %d nodes retain %d B, %.2f× the %d B matrix", c.name, m.N(), retained, ratio, matrix)
+		if ratio > 1.5 {
+			t.Errorf("%s: the model retains %.2f× its matrix bytes, want at most 1.5×", c.name, ratio)
+		}
+		runtime.KeepAlive(m)
 	}
 }

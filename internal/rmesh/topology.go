@@ -3,11 +3,11 @@ package rmesh
 // Two-phase build: a Topology freezes everything about a mesh that does
 // not depend on the metal-usage magnitudes — node numbering, layer grids,
 // via/link structure, and the symbolic CSR pattern — so a value-only
-// sweep (the co-optimization workload) pays the geometry and the
-// O(nnz log nnz) symbolic sort once and then restamps conductance values
-// in place per point. The hard contract: a restamped model is
-// bit-identical to one built from scratch for the same spec, because the
-// restamp replays the exact stamp stream of the full build and the
+// sweep (the co-optimization workload) pays the geometry and the symbolic
+// freeze once and then stamps each point's conductance values straight
+// into a fresh matrix over the shared pattern. The hard contract: such a
+// model is bit-identical to one built from scratch for the same spec,
+// because it replays the exact stamp stream of the full build and the
 // pattern merges duplicates in the same order Compress does.
 
 import (
@@ -32,9 +32,6 @@ type Topology struct {
 	key     string
 	pattern *sparse.Pattern
 	n       int
-	// stamps is the raw stamp-stream length the pattern was frozen from;
-	// every restamp must reproduce exactly this many stamps.
-	stamps int
 	// layers holds the canonical layer set (geometry only; the REff each
 	// model carries is recomputed from its own spec).
 	layers    []*Layer
@@ -70,7 +67,7 @@ func BuildTopologyObs(spec *pdn.Spec, reg *obs.Registry) (*Topology, error) {
 // usage magnitudes may differ).
 func (t *Topology) NewModel(spec *pdn.Spec) (*Model, error) { return t.NewModelObs(spec, nil) }
 
-// NewModelObs is NewModel with instrumentation: the restamp reports under
+// NewModelObs is NewModel with instrumentation: the stamp reports under
 // "rmesh.restamps" / "rmesh.restamp_time" rather than the full-build
 // metrics, and the model's solver cache reports as in BuildObs.
 func (t *Topology) NewModelObs(spec *pdn.Spec, reg *obs.Registry) (*Model, error) {
@@ -86,7 +83,6 @@ func (t *Topology) NewModelObs(spec *pdn.Spec, reg *obs.Registry) (*Model, error
 		Layers: cloneLayers(t.layers),
 		byKey:  make(map[string]*Layer, len(t.layers)),
 		n:      t.n,
-		topo:   t,
 		obs:    reg,
 	}
 	m.solvers.Hits = reg.Counter("rmesh.solver_cache.hits")
@@ -104,67 +100,34 @@ func (t *Topology) NewModelObs(spec *pdn.Spec, reg *obs.Registry) (*Model, error
 	if t.logicLoad >= 0 {
 		m.logicLoad = m.Layers[t.logicLoad]
 	}
-	m.Matrix = t.pattern.NewCSR()
-	m.stampBuf = make([]float64, 0, t.stamps)
-	if err := m.restamp(); err != nil {
+	if err := m.restamp(t); err != nil {
 		return nil, err
 	}
 	return m, nil
 }
 
-// Topology returns the frozen shape the model was built over.
-func (m *Model) Topology() *Topology { return m.topo }
-
-// Restamp rewrites the model's conductance values in place for a new
-// value-compatible spec: same topology key, different metal-usage
-// magnitudes. No matrix memory is allocated — the CSR value array, the
-// stamp buffer, and the link/tie slices are all reused — which is what
-// makes a 50-point value sweep cheap. The solver cache is reset (its
-// factorizations describe the old values). Restamp must not run
-// concurrently with Solve or with other Restamp calls on the same model.
-func (m *Model) Restamp(spec *pdn.Spec) error {
-	if m.topo == nil {
-		return fmt.Errorf("rmesh: model has no frozen topology")
-	}
-	if err := spec.Validate(); err != nil {
-		return err
-	}
-	if k := speckey.Topology(spec); k != m.topo.key {
-		return fmt.Errorf("rmesh: spec %q is not value-compatible with the model's topology", spec.Name)
-	}
-	m.Spec = spec
-	for _, l := range m.Layers {
-		if err := m.applyREff(l); err != nil {
-			return err
-		}
-	}
-	return m.restamp()
-}
-
-// restamp replays the full stamp stream with the model's current REff
-// values through a valsRecorder and scatters it into the preallocated
-// matrix. Ties, Links, and Resistors are rebuilt (their conductances
-// change with the values), reusing their backing arrays.
-func (m *Model) restamp() error {
+// restamp replays the full stamp stream with the model's REff values
+// straight into a fresh matrix over t's pattern, each stamp into its
+// value slot, and rebuilds Ties, Links and Resistors along the way.
+func (m *Model) restamp(t *Topology) error {
 	defer m.obs.Timer("rmesh.restamp_time").Start()()
-	rec := &valsRecorder{vals: m.stampBuf[:0]}
-	if err := m.stamp(rec); err != nil {
+	m.Matrix = t.pattern.NewCSR()
+	s := t.pattern.Stamper(m.Matrix.Val)
+	if err := m.stamp(s); err != nil {
 		return err
 	}
-	if len(rec.vals) != m.topo.stamps {
+	if s.Stamps() != t.pattern.Stamps() {
 		return fmt.Errorf("rmesh: restamp emitted %d stamps, topology froze %d (value change altered the mesh shape)",
-			len(rec.vals), m.topo.stamps)
+			s.Stamps(), t.pattern.Stamps())
 	}
-	m.stampBuf = rec.vals
-	m.topo.pattern.Scatter(m.Matrix.Val, rec.vals)
-	m.solvers.Reset()
 	m.obs.Counter("rmesh.restamps").Add(1)
 	return nil
 }
 
 // applyREff recomputes a layer's effective per-square resistance from the
 // model's spec, using the same expressions the full build evaluates so
-// restamped conductances are bit-identical to freshly built ones.
+// conductances stamped over a topology are bit-identical to freshly built
+// ones.
 func (m *Model) applyREff(l *Layer) error {
 	spec := m.Spec
 	switch {
@@ -208,10 +171,10 @@ func cloneLayers(ls []*Layer) []*Layer {
 
 // stamper receives the conductance stamp stream of a build. Three
 // implementations: *sparse.Builder records coordinates and values (the
-// full build), valsRecorder records values only (the restamp, whose
-// coordinates are already frozen in the pattern), and stampCounter counts
-// the stamps so the full build can size its builder. All must see the
-// exact same stream for the pattern replay to hold.
+// full build), *sparse.Stamper adds values straight into a matrix over
+// the frozen pattern (NewModel), and stampCounter counts the stamps so
+// the full build can size its builder. All must see the exact same stream
+// for the pattern replay to hold.
 type stamper interface {
 	AddConductance(i, j int, g float64)
 	AddToGround(i int, g float64)
@@ -231,32 +194,8 @@ func (m *Model) stamp(s stamper) error {
 	return m.stampConnections(s)
 }
 
-// valsRecorder mirrors sparse.Builder's stamping behavior — including its
-// skip of zero-valued stamps — while recording only values. Any
-// divergence from Builder.Add's emission rule would desynchronize the
-// stream from the frozen pattern.
-type valsRecorder struct {
-	vals []float64
-}
-
-func (r *valsRecorder) AddConductance(i, j int, g float64) {
-	if g == 0 {
-		return
-	}
-	// Builder.AddConductance stamps (i,i,+g) (j,j,+g) (i,j,-g) (j,i,-g);
-	// for nonzero g none of the four is skipped.
-	r.vals = append(r.vals, g, g, -g, -g)
-}
-
-func (r *valsRecorder) AddToGround(i int, g float64) {
-	if g == 0 {
-		return
-	}
-	r.vals = append(r.vals, g)
-}
-
 // stampCounter counts the stamps sparse.Builder would keep from a stream,
-// mirroring its zero skip exactly as valsRecorder does.
+// mirroring its skip of zero-valued stamps.
 type stampCounter struct {
 	n int
 }

@@ -293,7 +293,7 @@ func TestStampCounterIsExact(t *testing.T) {
 	rdlAll.Bonding = pdn.F2F
 	rdlAll.WireBond = true
 	for _, spec := range []*pdn.Spec{offChipSpec(t), onChipSpec(t), rdlAll} {
-		m, err := Build(spec)
+		topo, m, err := buildBoth(spec, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -301,8 +301,8 @@ func TestStampCounterIsExact(t *testing.T) {
 		if err := m.stamp(&c); err != nil {
 			t.Fatal(err)
 		}
-		if c.n != m.topo.stamps {
-			t.Errorf("%s rdl=%v: counted %d stamps, the builder kept %d", spec.Name, spec.RDL, c.n, m.topo.stamps)
+		if c.n != topo.pattern.Stamps() {
+			t.Errorf("%s rdl=%v: counted %d stamps, the builder kept %d", spec.Name, spec.RDL, c.n, topo.pattern.Stamps())
 		}
 	}
 }

@@ -113,6 +113,32 @@ func TestLUTIOLevelsOutOfRange(t *testing.T) {
 	}
 }
 
+// TestLUTProbeIOOutOfRange: a probe io outside (0,1] is a 400 naming
+// probe.io, refused before any analyzer is built or solve run, like every
+// other activity field; a probe inside (0,1] above the top covered level
+// is still a coverage miss (422).
+func TestLUTProbeIOOutOfRange(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	const lutReq = `{"bench":"ddr3-off","max_per_die":1,"io_levels":[0.5],"probe":{"state":"0-0-0-1","io":%s}}`
+	for _, io := range []string{"0", "-0.5"} {
+		resp, body := post(t, ts.URL+"/v1/lut", fmt.Sprintf(lutReq, io))
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("probe io %s: status = %d, want 400 (body %s)", io, resp.StatusCode, body)
+		}
+		if msg := errorText(t, body); !strings.Contains(msg, "-probe.io") {
+			t.Errorf("probe io %s: error %q does not name the probe.io field", io, msg)
+		}
+	}
+	counters := s.reg.Snapshot().Counters
+	if counters["serve.flight.misses"] != 0 || counters["rmesh.builds"] != 0 {
+		t.Errorf("refused LUT probes ran %d flights and %d mesh builds", counters["serve.flight.misses"], counters["rmesh.builds"])
+	}
+	resp, body := post(t, ts.URL+"/v1/lut", fmt.Sprintf(lutReq, "0.8"))
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("probe io 0.8 above the covered 0.5: status = %d, want 422 (body %s)", resp.StatusCode, body)
+	}
+}
+
 // TestOversizedBodyIs413: a body above maxBodyBytes is refused in the JSON
 // error envelope, and the server goes on serving.
 func TestOversizedBodyIs413(t *testing.T) {

@@ -613,8 +613,9 @@ type LUTRequest struct {
 	IOLevels []float64 `json:"io_levels,omitempty"`
 	// Full includes every grid point in the response.
 	Full bool `json:"full,omitempty"`
-	// Probe, when set, looks one (state, io) up in the table; a point
-	// outside the grid fails the request with 422.
+	// Probe, when set, looks one (state, io) up in the table; an io
+	// outside (0,1] fails the request with 400, and a point outside the
+	// grid with 422.
 	Probe *LUTProbe `json:"probe,omitempty"`
 }
 
@@ -672,6 +673,12 @@ func (s *Server) handleLUT(w http.ResponseWriter, req *http.Request) {
 	}
 	for _, io := range levels {
 		if err := query.CheckIO("io_levels", io); err != nil {
+			writeErr(w, statusFor(err), err)
+			return
+		}
+	}
+	if lreq.Probe != nil {
+		if err := query.CheckIO("probe.io", lreq.Probe.IO); err != nil {
 			writeErr(w, statusFor(err), err)
 			return
 		}

@@ -74,8 +74,8 @@ func TestFreezeMergesDuplicatesInStampOrder(t *testing.T) {
 }
 
 // Compress and Freeze+NewCSR+Scatter must stay bit-identical on a stamp
-// stream whose duplicate groups are order-sensitive — the contract the
-// restamp pipeline builds on.
+// stream whose duplicate groups are order-sensitive — the contract every
+// matrix stamped over a frozen pattern builds on.
 func TestFreezeScatterBitIdenticalToCompress(t *testing.T) {
 	ref := dupStampBuilder().Compress()
 	b := dupStampBuilder()
@@ -91,7 +91,7 @@ func TestFreezeScatterBitIdenticalToCompress(t *testing.T) {
 		}
 	}
 	// A second scatter of the same stream through the same pattern must
-	// reproduce the values again (restamp replay).
+	// reproduce the values again.
 	m2 := p.NewCSR()
 	p.Scatter(m2.Val, b.RawVals())
 	for i := range m.Val {
@@ -103,9 +103,9 @@ func TestFreezeScatterBitIdenticalToCompress(t *testing.T) {
 
 // refFreeze is the specification Freeze is pinned to: stamp indices
 // stable-sorted by (row, col), so duplicates keep stamping order, with
-// one slot per distinct coordinate.
-func refFreeze(b *Builder) (rowPtr, col, order, slot []int32) {
-	order = make([]int32, len(b.vals))
+// one slot per distinct coordinate; slot[t] is stamp t's.
+func refFreeze(b *Builder) (rowPtr, col, slot []int32) {
+	order := make([]int32, len(b.vals))
 	for i := range order {
 		order[i] = int32(i)
 	}
@@ -122,12 +122,12 @@ func refFreeze(b *Builder) (rowPtr, col, order, slot []int32) {
 			col = append(col, b.cols[t])
 			rowPtr[b.rows[t]+1]++
 		}
-		slot[i] = int32(len(col) - 1)
+		slot[t] = int32(len(col) - 1)
 	}
 	for i := 0; i < b.n; i++ {
 		rowPtr[i+1] += rowPtr[i]
 	}
-	return rowPtr, col, order, slot
+	return rowPtr, col, slot
 }
 
 // randomStream stamps k random coordinates of an n×n matrix. Rows are
@@ -190,35 +190,34 @@ func freezeStreams() []namedStream {
 }
 
 // TestFreezeMatchesStableSortReference pins the counting-sort freeze to
-// the stable (row, col) sort it replaces: equal row pointers, columns,
-// merge order and slots on every stream.
+// the stable (row, col) sort it replaces: equal row pointers, columns and
+// per-stamp slots on every stream.
 func TestFreezeMatchesStableSortReference(t *testing.T) {
 	for _, s := range freezeStreams() {
 		b := s.b
 		p := b.Freeze()
-		rowPtr, col, order, slot := refFreeze(b)
+		rowPtr, col, slot := refFreeze(b)
 		for _, f := range []struct {
 			field     string
 			got, want []int32
 		}{
 			{"rowPtr", p.rowPtr, rowPtr},
 			{"col", p.col, col},
-			{"order", p.order, order},
 			{"slot", p.slot, slot},
 		} {
 			if !slices.Equal(f.got, f.want) {
 				t.Errorf("%s: %s = %v, want %v", s.name, f.field, f.got, f.want)
 			}
 		}
-		if len(p.rowPtr) != b.n+1 || p.Stamps() != b.NNZStamps() {
-			t.Errorf("%s: %d row pointers and %d stamps for n=%d and %d stamps", s.name, len(p.rowPtr), p.Stamps(), b.n, b.NNZStamps())
+		if len(p.rowPtr) != b.n+1 || p.Stamps() != len(b.vals) {
+			t.Errorf("%s: %d row pointers and %d stamps for n=%d and %d stamps", s.name, len(p.rowPtr), p.Stamps(), b.n, len(b.vals))
 		}
 	}
 }
 
-// TestFreezeAllocationsIndependentOfSize: Freeze allocates its pattern
-// and four exactly-sized arrays, however many stamps it orders — no
-// index scratch, no growth of the column array.
+// TestFreezeAllocationsIndependentOfSize: Freeze allocates its pattern,
+// three exactly-sized arrays and one stamp-sized scratch, however many
+// stamps it orders — no growth of the column array.
 func TestFreezeAllocationsIndependentOfSize(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	allocs := func(k int) float64 {
@@ -229,4 +228,73 @@ func TestFreezeAllocationsIndependentOfSize(t *testing.T) {
 	if small != large || large != 5 {
 		t.Fatalf("Freeze allocates %v times for 100 stamps and %v for 100,000, want 5 for both", small, large)
 	}
+}
+
+// stampStream issues one seeded stream of AddConductance and AddToGround
+// calls, about one value in six zero, to a Builder or a Stamper alike.
+func stampStream(s interface {
+	AddConductance(i, j int, g float64)
+	AddToGround(i int, g float64)
+}, n int, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	for k := 0; k < 6*n; k++ {
+		v := rng.NormFloat64()
+		if rng.Intn(6) == 0 {
+			v = 0
+		}
+		if i, j := rng.Intn(n), rng.Intn(n); i == j {
+			s.AddToGround(i, v)
+		} else {
+			s.AddConductance(i, j, v)
+		}
+	}
+}
+
+// assertBitsEqual requires two value arrays to match bit for bit.
+func assertBitsEqual(t *testing.T, name string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d values, want %d", name, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: value slot %d = %g, want %g (must be bit-identical)", name, i, got[i], want[i])
+		}
+	}
+}
+
+// TestStamperMatchesCompress: a stream stamped straight into a fresh
+// CSR's values through the frozen pattern keeps Builder's zero skip and
+// merge order, so the matrix is bit-identical to Compress's — also on the
+// order-sensitive duplicate groups. A stamp past the frozen stream is
+// counted, not added.
+func TestStamperMatchesCompress(t *testing.T) {
+	for seed := int64(0); seed < 10; seed++ {
+		n := 1 + int(seed)*17
+		b := NewBuilder(n)
+		stampStream(b, n, seed)
+		p := b.Freeze()
+		m := p.NewCSR()
+		s := p.Stamper(m.Val)
+		stampStream(s, n, seed)
+		if s.Stamps() != p.Stamps() {
+			t.Fatalf("seed %d: stamper kept %d stamps, the builder %d", seed, s.Stamps(), p.Stamps())
+		}
+		assertBitsEqual(t, fmt.Sprintf("seed %d", seed), m.Val, b.Compress().Val)
+	}
+
+	b := dupStampBuilder()
+	p := b.Freeze()
+	m := p.NewCSR()
+	s := p.Stamper(m.Val)
+	for _, v := range b.vals {
+		s.add(v)
+	}
+	assertBitsEqual(t, "dup stamps", m.Val, b.Compress().Val)
+	before := slices.Clone(m.Val)
+	s.AddConductance(0, 1, 1)
+	if s.Stamps() != p.Stamps()+4 {
+		t.Errorf("stamper counted %d stamps after 4 extra, want %d", s.Stamps(), p.Stamps()+4)
+	}
+	assertBitsEqual(t, "past the stream", m.Val, before)
 }

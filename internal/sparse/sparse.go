@@ -1,6 +1,8 @@
 // Package sparse implements the symmetric sparse matrices used by the
 // R-Mesh nodal analysis. Conductance matrices are assembled stamp-by-stamp
-// into a coordinate builder and compressed to CSR for the iterative solver.
+// into a coordinate builder and compressed to CSR for the iterative solver;
+// once a builder's pattern is frozen, a later stream with the same
+// coordinates is stamped straight into a CSR's values.
 //
 // The matrices produced by nodal analysis of a resistor network with at
 // least one tie to the (folded) supply node are symmetric positive
@@ -69,10 +71,6 @@ func (b *Builder) AddToGround(i int, g float64) {
 	b.Add(i, i, g)
 }
 
-// NNZStamps returns the number of raw stamps accumulated so far (before
-// duplicate merging). Useful for capacity diagnostics.
-func (b *Builder) NNZStamps() int { return len(b.vals) }
-
 // RawVals returns the raw stamp values in stamp order, aliasing the
 // builder's storage. Together with Pattern.Scatter it lets a caller
 // compress without re-sorting: Freeze once, then Scatter any stamp stream
@@ -80,8 +78,8 @@ func (b *Builder) NNZStamps() int { return len(b.vals) }
 func (b *Builder) RawVals() []float64 { return b.vals }
 
 // Compress merges duplicates and produces an immutable CSR matrix. It is
-// Freeze + NewCSR + Scatter, so one-shot builds and pattern-reusing
-// restamps produce bit-identical matrices by construction.
+// Freeze + NewCSR + Scatter, so one-shot builds and matrices stamped over
+// a frozen pattern are bit-identical by construction.
 func (b *Builder) Compress() *CSR {
 	p := b.Freeze()
 	m := p.NewCSR()
@@ -90,9 +88,9 @@ func (b *Builder) Compress() *CSR {
 }
 
 // Pattern is the frozen symbolic structure of a compressed matrix: the CSR
-// row pointers and column indices, plus the stamp→slot mapping that merges
-// duplicate coordinates. A Pattern is immutable and safe for concurrent
-// use; it can Scatter any number of raw stamp streams that follow the same
+// row pointers and column indices, plus the value slot each raw stamp
+// merges into. A Pattern is immutable and safe for concurrent use; it can
+// Scatter or stamp any number of stamp streams that follow the same
 // stamping order as the builder it was frozen from.
 //
 //pdnlint:frozen
@@ -100,34 +98,30 @@ type Pattern struct {
 	n      int
 	rowPtr []int32
 	col    []int32
-	// order lists the raw stamp indices sorted by (row, col) — the exact
-	// merge order the one-shot Compress uses, preserved so that summing
-	// duplicates during Scatter is bit-identical to Compress.
-	order []int32
-	// slot[i] is the CSR value slot stamp order[i] merges into.
+	// slot[t] is the CSR value slot raw stamp t merges into. Adding a
+	// stream into its slots in stamping order sums each coordinate's
+	// duplicates in stamp-index order, the merge order Compress promises.
 	slot []int32
 }
 
 // Freeze captures the builder's symbolic structure as an immutable
 // Pattern. The builder's stamp coordinates — not its values — define the
 // pattern: a later stamp stream with the same coordinates in the same
-// order can be Scattered through it.
+// order can be Scattered or stamped through it.
 //
 // The stamps are ordered by (row, col, stamp index) with two stable
-// counting sorts, by column and then by row, in O(stamps + n). Stability
-// supplies the stamp-index tie-break: duplicates of one coordinate always
-// merge in stamping order, which fixes the float sum that the
-// bit-identical Compress/Scatter contract and the byte-pinned golden
-// corpus depend on. Every output is allocated once at its exact size;
-// the row pointers double as the sorts' bucket array, and slot holds the
-// column-ordered stamps until the row pass has consumed them.
+// counting sorts, by column and then by row, in O(stamps + n); each run
+// of equal coordinates opens one value slot. Every output is allocated
+// once at its exact size; the row pointers double as the sorts' bucket
+// array, slot holds the column-ordered stamps until the row pass has
+// consumed them, and the row-ordered stamps are scratch.
 func (b *Builder) Freeze() *Pattern {
 	p := &Pattern{
 		n:      b.n,
 		rowPtr: make([]int32, b.n+1),
-		order:  make([]int32, len(b.vals)),
 		slot:   make([]int32, len(b.vals)),
 	}
+	order := make([]int32, len(b.vals))
 	bucket, byCol := p.rowPtr, p.slot
 	for _, c := range b.cols {
 		bucket[c+1]++
@@ -144,7 +138,7 @@ func (b *Builder) Freeze() *Pattern {
 	prefixSum(bucket)
 	for _, t := range byCol {
 		r := b.rows[t]
-		p.order[bucket[r]] = t
+		order[bucket[r]] = t
 		bucket[r]++
 	}
 
@@ -156,19 +150,19 @@ func (b *Builder) Freeze() *Pattern {
 		hi := p.rowPtr[r]
 		p.rowPtr[r] = nnz
 		prev := int32(-1)
-		for i := lo; i < hi; i++ {
-			if c := b.cols[p.order[i]]; c != prev {
+		for _, t := range order[lo:hi] {
+			if c := b.cols[t]; c != prev {
 				prev = c
 				nnz++
 			}
-			p.slot[i] = nnz - 1
+			p.slot[t] = nnz - 1
 		}
 		lo = hi
 	}
 	p.rowPtr[b.n] = nnz
 	p.col = make([]int32, nnz)
-	for i, t := range p.order {
-		p.col[p.slot[i]] = b.cols[t]
+	for t, s := range p.slot {
+		p.col[s] = b.cols[t]
 	}
 	return p
 }
@@ -188,8 +182,9 @@ func (p *Pattern) N() int { return p.n }
 func (p *Pattern) NNZ() int { return len(p.col) }
 
 // Stamps returns the number of raw stamps the pattern was frozen from. A
-// stream passed to Scatter must have exactly this length.
-func (p *Pattern) Stamps() int { return len(p.order) }
+// stream passed to Scatter, or through a Stamper, must have exactly this
+// length.
+func (p *Pattern) Stamps() int { return len(p.slot) }
 
 // NewCSR returns a CSR matrix over this pattern with a zero value array.
 // The row pointers and column indices are shared with the pattern (and
@@ -202,23 +197,68 @@ func (p *Pattern) NewCSR() *CSR {
 
 // Scatter compresses a raw stamp stream into dst, which must be the value
 // array of a CSR made from this pattern (len == NNZ). raw must contain
-// exactly Stamps() values in the original stamping order. Duplicates are
-// summed in the same order Compress merges them, so the result is
-// bit-identical to rebuilding through a Builder with the same stamps.
+// exactly Stamps() values in the original stamping order. Each stamp is
+// added into its slot in stamping order, so duplicates sum in the order
+// Compress merges them and the result is bit-identical to rebuilding
+// through a Builder with the same stamps.
 func (p *Pattern) Scatter(dst, raw []float64) {
-	if len(raw) != len(p.order) {
-		panic(fmt.Sprintf("sparse: Scatter got %d raw stamps, pattern has %d", len(raw), len(p.order)))
+	if len(raw) != len(p.slot) {
+		panic(fmt.Sprintf("sparse: Scatter got %d raw stamps, pattern has %d", len(raw), len(p.slot)))
 	}
 	if len(dst) != len(p.col) {
 		panic(fmt.Sprintf("sparse: Scatter dst length %d != pattern nnz %d", len(dst), len(p.col)))
 	}
-	for i := range dst {
-		dst[i] = 0
-	}
-	for i, t := range p.order {
-		dst[p.slot[i]] += raw[t]
+	clear(dst)
+	for t, v := range raw {
+		dst[p.slot[t]] += v
 	}
 }
+
+// Stamper adds a stamp stream straight into the value array of a CSR made
+// from a pattern: it has Builder's conductance stamps and zero skip, and
+// adds the t-th kept stamp into slot[t]. Coordinates are not read (the
+// pattern holds them), so the stream must follow the frozen one's order.
+type Stamper struct {
+	slot []int32
+	val  []float64
+	n    int
+}
+
+// Stamper returns a stamper adding into val, the zero value array of a
+// CSR from NewCSR.
+func (p *Pattern) Stamper(val []float64) *Stamper {
+	if len(val) != len(p.col) {
+		panic(fmt.Sprintf("sparse: Stamper val length %d != pattern nnz %d", len(val), len(p.col)))
+	}
+	return &Stamper{slot: p.slot, val: val}
+}
+
+// add adds a nonzero v into the next stamp's slot, the stamp Builder.Add
+// would keep. A stamp past the frozen stream is counted but not added.
+func (s *Stamper) add(v float64) {
+	if v == 0 {
+		return
+	}
+	if s.n < len(s.slot) {
+		s.val[s.slot[s.n]] += v
+	}
+	s.n++
+}
+
+// AddConductance stamps g between nodes i and j, as Builder does.
+func (s *Stamper) AddConductance(i, j int, g float64) {
+	s.add(g)
+	s.add(g)
+	s.add(-g)
+	s.add(-g)
+}
+
+// AddToGround stamps g from node i to the reference, as Builder does.
+func (s *Stamper) AddToGround(i int, g float64) { s.add(g) }
+
+// Stamps returns the number of stamps kept so far; a complete stream
+// keeps Pattern.Stamps.
+func (s *Stamper) Stamps() int { return s.n }
 
 // CSR is a compressed-sparse-row matrix.
 type CSR struct {

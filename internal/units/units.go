@@ -47,11 +47,15 @@ const Tol = 1e-9
 
 // ApproxEqual reports whether a and b agree to within tol, interpreted
 // relative to their magnitude (and absolutely for magnitudes below 1).
-// It is the sanctioned replacement for raw ==/!= between floats, which
-// the floateq analyzer rejects in analysis code.
+// An infinity equals only itself, and NaN equals nothing. It is the
+// sanctioned replacement for raw ==/!= between floats, which the floateq
+// analyzer rejects in analysis code.
 func ApproxEqual(a, b, tol float64) bool {
 	if a == b { //pdnlint:ignore floateq exact-match fast path; also covers equal infinities, where a-b is NaN
 		return true
+	}
+	if math.IsInf(a, 0) || math.IsInf(b, 0) {
+		return false // tol·m would be +Inf and admit any value
 	}
 	m := math.Abs(a)
 	if bm := math.Abs(b); bm > m {

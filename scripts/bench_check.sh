@@ -12,7 +12,7 @@
 #     default 4.0). Wall time at -benchtime 1x on shared CI hardware is
 #     noisy and host-dependent, so the band only catches
 #     order-of-magnitude blowups (an accidental dense fallback, a
-#     reallocating restamp), not small drifts.
+#     restamp that allocates per stamp), not small drifts.
 #
 # Generalizes the former check_amg_iters.sh (cg-amg iterations only) to
 # every benchmark in the snapshot.
