@@ -5,7 +5,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"pdn3d/internal/irdrop"
 	"pdn3d/internal/obs"
 	"pdn3d/internal/report"
 )
@@ -211,6 +213,26 @@ func TestFigure4Validation(t *testing.T) {
 	}
 	if v.Speedup <= 1 {
 		t.Errorf("speedup %.1fx should exceed 1", v.Speedup)
+	}
+}
+
+// Figure 4's runtime cells keep sub-millisecond times: no cell reads 0s
+// while its duration is positive, at pitch 0.6 (where the R-Mesh solve
+// takes about a millisecond, host permitting) and for a 420 µs solve.
+func TestFigure4RuntimeCells(t *testing.T) {
+	_, v, err := NewRunner(Config{MeshPitch: 0.6, Requests: 1000}).Figure4()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fast := *v
+	fast.CoarseTime = 420 * time.Microsecond
+	for _, v := range []*irdrop.Validation{v, &fast} {
+		tab := figure4Table(v)
+		for i, d := range []time.Duration{v.FineTime, v.CoarseTime} {
+			if got := tab.Rows[i][3]; d > 0 && got == "0s" {
+				t.Errorf("row %q: runtime cell reads %s for %v\n%s", tab.Rows[i][0], got, d, tab)
+			}
+		}
 	}
 }
 

@@ -122,13 +122,15 @@ func TestTermResponsesBalanceKirchhoff(t *testing.T) {
 		if logic != nil {
 			terms = append(terms, irdrop.Term{Kind: irdrop.TermLogic})
 		}
-		for _, term := range terms {
-			r, err := a.ResponseCtx(context.Background(), term)
-			if err != nil {
-				t.Fatal(err)
-			}
-			recent, _, _ := a.SolveRecords.Snapshot()
-			bal := recent[0].Balance
+		rs, err := a.ResponseCtx(context.Background(), terms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The records were committed in term order, and recent lists
+		// the newest first.
+		recent, _, _ := a.SolveRecords.Snapshot()
+		for j, term := range terms {
+			r, bal := rs[j], recent[len(terms)-1-j].Balance
 			if !(bal > 0 && bal <= balanceBound) {
 				t.Errorf("%s %s response: balance %.3g, want in (0, %g]", b.Name, term, bal, balanceBound)
 			}

@@ -51,12 +51,12 @@ func bitStableLines(t *testing.T, b *bench3d.Benchmark, spec *pdn.Spec, label st
 		lines = append(lines, fmt.Sprintf("%s state=%s iters=%d ir=%s", label, st, r.Stats.Iterations, irHash(r.IR)))
 	}
 	term := irdrop.Term{Kind: irdrop.TermBank, Die: spec.NumDRAM - 1, Bank: 0}
-	ir, err := a.ResponseCtx(context.Background(), term)
+	ir, err := a.ResponseCtx(context.Background(), []irdrop.Term{term})
 	if err != nil {
 		t.Fatal(err)
 	}
 	recent, _, _ := a.SolveRecords.Snapshot()
-	lines = append(lines, fmt.Sprintf("%s term=%q iters=%d ir=%s", label, term, recent[0].Iterations, irHash(ir)))
+	lines = append(lines, fmt.Sprintf("%s term=%q iters=%d ir=%s", label, term, recent[0].Iterations, irHash(ir[0])))
 	return lines
 }
 

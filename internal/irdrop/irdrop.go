@@ -12,7 +12,10 @@
 // by speckey.Point). Look-up-table generation goes further: the mesh is
 // linear and a state's loads are a weighted sum of fixed unit load terms
 // (Term), so ResponseCtx solves one response per term and the table's
-// states are weighted sums of those responses.
+// states are weighted sums of those responses. Several right-hand sides
+// on one design — a table's unit terms, a candidate's worst-case states
+// (AnalyzeAllCtx) — are solved in lockstep, each answer bit-identical to
+// a solve of its own.
 package irdrop
 
 import (
@@ -160,37 +163,63 @@ func (a *Analyzer) Solves() int { return int(a.solves.Load()) }
 // "solve" child spans under it, the latter annotated with the solver's
 // iteration count; with no span in ctx tracing is a no-op. AnalyzeCtx is
 // safe for concurrent use: the conductance matrix is immutable after
-// Build and each solve works on its own vectors.
+// Build and each solve works on its own vectors. It is AnalyzeAllCtx's
+// one-state case.
 func (a *Analyzer) AnalyzeCtx(ctx context.Context, state memstate.State, io float64) (*Result, error) {
-	defer a.obs.Timer("irdrop.analyze_time").Start()()
-	spec := a.Spec()
-	m := a.Model
-	rhs := m.BaseRHS()
-	res := &Result{State: state, IO: io, PerDie: make([]float64, spec.NumDRAM)}
-	stamp := obs.SpanFrom(ctx).Child("stamp")
-	load, err := a.stampLoads(state, io, rhs, res)
-	stamp.End()
+	res, err := a.AnalyzeAllCtx(ctx, []memstate.State{state}, []float64{io})
 	if err != nil {
 		return nil, err
 	}
-	ir, stats, balance, err := a.solveTraced(ctx, rhs, load, true)
-	if err != nil {
-		return nil, fmt.Errorf("irdrop: %s state %s: %w", spec.Name, state, err)
+	return res[0], nil
+}
+
+// AnalyzeAllCtx is AnalyzeCtx for several states at once, state j at
+// activity ios[j]: their solves run in lockstep (rmesh.Model.SolveCols),
+// so they share their passes over the matrix and the factor, and each
+// state's result is bit-identical to its own AnalyzeCtx. Each state gets
+// its own "stamp" and "solve" spans and solve record. The first failing
+// state's error is returned.
+func (a *Analyzer) AnalyzeAllCtx(ctx context.Context, states []memstate.State, ios []float64) ([]*Result, error) {
+	defer a.obs.Timer("irdrop.analyze_time").Start()()
+	if len(ios) != len(states) {
+		return nil, fmt.Errorf("irdrop: %d states, %d I/O activities", len(states), len(ios))
 	}
-	res.Stats = stats
-	res.Balance = balance
-	res.IR = ir
-	for d := 0; d < spec.NumDRAM; d++ {
-		res.PerDie[d] = m.DieMaxIR(res.IR, d)
-		if res.PerDie[d] > res.MaxIR {
-			res.MaxIR = res.PerDie[d]
+	spec := a.Spec()
+	m := a.Model
+	res := make([]*Result, len(states))
+	rhs := make([][]float64, len(states))
+	loads := make([]float64, len(states))
+	for j, state := range states {
+		rhs[j] = m.BaseRHS()
+		res[j] = &Result{State: state, IO: ios[j], PerDie: make([]float64, spec.NumDRAM)}
+		stamp := obs.SpanFrom(ctx).Child("stamp")
+		var err error
+		loads[j], err = a.stampLoads(state, ios[j], rhs[j], res[j])
+		stamp.End()
+		if err != nil {
+			return nil, err
 		}
 	}
-	if spec.OnLogic {
-		res.LogicIR = m.DieMaxIR(res.IR, rmesh.DieLogic)
+	cols, balances := a.solveCols(ctx, rhs, loads, true)
+	for j, r := range res {
+		if err := cols[j].Err; err != nil {
+			return nil, fmt.Errorf("irdrop: %s state %s: %w", spec.Name, r.State, err)
+		}
+		r.Stats = cols[j].Stats
+		r.Balance = balances[j]
+		r.IR = cols[j].X
+		for d := 0; d < spec.NumDRAM; d++ {
+			r.PerDie[d] = m.DieMaxIR(r.IR, d)
+			if r.PerDie[d] > r.MaxIR {
+				r.MaxIR = r.PerDie[d]
+			}
+		}
+		if spec.OnLogic {
+			r.LogicIR = m.DieMaxIR(r.IR, rmesh.DieLogic)
+		}
+		// Max over all analyzed states: order-independent, so deterministic.
+		a.obs.Gauge("irdrop.max_ir_v").SetMax(r.MaxIR)
 	}
-	// Max over all analyzed states: order-independent, so deterministic.
-	a.obs.Gauge("irdrop.max_ir_v").SetMax(res.MaxIR)
 	return res, nil
 }
 
@@ -237,12 +266,12 @@ func (t Term) String() string {
 	}
 }
 
-// ResponseCtx returns the IR-drop response to one unit load term: the
-// per-node vector r with G·r = i(t), the current term t draws. The mesh is
-// linear, so responses add: a state's IR-drop vector at activity io is
-// idle(io)·r(standby) + r(logic) + Σ over active dies d of
-// Σ_b r(bank b on d) + ioP(io)·r(io on d). No term depends on io, so one
-// response serves every I/O level.
+// ResponseCtx returns the IR-drop responses to unit load terms: for
+// each term t the per-node vector r with G·r = i(t), the current t
+// draws. The mesh is linear, so responses add: a state's IR-drop vector
+// at activity io is idle(io)·r(standby) + r(logic) + Σ over active dies d
+// of Σ_b r(bank b on d) + ioP(io)·r(io on d). No term depends on io, so
+// one response serves every I/O level.
 //
 // The system is solved in IR space. The supply ties are the only
 // conductances to the folded reference, so G·(VDD·1) = BaseRHS and
@@ -250,26 +279,38 @@ func (t Term) String() string {
 // the solver's relative-residual target is taken against it rather than
 // against the much larger tie currents in Analyze's right-hand side.
 //
-// Like AnalyzeCtx, ResponseCtx polls ctx at every solver iteration,
-// records "stamp" and "solve" spans under ctx's span and commits a solve
-// record carrying the response's Kirchhoff balance.
-func (a *Analyzer) ResponseCtx(ctx context.Context, t Term) ([]float64, error) {
-	stamp := obs.SpanFrom(ctx).Child("stamp")
-	rhs := make([]float64, a.Model.N())
-	load, err := a.stampTerm(t, rhs)
-	stamp.End()
-	if err != nil {
-		return nil, err
+// The terms are solved in lockstep (rmesh.Model.SolveCols), each
+// response bit-identical to a solve of its own. Like AnalyzeCtx,
+// ResponseCtx polls ctx at every solver iteration, and each term records
+// "stamp" and "solve" spans under ctx's span and commits a solve record
+// carrying its response's Kirchhoff balance. The first failing term's
+// error is returned.
+func (a *Analyzer) ResponseCtx(ctx context.Context, terms []Term) ([][]float64, error) {
+	rhs := make([][]float64, len(terms))
+	loads := make([]float64, len(terms))
+	for j, t := range terms {
+		stamp := obs.SpanFrom(ctx).Child("stamp")
+		rhs[j] = make([]float64, a.Model.N())
+		var err error
+		loads[j], err = a.stampTerm(t, rhs[j])
+		stamp.End()
+		if err != nil {
+			return nil, err
+		}
+		// Stamping subtracts the current each load draws.
+		for k := range rhs[j] {
+			rhs[j][k] = -rhs[j][k]
+		}
 	}
-	// Stamping subtracts the current each load draws.
-	for k := range rhs {
-		rhs[k] = -rhs[k]
+	cols, _ := a.solveCols(ctx, rhs, loads, false)
+	out := make([][]float64, len(terms))
+	for j, c := range cols {
+		if c.Err != nil {
+			return nil, fmt.Errorf("irdrop: %s response to %s: %w", a.Spec().Name, terms[j], c.Err)
+		}
+		out[j] = c.X
 	}
-	r, _, _, err := a.solveTraced(ctx, rhs, load, false)
-	if err != nil {
-		return nil, fmt.Errorf("irdrop: %s response to %s: %w", a.Spec().Name, t, err)
-	}
-	return r, nil
+	return out, nil
 }
 
 // stampTerm folds term t's loads into rhs and returns the current in amps
@@ -379,35 +420,46 @@ func (a *Analyzer) stampLoads(state memstate.State, io float64, rhs []float64, r
 	return power / 1000 / a.Model.VDD, nil
 }
 
-// solveTraced runs one nodal solve with a.Opts, polling ctx at every
-// iteration, under a "solve" child of ctx's span, and commits the solve's
-// flight record on the error path too: a failed or cancelled solve is
-// exactly the record /debug/solves exists to surface. It returns the
+// solveCols solves the right-hand sides rhs in lockstep with a.Opts,
+// consuming them, and polls ctx at every iteration. Each column runs
+// under its own "solve" child of ctx's span and commits its own flight
+// record, on the error path too: a failed or cancelled solve is exactly
+// the record /debug/solves exists to surface. Each column's X is its
 // IR-drop vector: the solution itself for an IR-space right-hand side,
-// VDD − v for a voltage-space one (voltage true). The vector's Kirchhoff
-// balance against load, the current in amps the right-hand side's loads
-// draw, is returned and recorded.
-func (a *Analyzer) solveTraced(ctx context.Context, rhs []float64, load float64, voltage bool) ([]float64, solve.CGStats, float64, error) {
-	a.solves.Add(1)
-	opts := a.Opts
-	opts.Cancel = ctx.Err
-	sp := obs.SpanFrom(ctx).Child("solve")
-	opts.Span = sp
-	rec := a.SolveRecords.StartSolveRecord()
-	rec.SetTrace(obs.TraceFrom(ctx).ID())
-	opts.Rec = rec
-	x, stats, err := a.Model.Solve(rhs, opts)
-	sp.End()
-	var balance float64
-	if err == nil {
-		if voltage {
-			x = a.Model.IRDrop(x)
-		}
-		balance = a.Model.Balance(x, load)
-		rec.SetBalance(balance)
+// VDD − v for a voltage-space one (voltage true). Its Kirchhoff balance
+// against loads[j], the current in amps its loads draw, is returned and
+// recorded. A solver set-up failure is every column's error.
+func (a *Analyzer) solveCols(ctx context.Context, rhs [][]float64, loads []float64, voltage bool) ([]solve.Column, []float64) {
+	a.solves.Add(int64(len(rhs)))
+	cols := make([]solve.Column, len(rhs))
+	trace := obs.TraceFrom(ctx).ID()
+	for j := range cols {
+		opts := a.Opts.CGOptions
+		opts.Cancel = ctx.Err
+		opts.Span = obs.SpanFrom(ctx).Child("solve")
+		rec := a.SolveRecords.StartSolveRecord()
+		rec.SetTrace(trace)
+		opts.Rec = rec
+		cols[j] = solve.Column{B: rhs[j], Opt: opts}
 	}
-	rec.Commit()
-	return x, stats, balance, err
+	err := a.Model.SolveCols(cols, a.Opts)
+	balances := make([]float64, len(cols))
+	for j := range cols {
+		c := &cols[j]
+		c.Opt.Span.End()
+		if err != nil {
+			c.Err = err
+		}
+		if c.Err == nil {
+			if voltage {
+				c.X = a.Model.IRDrop(c.X)
+			}
+			balances[j] = a.Model.Balance(c.X, loads[j])
+			c.Opt.Rec.SetBalance(balances[j])
+		}
+		c.Opt.Rec.Commit()
+	}
+	return cols, balances
 }
 
 // MaxIRmV returns the stack maximum IR drop in millivolts.

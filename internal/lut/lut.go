@@ -9,7 +9,9 @@
 // the logic die, each die's I/O pattern, each bank). A build solves each
 // term once, whatever the number of levels, weights and sums the terms
 // into 1 + D·maxPerDie responses per level, and sums those for each of
-// the (maxPerDie+1)^D states, instead of solving every state.
+// the (maxPerDie+1)^D states, instead of solving every state. The unit
+// terms are solved in lockstep groups of up to four, which share their
+// passes over the matrix and the IC(0) factor.
 package lut
 
 import (
@@ -22,6 +24,7 @@ import (
 	"pdn3d/internal/irdrop"
 	"pdn3d/internal/memstate"
 	"pdn3d/internal/par"
+	"pdn3d/internal/solve"
 )
 
 // ErrNotCovered is the sentinel every MaxIR miss wraps: the queried
@@ -97,12 +100,15 @@ func BuildWith(a *irdrop.Analyzer, maxPerDie int, ioLevels []float64, workers in
 // the standby pattern of all dies, the logic load on an on-chip design,
 // each die's I/O pattern and each bank the placement opens —
 // 1 + D·(1 + maxPerDie) solves, plus one with a logic die, for any number
-// of levels (D = dies). At each level it weighs them into 1 + D·maxPerDie
-// level responses — the idle stack idle(io)·standby + logic, and die d
-// running c banks, its banks' terms plus ioP(io)·I/O — each built by one
-// worker in a fixed order. A state's entry is the maximum over DRAM-die
-// nodes of the idle stack plus each active die's response, summed in die
-// order by one worker, so entries do not depend on scheduling.
+// of levels (D = dies). The solves run in lockstep groups of at most
+// four terms, one group per worker at a time, each response
+// bit-identical to a solve of its own. At each level it weighs them into
+// 1 + D·maxPerDie level responses — the idle stack idle(io)·standby +
+// logic, and die d running c banks, its banks' terms plus ioP(io)·I/O —
+// each built by one worker in a fixed order. A state's entry is the
+// maximum over DRAM-die nodes of the idle stack plus each active die's
+// response, summed in die order by one worker, so entries do not depend
+// on scheduling.
 func BuildCtx(ctx context.Context, a *irdrop.Analyzer, maxPerDie int, ioLevels []float64, workers int) (*Table, error) {
 	levels, err := checkGrid(maxPerDie, ioLevels)
 	if err != nil {
@@ -145,10 +151,15 @@ func BuildCtx(ctx context.Context, a *irdrop.Analyzer, maxPerDie int, ioLevels [
 			banks[d] = append(banks[d], ks)
 		}
 	}
+	// The terms are solved in lockstep groups of at most
+	// solve.LockstepWidth, of near-equal size (13 terms: 3, 3, 3, 4), and
+	// the groups fan out over the workers.
 	unit := make([][]float64, len(terms))
-	err = par.Sweep(workers, len(terms), func(k int) error {
-		var err error
-		unit[k], err = a.ResponseCtx(ctx, terms[k])
+	groups := (len(terms) + solve.LockstepWidth - 1) / solve.LockstepWidth
+	err = par.Sweep(workers, groups, func(g int) error {
+		lo, hi := g*len(terms)/groups, (g+1)*len(terms)/groups
+		rs, err := a.ResponseCtx(ctx, terms[lo:hi])
+		copy(unit[lo:hi], rs)
 		return err
 	})
 	if err != nil {

@@ -10,6 +10,8 @@ import (
 
 	"pdn3d/internal/bench3d"
 	"pdn3d/internal/irdrop"
+	"pdn3d/internal/obs"
+	"pdn3d/internal/solve"
 )
 
 // analyzerFor builds an analyzer for a paper design at the given pitch
@@ -149,16 +151,29 @@ func TestPointsIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// A cancelled build stops solving and returns the context's error.
+// A cancelled build stops solving and returns the context's error: it
+// starts at most one lockstep group, at most four solves, each stopped at
+// its first iteration.
 func TestBuildCtxCancelled(t *testing.T) {
 	a := coarseAnalyzer(t)
+	a.SolveRecords = obs.NewSolveBuffer(solve.LockstepWidth)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	before := a.Solves()
 	if _, err := BuildCtx(ctx, a, 2, DefaultIOLevels(), 1); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if n := a.Solves() - before; n != 1 {
-		t.Errorf("cancelled build ran %d solves, want 1 (the first, stopped at its first iteration)", n)
+	n := a.Solves() - before
+	if n < 1 || n > solve.LockstepWidth {
+		t.Errorf("cancelled build ran %d solves, want one group of 1 to %d", n, solve.LockstepWidth)
+	}
+	recent, _, added := a.SolveRecords.Snapshot()
+	if added != int64(n) {
+		t.Fatalf("%d solve records for %d solves", added, n)
+	}
+	for _, r := range recent {
+		if r.Iterations != 0 || r.Termination != obs.TermCancelled {
+			t.Errorf("solve %s: %d iterations, termination %q; want cancelled at its first iteration", r.ID, r.Iterations, r.Termination)
+		}
 	}
 }

@@ -8,12 +8,14 @@
 package opt
 
 import (
+	"context"
 	"fmt"
 	"math"
 
 	"pdn3d/internal/bench3d"
 	"pdn3d/internal/cost"
 	"pdn3d/internal/irdrop"
+	"pdn3d/internal/memstate"
 	"pdn3d/internal/obs"
 	"pdn3d/internal/par"
 	"pdn3d/internal/pdn"
@@ -171,18 +173,25 @@ func (o *Optimizer) measure(c Candidate) (float64, int, error) {
 		return 0, 0, err
 	}
 	n := spec.NumDRAM
-	worst := 0.0
-	states := [][]int{topDie(n, 2)}
+	counts := [][]int{topDie(n, 2)}
 	ios := []float64{o.Bench.DefaultIO}
 	if n >= 2 {
-		states = append(states, topTwoDies(n, 2))
+		counts = append(counts, topTwoDies(n, 2))
 		ios = append(ios, 0.5)
 	}
-	for i, counts := range states {
-		r, err := a.AnalyzeCounts(counts, ios[i])
-		if err != nil {
+	states := make([]memstate.State, len(counts))
+	for i, c := range counts {
+		if states[i], err = memstate.FromCounts(c, memstate.WorstCaseEdge(spec.DRAM.NumBanks)); err != nil {
 			return 0, 0, err
 		}
+	}
+	// One lockstep solve of both states.
+	rs, err := a.AnalyzeAllCtx(context.Background(), states, ios)
+	if err != nil {
+		return 0, 0, err
+	}
+	worst := 0.0
+	for _, r := range rs {
 		if r.MaxIRmV() > worst {
 			worst = r.MaxIRmV()
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"pdn3d/internal/powermap"
 	"pdn3d/internal/solve"
@@ -77,17 +78,32 @@ func (m *Model) Solver(opt solve.Options) (solve.Solver, error) {
 }
 
 // Solve runs the selected solver on the assembled system and returns node
-// voltages. The per-matrix setup (IC(0) factorization or AMG hierarchy) is
-// built once per method and shared across right-hand sides and
-// goroutines.
+// voltages; rhs is left as it was. It is SolveCols' one-column case. The
+// per-matrix setup (IC(0) factorization or AMG hierarchy) is built once
+// per method and shared across right-hand sides and goroutines.
 func (m *Model) Solve(rhs []float64, opt solve.Options) ([]float64, solve.CGStats, error) {
+	cols := []solve.Column{{B: slices.Clone(rhs), Opt: opt.CGOptions}}
+	if err := m.SolveCols(cols, opt); err != nil {
+		return nil, solve.CGStats{}, err
+	}
+	return cols[0].X, cols[0].Stats, cols[0].Err
+}
+
+// SolveCols solves the assembled system for every column in lockstep
+// (solve.Solver.SolveCols) with the solver opt selects; each column
+// carries its own CGOptions, and opt's are not used. Each column's B is
+// consumed, and its X, Stats and Err are what Solve would return for it.
+// The returned error is the solver set-up's alone. Every column counts as
+// one solve under rmesh.solves.
+func (m *Model) SolveCols(cols []solve.Column, opt solve.Options) error {
 	defer m.obs.Timer("rmesh.solve_time").Start()()
 	s, err := m.Solver(opt)
 	if err != nil {
-		return nil, solve.CGStats{}, err
+		return err
 	}
-	m.obs.Counter("rmesh.solves").Add(1)
-	return s.Solve(rhs, opt.CGOptions)
+	m.obs.Counter("rmesh.solves").Add(int64(len(cols)))
+	s.SolveCols(cols)
+	return nil
 }
 
 // Balance returns the relative Kirchhoff current-balance error of the

@@ -230,17 +230,20 @@ func TestPanickingSolveAnswers500(t *testing.T) {
 	}
 }
 
-// panicSolver panics in Solve once two solves have entered it, so the
-// two run on distinct goroutines of the build's pool and at least one
-// panic happens on a worker other than the request's own goroutine.
+// panicSolver panics in SolveCols once two lockstep solves have entered
+// it, so the two run on distinct goroutines of the build's pool and at
+// least one panic happens on a worker other than the request's own
+// goroutine. Every LUT solve is a SolveCols call; the embedded nil
+// Solver leaves the rest of the interface unimplemented.
 type panicSolver struct {
+	solve.Solver
 	entered *atomic.Int64
 	both    chan struct{}
 }
 
 func (panicSolver) Method() string { return "test-panic-solve" }
 
-func (p panicSolver) Solve([]float64, solve.CGOptions) ([]float64, solve.CGStats, error) {
+func (p panicSolver) SolveCols([]solve.Column) {
 	if p.entered.Add(1) == 2 {
 		close(p.both)
 	}

@@ -45,28 +45,29 @@ func TestLUTRequestsKeepNoSolveMemory(t *testing.T) {
 	}
 }
 
-// holdSolver parks the first solve it runs until that solve's request is
-// cancelled, so a test can cancel a LUT build mid-flight; every other
-// solve runs straight through.
+// holdSolver parks the first lockstep solve it runs until that solve's
+// request is cancelled, so a test can cancel a LUT build mid-flight;
+// every other solve runs straight through.
 type holdSolver struct {
 	solve.Solver
 	armed  *atomic.Bool
 	parked chan<- struct{}
 }
 
-func (h holdSolver) Solve(b []float64, cg solve.CGOptions) ([]float64, solve.CGStats, error) {
+func (h holdSolver) SolveCols(cols []solve.Column) {
 	if h.armed.CompareAndSwap(true, false) {
 		h.parked <- struct{}{}
 		// A build that never wires cancellation into its solves would
 		// park here for good; give up after a bound so the test fails
 		// instead of hanging.
+		cancel := cols[0].Opt.Cancel
 		for stop := time.Now().Add(5 * time.Second); time.Now().Before(stop); time.Sleep(time.Millisecond) {
-			if cg.Cancel != nil && cg.Cancel() != nil {
+			if cancel != nil && cancel() != nil {
 				break
 			}
 		}
 	}
-	return h.Solver.Solve(b, cg)
+	h.Solver.SolveCols(cols)
 }
 
 // TestLUTCancelStopsSolving: a LUT request whose client goes away stops

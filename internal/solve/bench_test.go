@@ -47,6 +47,45 @@ func benchCG(b *testing.B, method string) {
 
 func BenchmarkCG_IC0(b *testing.B) { benchCG(b, MethodCGIC0) }
 
+// BenchmarkCG_IC0_Lockstep solves four right-hand sides per op in one
+// lockstep IC(0)-CG loop, the way a LUT build solves its unit terms. Its
+// iters/solve is the loop's iteration count, which its slowest column
+// sets.
+func BenchmarkCG_IC0_Lockstep(b *testing.B) {
+	b.Run("n10k", func(b *testing.B) {
+		a := grid2D(100, 100)
+		s, err := New(a, Options{Method: MethodCGIC0})
+		if err != nil {
+			b.Fatal(err)
+		}
+		rhs := make([][]float64, LockstepWidth)
+		cols := make([]Column, LockstepWidth)
+		for j := range rhs {
+			rhs[j] = benchRHS(a.N)
+			rhs[j][(j+1)*a.N/5] += 0.1
+			cols[j].B = make([]float64, a.N)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		var iters int
+		for i := 0; i < b.N; i++ {
+			for j := range cols {
+				copy(cols[j].B, rhs[j])
+				cols[j].Opt = CGOptions{Tol: 1e-8}
+			}
+			s.SolveCols(cols)
+			iters = 0
+			for _, c := range cols {
+				if c.Err != nil {
+					b.Fatal(c.Err)
+				}
+				iters = max(iters, c.Stats.Iterations)
+			}
+		}
+		b.ReportMetric(float64(iters), "iters/solve")
+	})
+}
+
 // BenchmarkCG_AMG tracks the multigrid-preconditioned path. Its
 // iters/solve metric feeds BENCH_solver.json and the CI iteration guard:
 // AMG's near-size-independent iteration counts versus cg-ic0's growth are

@@ -102,97 +102,252 @@ func invDiag(a *sparse.CSR) ([]float64, error) {
 	return invD, nil
 }
 
-// pcg is the shared preconditioned conjugate-gradient core behind every
-// CG-family solver. The residual norm for the convergence check is
-// accumulated in the same pass that updates the residual (axpyNormSq)
-// rather than recomputed with a separate sweep.
-func pcg(a *sparse.CSR, pre Preconditioner, b []float64, opt CGOptions) ([]float64, CGStats, error) {
-	n := a.N
-	if len(b) != n {
-		return nil, CGStats{}, fmt.Errorf("solve: rhs length %d != matrix dim %d", len(b), n)
-	}
-	tol := opt.Tol
-	if tol <= 0 {
-		tol = 1e-10
-	}
-	maxIter := opt.MaxIter
-	if maxIter <= 0 {
-		maxIter = 10 * n
-	}
+// Column is one right-hand side of a lockstep solve (Solver.SolveCols)
+// and, once the solve returns, its outcome: exactly what Solve returns
+// for it.
+type Column struct {
+	// B is the right-hand side. The solve consumes it as the column's
+	// residual, so on return it holds that residual, not b.
+	B []float64
+	// Opt tunes this column alone: its tolerance, iteration budget,
+	// cancellation, span and recorder.
+	Opt CGOptions
 
-	stats := CGStats{}
-	termination := obs.TermError
-	if opt.Rec != nil {
-		opt.Rec.Begin(n)
-		// Deferred for the same reason as the span annotation below: every
-		// exit leaves the recorder carrying the true final story, and the
-		// recorder upgrades maxiter to stagnated when the residual had
-		// long stopped improving.
-		defer func() {
-			opt.Rec.Finish(stats.Iterations, stats.Residual, stats.Converged, termination)
-		}()
-	}
-	if opt.Span != nil {
-		// Deferred so every exit — converged, exhausted, canceled —
-		// leaves the trace span carrying the true iteration story. The
-		// annotated fields are a pure function of the system and the
-		// right-hand side.
-		defer func() {
-			opt.Span.Annotate(
-				obs.A("iterations", stats.Iterations),
-				obs.A("residual", stats.Residual),
-				obs.A("converged", stats.Converged))
-		}()
-	}
+	// X, Stats and Err are the column's outcome, set by the solve.
+	X     []float64
+	Stats CGStats
+	Err   error
+}
 
-	normB := norm2(b)
-	x := make([]float64, n)
-	if normB == 0 {
-		stats.Converged = true
-		termination = obs.TermConverged
-		return x, stats, nil
+// LockstepWidth is the number of columns one pass of the four-column
+// SpMV and IC(0) kernels advances, and so the group size callers with
+// many right-hand sides solve in. The IC(0) triangular solves are a
+// serial dependency chain, bound by latency at paper sizes, so extra
+// independent columns ride along almost free; an eight-wide IC(0) pass
+// measured no faster than two four-wide ones.
+const LockstepWidth = 4
+
+// wideApplier is a preconditioner that also applies LockstepWidth
+// columns in one pass over its factor: Apply4 sets z[j] = M⁻¹·r[j] for
+// every lane j, bit-identical to Apply(z[j], r[j]).
+type wideApplier interface {
+	Apply4(z, r [LockstepWidth][]float64)
+}
+
+// cgState is one column's CG recurrence: its tolerance and budget, its
+// vectors, and whether it is still iterating. r is the column's B; z
+// holds M⁻¹·r and, between the SpMV and the residual update, A·p, since
+// the two are never live at once. So a column holds four vectors: x, r,
+// z and p.
+type cgState struct {
+	tol     float64
+	maxIter int
+	x, z, p []float64
+	normB   float64
+	rz      float64
+	live    bool
+}
+
+// lockstep is one preconditioned-CG solve of k columns on one matrix.
+// Each column does exactly the floating-point operations of a solve of
+// its own, in the same order — the BLAS-1 steps are the per-column
+// kernels of kernels.go — so its answer, stats and record do not depend
+// on k or on the other columns. Only the SpMV and, when the
+// preconditioner has one, the four-column apply walk the matrix or the
+// factor once for up to four live columns.
+type lockstep struct {
+	a    *sparse.CSR
+	pre  Preconditioner
+	wide wideApplier // pre's four-column apply, nil when it has none
+	cols []Column
+	st   []cgState
+	// zero fills the spare lanes of a two- or three-column pass; every
+	// kernel maps zero to zero, so it stays zero.
+	zero []float64
+}
+
+// pcg is the preconditioned conjugate-gradient core behind every solver:
+// it advances the columns in lockstep until each has converged, used its
+// budget, been cancelled or met a non-positive p'Ap, and sets each
+// column's X, Stats and Err. A frozen column stops taking part in the
+// passes, commits its span annotation and recorder story at once, and
+// never delays or changes another. The residual norm for the convergence
+// check is accumulated in the same pass that updates the residual
+// (axpyNormSq) rather than recomputed with a separate sweep.
+func pcg(a *sparse.CSR, pre Preconditioner, cols []Column) {
+	l := &lockstep{a: a, pre: pre, cols: cols, st: make([]cgState, len(cols))}
+	l.wide, _ = pre.(wideApplier)
+	live := 0
+	for j := range cols {
+		if l.start(j) {
+			live++
+		}
 	}
-
-	r := make([]float64, n)
-	copy(r, b) // x = 0 so r = b
-	z := make([]float64, n)
-	pre.Apply(z, r)
-	p := make([]float64, n)
-	copy(p, z)
-	ap := make([]float64, n)
-
-	rz := dot(r, z)
-	for it := 0; it < maxIter; it++ {
-		if opt.Cancel != nil {
-			if err := opt.Cancel(); err != nil {
-				termination = obs.TermCancelled
-				return nil, stats, fmt.Errorf("solve: canceled at iteration %d: %w", it, err)
+	l.sweep(false) // z = M⁻¹·r
+	for j := range l.st {
+		if c := &l.st[j]; c.live {
+			copy(c.p, c.z)
+			c.rz = dot(cols[j].B, c.z)
+		}
+	}
+	for it := 0; live > 0; it++ {
+		for j := range l.st {
+			if !l.st[j].live {
+				continue
+			}
+			if it >= l.st[j].maxIter {
+				st := cols[j].Stats
+				l.freeze(j, obs.TermMaxIter, fmt.Errorf("%w after %d iterations (residual %.3e, tol %.3e)",
+					ErrNotConverged, st.Iterations, st.Residual, l.st[j].tol))
+				live--
+				continue
+			}
+			if cancel := cols[j].Opt.Cancel; cancel != nil {
+				if err := cancel(); err != nil {
+					l.freeze(j, obs.TermCancelled, fmt.Errorf("solve: canceled at iteration %d: %w", it, err))
+					live--
+				}
 			}
 		}
-		a.MulVec(ap, p)
-		pap := dot(p, ap)
-		if pap <= 0 {
-			return nil, stats, fmt.Errorf("solve: p'Ap = %g <= 0 at iteration %d (matrix not SPD)", pap, it)
+		l.sweep(true) // z = A·p
+		for j := range l.st {
+			c, col := &l.st[j], &cols[j]
+			if !c.live {
+				continue
+			}
+			pap := dot(c.p, c.z)
+			if pap <= 0 {
+				l.freeze(j, obs.TermError, fmt.Errorf("solve: p'Ap = %g <= 0 at iteration %d (matrix not SPD)", pap, it))
+				live--
+				continue
+			}
+			alpha := c.rz / pap
+			axpy(c.x, alpha, c.p)
+			rNormSq := axpyNormSq(col.B, -alpha, c.z)
+			col.Stats.Iterations = it + 1
+			col.Stats.Residual = math.Sqrt(rNormSq) / c.normB
+			col.Opt.Rec.RecordIter(alpha, col.Stats.Residual)
+			if col.Stats.Residual <= c.tol {
+				col.Stats.Converged = true
+				l.freeze(j, obs.TermConverged, nil)
+				live--
+			}
 		}
-		alpha := rz / pap
-		axpy(x, alpha, p)
-		rNormSq := axpyNormSq(r, -alpha, ap)
-		stats.Iterations = it + 1
-		stats.Residual = math.Sqrt(rNormSq) / normB
-		opt.Rec.RecordIter(alpha, stats.Residual)
-		if stats.Residual <= tol {
-			stats.Converged = true
-			termination = obs.TermConverged
-			return x, stats, nil
+		l.sweep(false) // z = M⁻¹·r
+		for j := range l.st {
+			c, col := &l.st[j], &cols[j]
+			if !c.live {
+				continue
+			}
+			rzNew := dot(col.B, c.z)
+			beta := rzNew / c.rz
+			c.rz = rzNew
+			xpby(c.p, beta, c.z)
+			col.Opt.Rec.RecordBeta(beta)
 		}
-		pre.Apply(z, r)
-		rzNew := dot(r, z)
-		beta := rzNew / rz
-		rz = rzNew
-		xpby(p, beta, z)
-		opt.Rec.RecordBeta(beta)
 	}
-	termination = obs.TermMaxIter
-	return x, stats, fmt.Errorf("%w after %d iterations (residual %.3e, tol %.3e)",
-		ErrNotConverged, stats.Iterations, stats.Residual, tol)
+}
+
+// start sets column j up: it checks the right-hand side, begins the
+// column's record, and allocates its vectors. A zero right-hand side is
+// answered at once with x = 0. It reports whether the column iterates.
+func (l *lockstep) start(j int) bool {
+	n, col, c := l.a.N, &l.cols[j], &l.st[j]
+	if len(col.B) != n {
+		col.Err = fmt.Errorf("solve: rhs length %d != matrix dim %d", len(col.B), n)
+		return false
+	}
+	c.tol, c.maxIter = col.Opt.Tol, col.Opt.MaxIter
+	if c.tol <= 0 {
+		c.tol = 1e-10
+	}
+	if c.maxIter <= 0 {
+		c.maxIter = 10 * n
+	}
+	col.Opt.Rec.Begin(n)
+	c.normB = norm2(col.B)
+	c.x = make([]float64, n)
+	if c.normB == 0 {
+		col.Stats.Converged = true
+		l.freeze(j, obs.TermConverged, nil)
+		return false
+	}
+	c.z = make([]float64, n)
+	c.p = make([]float64, n)
+	c.live = true
+	return true
+}
+
+// freeze ends column j's iteration with the given termination and error:
+// it sets the column's outcome, annotates its span and finishes its
+// record with the final story. A column that failed keeps no answer,
+// except one that ran out of iterations, which keeps its last iterate.
+func (l *lockstep) freeze(j int, term string, err error) {
+	c, col := &l.st[j], &l.cols[j]
+	c.live = false
+	col.X, col.Err = c.x, err
+	if err != nil && term != obs.TermMaxIter {
+		col.X = nil
+	}
+	c.z, c.p = nil, nil
+	if col.Opt.Span != nil {
+		col.Opt.Span.Annotate(
+			obs.A("iterations", col.Stats.Iterations),
+			obs.A("residual", col.Stats.Residual),
+			obs.A("converged", col.Stats.Converged))
+	}
+	col.Opt.Rec.Finish(col.Stats.Iterations, col.Stats.Residual, col.Stats.Converged, term)
+}
+
+// sweep runs one matrix or preconditioner pass over the live columns:
+// z = A·p when spmv is set, z = M⁻¹·r otherwise. The SpMV and a
+// preconditioner with a four-column apply take the live columns four to
+// a pass, in column order; a pass of one column runs the one-column
+// kernel, and a pass of two or three fills its spare lanes with the zero
+// vector. Any other preconditioner applies column by column.
+func (l *lockstep) sweep(spmv bool) {
+	wide := spmv || l.wide != nil
+	var out, in [LockstepWidth][]float64
+	k := 0
+	for j := range l.st {
+		c := &l.st[j]
+		if !c.live {
+			continue
+		}
+		out[k], in[k] = c.z, l.cols[j].B
+		if spmv {
+			in[k] = c.p
+		}
+		if !wide {
+			l.pre.Apply(out[0], in[0])
+			continue
+		}
+		if k++; k == LockstepWidth {
+			l.pass(spmv, out, in)
+			k = 0
+		}
+	}
+	switch {
+	case k == 1 && spmv:
+		l.a.MulVec(out[0], in[0])
+	case k == 1:
+		l.pre.Apply(out[0], in[0])
+	case k > 1:
+		if l.zero == nil {
+			l.zero = make([]float64, l.a.N)
+		}
+		for ; k < LockstepWidth; k++ {
+			out[k], in[k] = l.zero, l.zero
+		}
+		l.pass(spmv, out, in)
+	}
+}
+
+// pass runs one four-column kernel.
+func (l *lockstep) pass(spmv bool, out, in [LockstepWidth][]float64) {
+	if spmv {
+		mulVec4(l.a, out, in)
+	} else {
+		l.wide.Apply4(out, in)
+	}
 }

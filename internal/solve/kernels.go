@@ -1,6 +1,10 @@
 package solve
 
-import "math"
+import (
+	"math"
+
+	"pdn3d/internal/sparse"
+)
 
 // Summation order of the CG reductions. Below kernelMinN entries, dot and
 // axpyNormSq add in one plain loop; from kernelMinN up they sum
@@ -9,7 +13,8 @@ import "math"
 // vector length, so every answer is a pure function of the system, and
 // it is the order every pinned answer was computed in
 // (irdrop.TestAnswersBitStable, BENCH_solver.json's iteration counts).
-// axpy, xpby and SpMV are element-wise and do not depend on order.
+// axpy, xpby and SpMV are element-wise and do not depend on order; the
+// four-column SpMV (mulVec4) sums each lane's rows in MulVec's order.
 const (
 	kernelMinN  = 8192
 	kernelBlock = 4096
@@ -78,5 +83,25 @@ func xpby(p []float64, beta float64, z []float64) {
 	z = z[:len(p)]
 	for i := range p {
 		p[i] = z[i] + beta*p[i]
+	}
+}
+
+// mulVec4 computes y[j] = A·x[j] for four columns in one pass over A.
+// Each lane sums its rows in MulVec's order, so it is bit-identical to a
+// MulVec of its own.
+func mulVec4(a *sparse.CSR, y, x [LockstepWidth][]float64) {
+	n := a.N
+	y0, y1, y2, y3 := y[0][:n], y[1][:n], y[2][:n], y[3][:n]
+	x0, x1, x2, x3 := x[0][:n], x[1][:n], x[2][:n], x[3][:n]
+	for i := 0; i < n; i++ {
+		var s0, s1, s2, s3 float64
+		for q := a.RowPtr[i]; q < a.RowPtr[i+1]; q++ {
+			c, v := a.Col[q], a.Val[q]
+			s0 += v * x0[c]
+			s1 += v * x1[c]
+			s2 += v * x2[c]
+			s3 += v * x3[c]
+		}
+		y0[i], y1[i], y2[i], y3[i] = s0, s1, s2, s3
 	}
 }

@@ -65,3 +65,22 @@ func (p timedPre) Apply(z, r []float64) {
 	p.pre.Apply(z, r)
 	stop()
 }
+
+// timedWidePre is timedPre over a preconditioner with a four-column
+// apply, which it forwards, timed: without it an instrumented solver
+// would apply its columns one at a time.
+type timedWidePre struct{ timedPre }
+
+func (p timedWidePre) Apply4(z, r [LockstepWidth][]float64) {
+	stop := p.t.Start()
+	p.pre.(wideApplier).Apply4(z, r)
+	stop()
+}
+
+// timed wraps pre so that every application is timed under t.
+func timed(pre Preconditioner, t *obs.Timer) Preconditioner {
+	if _, ok := pre.(wideApplier); ok {
+		return timedWidePre{timedPre{pre: pre, t: t}}
+	}
+	return timedPre{pre: pre, t: t}
+}

@@ -96,7 +96,7 @@ func TestRecorderStagnatedSolve(t *testing.T) {
 	a := grid2D(16, 16)
 	buf := obs.NewSolveBuffer(1)
 	rec := buf.StartSolveRecord()
-	_, _, err := pcg(a, &thrashPre{}, benchRHS(a.N), CGOptions{Tol: 1e-10, MaxIter: 1000, Rec: rec})
+	_, _, err := solveOne(a, &thrashPre{}, benchRHS(a.N), CGOptions{Tol: 1e-10, MaxIter: 1000, Rec: rec})
 	if !errors.Is(err, ErrNotConverged) {
 		t.Fatalf("err = %v, want ErrNotConverged", err)
 	}

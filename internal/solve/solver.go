@@ -2,6 +2,7 @@ package solve
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -17,8 +18,13 @@ import (
 type Solver interface {
 	// Method returns the registry name the solver was built under.
 	Method() string
-	// Solve returns x with A·x = b, with per-call tuning in opt.
+	// Solve returns x with A·x = b, with per-call tuning in opt. b is
+	// left as it was.
 	Solve(b []float64, opt CGOptions) ([]float64, CGStats, error)
+	// SolveCols solves A·x = B for every column in lockstep, consuming
+	// each column's B, and sets each column's X, Stats and Err to what
+	// Solve would return for it. Solve is its one-column case.
+	SolveCols(cols []Column)
 }
 
 // Options selects and tunes a solver built through the registry.
@@ -138,7 +144,7 @@ func cgFactory(method, precond string, setup func(*sparse.CSR) (Preconditioner, 
 			return nil, err
 		}
 		if opt.Obs != nil {
-			pre = timedPre{pre: pre, t: m.apply}
+			pre = timed(pre, m.apply)
 		}
 		return &cgSolver{method: method, a: a, pre: pre, m: m, precond: precond}, nil
 	}
@@ -158,15 +164,24 @@ type cgSolver struct {
 func (s *cgSolver) Method() string { return s.method }
 
 func (s *cgSolver) Solve(b []float64, opt CGOptions) ([]float64, CGStats, error) {
+	cols := []Column{{B: slices.Clone(b), Opt: opt}}
+	s.SolveCols(cols)
+	return cols[0].X, cols[0].Stats, cols[0].Err
+}
+
+func (s *cgSolver) SolveCols(cols []Column) {
 	// Stamp the solver identity before the solve so even a cancelled or
 	// failed record names the method and its preconditioner.
-	opt.Rec.SetSolver(s.method, s.precond)
-	stop := s.m.solveTime.Start()
-	x, stats, err := pcg(s.a, s.pre, b, opt)
-	stop()
-	if opt.Span != nil {
-		opt.Span.Annotate(obs.A("precond", s.precond))
+	for j := range cols {
+		cols[j].Opt.Rec.SetSolver(s.method, s.precond)
 	}
-	s.m.record(stats, err)
-	return x, stats, err
+	stop := s.m.solveTime.Start()
+	pcg(s.a, s.pre, cols)
+	stop()
+	for j := range cols {
+		if cols[j].Opt.Span != nil {
+			cols[j].Opt.Span.Annotate(obs.A("precond", s.precond))
+		}
+		s.m.record(cols[j].Stats, cols[j].Err)
+	}
 }

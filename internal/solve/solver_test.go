@@ -158,7 +158,7 @@ func diagCG(a *sparse.CSR, b []float64, opt CGOptions) ([]float64, CGStats, erro
 	if err != nil {
 		return nil, CGStats{}, err
 	}
-	return pcg(a, diagPre{invD}, b, opt)
+	return solveOne(a, diagPre{invD}, b, opt)
 }
 
 // hadamard computes z = d .* r elementwise.
