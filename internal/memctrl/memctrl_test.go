@@ -1,7 +1,10 @@
 package memctrl
 
 import (
+	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -33,10 +36,10 @@ func tinyLUT(t *testing.T, maxPerDie int, irV float64) *lut.Table {
 // are surfaced on the result.
 func TestLUTMissesAreCounted(t *testing.T) {
 	table := tinyLUT(t, 1, 0.010)
-	s := &sim{cfg: DefaultConfig(PolicyIRAware, FCFS, table, 0.030)}
-	s.cfg.Dies = 2
-	s.cfg.BanksPerDie = 8
-	s.openPerDie = []int{2, 0} // two open banks: outside the maxPerDie=1 grid
+	cfg := DefaultConfig(PolicyIRAware, FCFS, table, 0.030)
+	cfg.Dies = 2
+	s := newSim(cfg, nil, nil)
+	copy(s.openPerDie, []int{2, 0}) // two open banks: outside the maxPerDie=1 grid
 
 	s.observeIR()
 	if s.res.LUTMisses != 1 {
@@ -48,7 +51,7 @@ func TestLUTMissesAreCounted(t *testing.T) {
 
 	// mayActivate's IR check (one open bank plus the new activation = two,
 	// outside the maxPerDie=1 grid) is blocked AND counted.
-	s.openPerDie = []int{1, 0}
+	copy(s.openPerDie, []int{1, 0})
 	blockedBefore := s.res.Blocked
 	if s.mayActivate(0) {
 		t.Error("activation into an uncovered state should be blocked")
@@ -61,12 +64,25 @@ func TestLUTMissesAreCounted(t *testing.T) {
 	}
 
 	// A covered, under-limit state neither blocks nor counts a miss.
-	s.openPerDie = []int{0, 0}
+	copy(s.openPerDie, []int{0, 0})
 	if !s.mayActivate(1) {
 		t.Error("covered under-limit activation should pass")
 	}
 	if s.res.LUTMisses != 2 {
 		t.Errorf("covered lookup bumped LUTMisses to %d", s.res.LUTMisses)
+	}
+
+	// Asking again about the uncovered states answers from the run's
+	// cache and counts again.
+	copy(s.openPerDie, []int{2, 0})
+	s.observeIR()
+	copy(s.openPerDie, []int{1, 0})
+	if s.mayActivate(0) {
+		t.Error("a cached verdict let an activation into an uncovered state through")
+	}
+	if s.res.Blocked != blockedBefore+2 || s.res.LUTMisses != 4 {
+		t.Errorf("repeated look-ups: Blocked = %d, LUTMisses = %d, want %d and 4",
+			s.res.Blocked, s.res.LUTMisses, blockedBefore+2)
 	}
 }
 
@@ -288,6 +304,36 @@ func TestSimulateValidation(t *testing.T) {
 	}
 }
 
+// A channel map that sends a (die, bank) off the channel range is an
+// error naming the pair, not a silent fallback onto channel 0.
+func TestSimulateRejectsBadChannelMap(t *testing.T) {
+	reqs := []Request{{ID: 0, Arrival: 0, Die: 0, Bank: 0, Row: 1}}
+	for _, ch := range []int{4, -1} {
+		cfg := stdConfig()
+		cfg.Channels = 4
+		cfg.ChannelOf = func(die, bank int) int {
+			if die == 2 && bank == 5 {
+				return ch
+			}
+			return bank / 2
+		}
+		_, err := Simulate(cfg, slices.Clone(reqs))
+		want := fmt.Sprintf("die 2 bank 5 on channel %d outside [0,4)", ch)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("channel %d: Simulate error %v, want one naming %q", ch, err, want)
+		}
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("channel %d: Validate accepted the map", ch)
+		}
+	}
+	cfg := stdConfig()
+	cfg.Channels = 4
+	cfg.ChannelOf = func(_, bank int) int { return bank / 2 }
+	if _, err := Simulate(cfg, slices.Clone(reqs)); err != nil {
+		t.Errorf("in-range map: %v", err)
+	}
+}
+
 func TestRowHitsDominateWithLocality(t *testing.T) {
 	cfg := stdConfig()
 	wl := DefaultWorkload(cfg.Dies, cfg.BanksPerDie)
@@ -310,5 +356,29 @@ func TestStringers(t *testing.T) {
 	}
 	if FCFS.String() != "FCFS" || DistR.String() != "DistR" {
 		t.Error("scheduler strings")
+	}
+}
+
+// BenchmarkSimulate times Table 6's three controller runs, each on the
+// default 10,000-read workload over the synthetic 4×2 LUT.
+func BenchmarkSimulate(b *testing.B) {
+	table := syntheticLUT(b, 4, 2)
+	for _, run := range table6Runs(table, 0.016) {
+		cfg := run.cfg
+		b.Run(run.name, func(b *testing.B) {
+			reqs, err := Generate(DefaultWorkload(cfg.Dies, cfg.BanksPerDie))
+			if err != nil {
+				b.Fatal(err)
+			}
+			work := make([]Request, len(reqs))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				copy(work, reqs)
+				if _, err := Simulate(cfg, work); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

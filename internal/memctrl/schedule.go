@@ -1,9 +1,6 @@
 package memctrl
 
-import (
-	"cmp"
-	"slices"
-)
+import "slices"
 
 // schedule is the per-cycle scheduling pass: for each channel, the
 // controller walks the priority queue and issues the first command
@@ -13,23 +10,13 @@ func (s *sim) schedule() {
 	if len(s.queue) == 0 {
 		return
 	}
-	order := s.priorityOrder()
-	if la := s.cfg.lookahead(len(order)); la < len(order) {
-		order = order[:la]
-	}
-	// Resolve the priority order to request pointers up front: issuing a
-	// read removes it from the queue, which would invalidate raw indices.
-	s.cands = s.cands[:0]
-	for _, qi := range order {
-		s.cands = append(s.cands, s.queue[qi])
-	}
 	clear(s.issued)
 	nIssued := 0
-	for _, req := range s.cands {
+	for _, req := range s.priorityOrder() {
 		if nIssued == s.cfg.Channels {
 			break
 		}
-		ch := s.channelOf(req)
+		ch := s.channel[req.Die*s.cfg.BanksPerDie+req.Bank]
 		if s.issued[ch] {
 			continue
 		}
@@ -43,29 +30,33 @@ func (s *sim) schedule() {
 	}
 }
 
-// priorityOrder returns queue indices in scheduling priority, in the
-// sim's scratch. FCFS orders by arrival; DistR puts requests whose target
-// die has the fewest open banks first (ties by arrival), balancing reads
-// across dies. Both sorts are stable.
-func (s *sim) priorityOrder() []int {
-	s.order = s.order[:0]
-	for i := range s.queue {
-		s.order = append(s.order, i)
+// priorityOrder returns the requests this cycle searches, in scheduling
+// priority, in the sim's scratch: a copy, since issuing a read removes it
+// from the queue. FCFS takes the queue's own arrival order and searches
+// its first fcfsLookahead (any other Scheduler than FCFS and DistR
+// searches all of it). DistR puts requests whose target die has the
+// fewest open banks first, ties by arrival: it buckets the queue by its
+// dies' open banks, each bucket in queue order, and searches the whole
+// queue.
+func (s *sim) priorityOrder() []*Request {
+	s.cands = s.cands[:0]
+	if s.cfg.Sched != DistR {
+		n := len(s.queue)
+		if s.cfg.Sched == FCFS {
+			n = min(n, fcfsLookahead)
+		}
+		s.cands = append(s.cands, s.queue[:n]...)
+		return s.cands
 	}
-	if s.cfg.Sched == DistR {
-		slices.SortStableFunc(s.order, func(a, b int) int {
-			ra, rb := s.queue[a], s.queue[b]
-			if c := cmp.Compare(s.openPerDie[ra.Die], s.openPerDie[rb.Die]); c != 0 {
-				return c
+	top := slices.Max(s.openPerDie)
+	for open := 0; open <= top; open++ {
+		for _, r := range s.queue {
+			if s.openPerDie[r.Die] == open {
+				s.cands = append(s.cands, r)
 			}
-			return cmp.Compare(ra.Arrival, rb.Arrival)
-		})
-	} else {
-		slices.SortStableFunc(s.order, func(a, b int) int {
-			return cmp.Compare(s.queue[a].Arrival, s.queue[b].Arrival)
-		})
+		}
 	}
-	return s.order
+	return s.cands
 }
 
 // tryIssue attempts to make progress on one request; reports whether a
@@ -160,39 +151,55 @@ func (s *sim) mayActivate(die int) bool {
 		}
 		return true
 	default: // PolicyIRAware
-		// Check the state the activation creates... An uncovered LUT
-		// point (lut.ErrNotCovered) blocks like an over-limit state —
-		// conservative — but is also counted as a miss so an undersized
-		// table is visible in the result instead of silently throttling.
-		counts, _ := s.countsAndActive(die, 1)
-		ir, err := s.cfg.LUT.MaxIR(counts, perDieIO(counts))
-		if err != nil || ir > s.cfg.IRLimit {
-			s.noteLUTMiss(err)
-			s.res.Blocked++
-			return false
+		switch s.irVerdict(die) {
+		case pass:
+			return true
+		case miss:
+			s.res.LUTMisses++
 		}
-		// ...and the state it can decay into once other dies drain and
-		// this die takes the whole bus (conservative against idle-close).
-		ir, err = s.cfg.LUT.MaxIR(s.aloneCounts(die), 1.0)
-		if err != nil || ir > s.cfg.IRLimit {
-			s.noteLUTMiss(err)
-			s.res.Blocked++
-			return false
-		}
-		return true
+		s.res.Blocked++
+		return false
 	}
 }
 
-// channelOf resolves a request's channel.
-func (s *sim) channelOf(req *Request) int {
-	if s.cfg.ChannelOf != nil {
-		ch := s.cfg.ChannelOf(req.Die, req.Bank)
-		if ch < 0 || ch >= s.cfg.Channels {
-			return 0
-		}
-		return ch
+// irVerdict returns the IR check's outcome for activating a bank on die,
+// looking it up only the first time this open-bank vector asks it.
+func (s *sim) irVerdict(die int) outcome {
+	i := s.stateIndex()
+	if i < 0 {
+		return s.lookupVerdict(die)
 	}
-	return req.Bank % s.cfg.Channels
+	i = i*s.cfg.Dies + die
+	if s.verdicts[i] == unknown {
+		s.verdicts[i] = s.lookupVerdict(die)
+	}
+	return s.verdicts[i]
+}
+
+// lookupVerdict checks an activation on die against the LUT. An uncovered
+// LUT point (lut.ErrNotCovered) blocks like an over-limit state —
+// conservative — but is a miss, so an undersized table is visible in the
+// result instead of silently throttling.
+func (s *sim) lookupVerdict(die int) outcome {
+	// Check the state the activation creates...
+	counts, _ := s.countsAndActive(die, 1)
+	if o := s.underLimit(s.cfg.LUT.MaxIR(counts, perDieIO(counts))); o != pass {
+		return o
+	}
+	// ...and the state it can decay into once other dies drain and this
+	// die takes the whole bus (conservative against idle-close).
+	return s.underLimit(s.cfg.LUT.MaxIR(s.aloneCounts(die), 1.0))
+}
+
+// underLimit classifies one LUT answer against the IR limit.
+func (s *sim) underLimit(ir float64, err error) outcome {
+	if err != nil {
+		return lookupFailure(err)
+	}
+	if ir > s.cfg.IRLimit {
+		return fail
+	}
+	return pass
 }
 
 func (s *sim) trackOpenBanks() {

@@ -153,37 +153,48 @@ func TestDeterministicSimulation(t *testing.T) {
 	}
 }
 
+// admitted returns a sim whose queue holds reqs, admitted in stream order
+// by the cycle's own admitArrivals once all of them have arrived.
+func admitted(cfg Config, reqs []Request) *sim {
+	s := newSim(cfg, reqs, nil)
+	for _, r := range reqs {
+		s.now = max(s.now, r.Arrival)
+	}
+	s.admitArrivals()
+	return s
+}
+
 func TestDistRPrefersIdleDies(t *testing.T) {
-	s := &sim{cfg: DefaultConfig(PolicyStandard, DistR, nil, 0)}
-	s.openPerDie = []int{2, 0, 1, 0}
-	s.queue = []*Request{
+	s := admitted(DefaultConfig(PolicyStandard, DistR, nil, 0), []Request{
 		{ID: 0, Arrival: 0, Die: 0, Bank: 0},
 		{ID: 1, Arrival: 1, Die: 1, Bank: 0},
 		{ID: 2, Arrival: 2, Die: 2, Bank: 0},
 		{ID: 3, Arrival: 3, Die: 3, Bank: 0},
-	}
+	})
+	copy(s.openPerDie, []int{2, 0, 1, 0})
 	order := s.priorityOrder()
-	first := s.queue[order[0]]
-	if first.Die != 1 {
+	if first := order[0]; first.Die != 1 {
 		t.Errorf("DistR first pick die %d (ID %d), want die 1 (fewest open, earliest)", first.Die, first.ID)
 	}
-	last := s.queue[order[len(order)-1]]
-	if last.Die != 0 {
+	if last := order[len(order)-1]; last.Die != 0 {
 		t.Errorf("DistR last pick die %d, want the busiest die 0", last.Die)
 	}
 }
 
 func TestFCFSOrder(t *testing.T) {
-	s := &sim{cfg: DefaultConfig(PolicyStandard, FCFS, nil, 0)}
-	s.openPerDie = []int{0, 9, 0, 0}
-	s.queue = []*Request{
+	s := admitted(DefaultConfig(PolicyStandard, FCFS, nil, 0), []Request{
 		{ID: 0, Arrival: 5, Die: 1, Bank: 0},
 		{ID: 1, Arrival: 2, Die: 1, Bank: 1},
 		{ID: 2, Arrival: 9, Die: 0, Bank: 0},
-	}
+	})
+	copy(s.openPerDie, []int{0, 9, 0, 0})
 	order := s.priorityOrder()
-	if s.queue[order[0]].ID != 1 || s.queue[order[1]].ID != 0 || s.queue[order[2]].ID != 2 {
-		t.Errorf("FCFS order wrong: %v", order)
+	if len(order) != 3 || order[0].ID != 1 || order[1].ID != 0 || order[2].ID != 2 {
+		ids := make([]int, len(order))
+		for i, r := range order {
+			ids[i] = r.ID
+		}
+		t.Errorf("FCFS order wrong: IDs %v, want [1 0 2]", ids)
 	}
 }
 

@@ -3,6 +3,7 @@ package memctrl
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"pdn3d/internal/lut"
 )
@@ -81,8 +82,12 @@ const (
 	idleCloseCycles = 28
 	// fcfsLookahead is how deep into the priority order FCFS searches for
 	// an issuable command each cycle, keeping near-arrival order. DistR
-	// re-sorts the whole queue and searches all of it.
+	// searches the whole queue in its own order.
 	fcfsLookahead = 16
+	// maxCachedStates bounds the open-bank vectors whose IR outcomes a run
+	// caches (3^4 = 81 for the paper's stack); a larger stack looks every
+	// state up afresh.
+	maxCachedStates = 1 << 16
 )
 
 // DefaultConfig returns the paper's controller setup for a 4-die, 8-bank
@@ -102,42 +107,57 @@ func DefaultConfig(policy IRPolicy, sched Scheduler, table *lut.Table, irLimitV 
 	}
 }
 
-// Validate checks the configuration.
+// Validate checks the configuration, including that ChannelOf puts every
+// (die, bank) on a channel in [0, Channels).
 func (c *Config) Validate() error {
+	_, err := c.validate()
+	return err
+}
+
+// validate checks the configuration and returns its channel table: the
+// channel of die d's bank b at d*BanksPerDie+b.
+func (c *Config) validate() ([]int, error) {
 	if err := c.Timing.Validate(); err != nil {
-		return err
+		return nil, err
 	}
 	if c.Dies <= 0 || c.BanksPerDie <= 0 {
-		return fmt.Errorf("memctrl: empty stack geometry %dx%d", c.Dies, c.BanksPerDie)
+		return nil, fmt.Errorf("memctrl: empty stack geometry %dx%d", c.Dies, c.BanksPerDie)
 	}
 	if c.Channels <= 0 {
-		return fmt.Errorf("memctrl: channels %d must be positive", c.Channels)
+		return nil, fmt.Errorf("memctrl: channels %d must be positive", c.Channels)
 	}
 	if c.QueueDepth <= 0 {
-		return fmt.Errorf("memctrl: queue depth %d must be positive", c.QueueDepth)
+		return nil, fmt.Errorf("memctrl: queue depth %d must be positive", c.QueueDepth)
 	}
 	if c.MaxBanksPerDie <= 0 {
-		return fmt.Errorf("memctrl: max banks per die %d must be positive", c.MaxBanksPerDie)
+		return nil, fmt.Errorf("memctrl: max banks per die %d must be positive", c.MaxBanksPerDie)
 	}
 	if c.Policy == PolicyIRAware {
 		if c.LUT == nil {
-			return fmt.Errorf("memctrl: IR-aware policy needs a look-up table")
+			return nil, fmt.Errorf("memctrl: IR-aware policy needs a look-up table")
 		}
 		if c.IRLimit <= 0 {
-			return fmt.Errorf("memctrl: IR-aware policy needs a positive IR limit")
+			return nil, fmt.Errorf("memctrl: IR-aware policy needs a positive IR limit")
 		}
 		if c.LUT.Dies != c.Dies {
-			return fmt.Errorf("memctrl: LUT covers %d dies, stack has %d", c.LUT.Dies, c.Dies)
+			return nil, fmt.Errorf("memctrl: LUT covers %d dies, stack has %d", c.LUT.Dies, c.Dies)
 		}
 	}
-	return nil
-}
-
-func (c *Config) lookahead(queueLen int) int {
-	if c.Sched == FCFS {
-		return fcfsLookahead
+	channel := make([]int, c.Dies*c.BanksPerDie)
+	for d := 0; d < c.Dies; d++ {
+		for b := 0; b < c.BanksPerDie; b++ {
+			ch := b % c.Channels
+			if c.ChannelOf != nil {
+				ch = c.ChannelOf(d, b)
+			}
+			if ch < 0 || ch >= c.Channels {
+				return nil, fmt.Errorf("memctrl: ChannelOf puts die %d bank %d on channel %d outside [0,%d)",
+					d, b, ch, c.Channels)
+			}
+			channel[d*c.BanksPerDie+b] = ch
+		}
 	}
-	return queueLen
+	return channel, nil
 }
 
 // Result reports one simulation run.
@@ -191,26 +211,29 @@ type bank struct {
 // Simulate runs the request stream to completion and returns statistics.
 // The input slice's Done fields are filled in place.
 func Simulate(cfg Config, reqs []Request) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
+	channel, err := cfg.validate()
+	if err != nil {
 		return nil, err
 	}
 	if len(reqs) == 0 {
 		return nil, fmt.Errorf("memctrl: empty request stream")
 	}
-	s := &sim{cfg: cfg, reqs: reqs}
-	return s.run()
+	return newSim(cfg, reqs, channel).run()
 }
 
 type sim struct {
-	cfg  Config
-	reqs []Request
+	cfg     Config
+	reqs    []Request
+	channel []int // per (die, bank), from Config.validate
 
 	now      int64
 	banks    [][]bank // [die][bank]
 	busUntil []int64  // per channel
-	queue    []*Request
-	nextArr  int
-	done     int
+	// queue holds the admitted requests by arrival, ties in admission
+	// order (see admitArrivals).
+	queue   []*Request
+	nextArr int
+	done    int
 
 	openPerDie []int
 	lastACT    int64
@@ -218,17 +241,35 @@ type sim struct {
 	res        Result
 	latSum     int64
 
+	// IR look-up outcomes cached per open-bank vector (see stateIndex):
+	// observed for observeIR, verdicts[state*Dies+die] for an IR-aware
+	// activation on die. Nil without a LUT or when the stack has more
+	// than maxCachedStates vectors.
+	observed, verdicts []outcome
+
 	// Per-cycle scratch, reused so a cycle allocates nothing: the count
-	// vectors handed to the LUT, the priority order, its requests and the
+	// vectors handed to the LUT, the requests in priority order and the
 	// per-channel issued flags.
 	counts, alone []int
-	order         []int
 	cands         []*Request
 	issued        []bool
 }
 
-func (s *sim) run() (*Result, error) {
-	cfg := &s.cfg
+// outcome is what one IR look-up did to the run, cached per open-bank
+// vector so that asking again only repeats its counting.
+type outcome uint8
+
+const (
+	unknown outcome = iota // not looked up yet
+	pass                   // under the limit; for observeIR, recorded
+	fail                   // over the limit, a failed look-up, or an idle stack
+	miss                   // outside the built table (lut.ErrNotCovered)
+)
+
+// newSim allocates a run's state: banks, channels, the queue and the IR
+// outcome caches.
+func newSim(cfg Config, reqs []Request, channel []int) *sim {
+	s := &sim{cfg: cfg, reqs: reqs, channel: channel}
 	s.banks = make([][]bank, cfg.Dies)
 	for d := range s.banks {
 		s.banks[d] = make([]bank, cfg.BanksPerDie)
@@ -237,7 +278,29 @@ func (s *sim) run() (*Result, error) {
 	s.issued = make([]bool, cfg.Channels)
 	s.openPerDie = make([]int, cfg.Dies)
 	s.lastACT = -int64(cfg.Timing.TRRD)
+	s.queue = make([]*Request, 0, min(cfg.QueueDepth, len(reqs)))
+	if states, ok := stateCount(cfg.Dies, cfg.MaxBanksPerDie); ok && cfg.LUT != nil {
+		s.observed = make([]outcome, states)
+		s.verdicts = make([]outcome, states*cfg.Dies)
+	}
+	return s
+}
 
+// stateCount returns the number of open-bank vectors of a stack,
+// (maxPerDie+1)^dies, and whether it is small enough to cache.
+func stateCount(dies, maxPerDie int) (int, bool) {
+	n := 1
+	for range dies {
+		if n > maxCachedStates/(maxPerDie+1) {
+			return 0, false
+		}
+		n *= maxPerDie + 1
+	}
+	return n, true
+}
+
+func (s *sim) run() (*Result, error) {
+	cfg := &s.cfg
 	for _, r := range s.reqs {
 		if r.Die < 0 || r.Die >= cfg.Dies || r.Bank < 0 || r.Bank >= cfg.BanksPerDie {
 			return nil, fmt.Errorf("memctrl: request %d targets die %d bank %d outside %dx%d stack",
@@ -303,41 +366,87 @@ func (s *sim) updateBanks() {
 	}
 }
 
+// admitArrivals moves arrived requests into the queue in stream order
+// while it has room. Each goes in after every queued request that arrived
+// no later, so the queue stays in arrival order with ties in admission
+// order: FCFS priority. For Generate's streams that is an append.
 func (s *sim) admitArrivals() {
 	for s.nextArr < len(s.reqs) && len(s.queue) < s.cfg.QueueDepth &&
 		s.reqs[s.nextArr].Arrival <= s.now {
-		s.queue = append(s.queue, &s.reqs[s.nextArr])
+		r := &s.reqs[s.nextArr]
+		i := len(s.queue)
+		for i > 0 && s.queue[i-1].Arrival > r.Arrival {
+			i--
+		}
+		s.queue = slices.Insert(s.queue, i, r)
 		s.nextArr++
 	}
 }
 
-// observeIR looks up the current memory state's IR drop and tracks the
-// worst one seen (what the paper's Table 6 reports as "Max IR drop").
+// stateIndex reads the open-bank vector as a base-(MaxBanksPerDie+1)
+// number, die 0 first: the index of its cached IR outcomes. It returns -1
+// when the run keeps no cache. The interleave cap keeps every count within
+// one digit.
+func (s *sim) stateIndex() int {
+	if s.observed == nil {
+		return -1
+	}
+	i := 0
+	for _, n := range s.openPerDie {
+		i = i*(s.cfg.MaxBanksPerDie+1) + n
+	}
+	return i
+}
+
+// observeIR tracks the worst memory-state IR drop seen (what the paper's
+// Table 6 reports as "Max IR drop") and counts a look-up outside the LUT
+// on every cycle it happens. A state is looked up once: once recorded it
+// cannot raise MaxIR again.
 func (s *sim) observeIR() {
 	if s.cfg.LUT == nil {
 		return
 	}
+	i := s.stateIndex()
+	o := unknown
+	if i >= 0 {
+		o = s.observed[i]
+	}
+	if o == unknown {
+		o = s.lookupIR()
+		if i >= 0 {
+			s.observed[i] = o
+		}
+	}
+	if o == miss {
+		s.res.LUTMisses++
+	}
+}
+
+// lookupIR looks up the current memory state's IR drop and records it in
+// MaxIR. A look-up outside the table is reported as a miss, not swallowed.
+func (s *sim) lookupIR() outcome {
 	counts, active := s.countsAndActive(-1, 0)
 	if active == 0 {
-		return
+		return fail
 	}
 	ir, err := s.cfg.LUT.MaxIR(counts, perDieIO(counts))
 	if err != nil {
-		s.noteLUTMiss(err)
-		return
+		return lookupFailure(err)
 	}
 	if ir > s.res.MaxIR {
 		s.res.MaxIR = ir
 	}
+	return pass
 }
 
-// noteLUTMiss records an uncovered LUT point instead of silently ignoring
-// it; other look-up failures cannot happen (MaxIR only fails with
+// lookupFailure classifies a failed LUT look-up: an uncovered point is a
+// miss; other look-up failures cannot happen (MaxIR only fails with
 // *NotCoveredError), but the errors.Is guard keeps that assumption checked.
-func (s *sim) noteLUTMiss(err error) {
+func lookupFailure(err error) outcome {
 	if errors.Is(err, lut.ErrNotCovered) {
-		s.res.LUTMisses++
+		return miss
 	}
+	return fail
 }
 
 // countsAndActive returns the per-die open bank counts; when extraDie >= 0

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI regression gate for the committed BENCH_solver.json: re-runs the
-# solver-side benchmark suite once and compares every fresh line against
-# the committed snapshot.
+# solver-side benchmark suite and the memory-controller runs once and
+# compares every fresh line against the committed snapshot.
 #
 #   - iters_per_solve: deterministic integers (the CG kernels are serial
 #     and sum their reductions in a fixed block order), compared exactly. Any drift — a regression or an improvement —
@@ -29,8 +29,8 @@ NSOP_BAND="${NSOP_BAND:-4.0}"
 
 # Same packages and pattern as bench_snapshot.sh, so every committed
 # line gets a fresh counterpart.
-out="$(go test ./internal/solve ./internal/rmesh -run '^$' \
-  -bench 'BenchmarkCG_IC0|BenchmarkCG_AMG|BenchmarkAMGSetup|BenchmarkValueSweep|BenchmarkRestamp$|BenchmarkBuildTopology' \
+out="$(go test ./internal/solve ./internal/rmesh ./internal/memctrl -run '^$' \
+  -bench 'BenchmarkCG_IC0|BenchmarkCG_AMG|BenchmarkAMGSetup|BenchmarkValueSweep|BenchmarkRestamp$|BenchmarkBuildTopology|BenchmarkSimulate$' \
   -benchtime 1x)"
 echo "$out"
 

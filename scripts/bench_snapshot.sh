@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# Runs the solver-side and serving-side benchmark suites and writes the
-# machine-readable perf snapshots BENCH_solver.json and BENCH_serve.json
-# at the repo root. These are the tracked baselines a perf-sensitive PR
-# refreshes (and CI uploads as artifacts); compare against the committed
-# copies before accepting a regression.
+# Runs the solver-side benchmark suite (with the memory-controller runs)
+# and the serving-side suite and writes the machine-readable perf
+# snapshots BENCH_solver.json and BENCH_serve.json at the repo root.
+# These are the tracked baselines a perf-sensitive PR refreshes (and CI
+# uploads as artifacts); compare against the committed copies before
+# accepting a regression.
 #
 # Usage: scripts/bench_snapshot.sh [benchtime]
 #   benchtime  go test -benchtime value (default 10x; CI smoke uses 1x)
@@ -55,8 +56,8 @@ bench_json() {
   echo "wrote $out"
 }
 
-bench_json "./internal/solve ./internal/rmesh" \
-  'BenchmarkCG_IC0|BenchmarkCG_AMG|BenchmarkAMGSetup|BenchmarkValueSweep|BenchmarkRestamp$|BenchmarkBuildTopology' \
+bench_json "./internal/solve ./internal/rmesh ./internal/memctrl" \
+  'BenchmarkCG_IC0|BenchmarkCG_AMG|BenchmarkAMGSetup|BenchmarkValueSweep|BenchmarkRestamp$|BenchmarkBuildTopology|BenchmarkSimulate$' \
   BENCH_solver.json
 
 bench_json "./internal/serve" 'BenchmarkAnalyze' BENCH_serve.json
