@@ -220,18 +220,16 @@ func (r *Runner) Figure9(constraintsMV []float64) (*report.Series, error) {
 		if err != nil {
 			return nil, err
 		}
+		// Feasibility first: if even a lone single-bank activation
+		// violates the constraint, no memory state is allowed and the
+		// workload cannot run (paper: runtime -> infinity). Report 0.
+		lone, err := loneIR(table)
+		if err != nil {
+			return nil, err
+		}
 		out := make([]float64, 0, len(constraintsMV))
 		for _, mv := range constraintsMV {
-			// Feasibility first: if even a lone single-bank activation
-			// violates the constraint, no memory state is allowed and the
-			// workload cannot run (paper: runtime -> infinity). Report 0.
-			counts := make([]int, spec.NumDRAM)
-			counts[len(counts)-1] = 1
-			ir, err := table.MaxIR(counts, 1.0)
-			if err != nil {
-				return nil, err
-			}
-			if ir > mv/1000 {
+			if lone > mv/1000 {
 				out = append(out, 0)
 				continue
 			}

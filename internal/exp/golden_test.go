@@ -2,14 +2,13 @@ package exp
 
 import (
 	"flag"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
-
-	"pdn3d/internal/report"
 )
 
 // update rewrites the golden tables instead of comparing against them:
@@ -28,27 +27,29 @@ const (
 type goldenCase struct {
 	id   string
 	slow bool // skipped under -short
-	run  func(r *Runner) (*report.Table, error)
+	run  func(r *Runner) (fmt.Stringer, error)
 }
 
-// goldenTableCases lists the paper tables locked down by golden files.
-// All run on the shared coarse test runner (pitch 0.5 mm, 3000 requests),
-// so the numbers differ from the paper's full-fidelity ones; the goldens
-// lock the reproduction against regressions, not against the paper.
+// goldenTableCases lists the paper tables and figures locked down by
+// golden files. All run on the shared coarse test runner (pitch 0.5 mm,
+// 3000 requests), so the numbers differ from the paper's full-fidelity
+// ones; the goldens lock the reproduction against regressions, not
+// against the paper.
 func goldenTableCases() []goldenCase {
 	return []goldenCase{
-		{id: "table2", run: func(r *Runner) (*report.Table, error) { return r.Table2() }},
-		{id: "table3", run: func(r *Runner) (*report.Table, error) { return r.Table3() }},
-		{id: "table4", run: func(r *Runner) (*report.Table, error) { return r.Table4() }},
-		{id: "table5", run: func(r *Runner) (*report.Table, error) { return r.Table5() }},
-		{id: "table6", slow: true, run: func(r *Runner) (*report.Table, error) {
+		{id: "table2", run: func(r *Runner) (fmt.Stringer, error) { return r.Table2() }},
+		{id: "table3", run: func(r *Runner) (fmt.Stringer, error) { return r.Table3() }},
+		{id: "table4", run: func(r *Runner) (fmt.Stringer, error) { return r.Table4() }},
+		{id: "table5", run: func(r *Runner) (fmt.Stringer, error) { return r.Table5() }},
+		{id: "table6", slow: true, run: func(r *Runner) (fmt.Stringer, error) {
 			t, _, err := r.Table6()
 			return t, err
 		}},
-		{id: "table8", run: func(r *Runner) (*report.Table, error) { return r.Table8() }},
-		{id: "table9", slow: true, run: func(r *Runner) (*report.Table, error) { return r.Table9("ddr3-off") }},
-		{id: "regression", slow: true, run: func(r *Runner) (*report.Table, error) { return r.RegressionStudy("ddr3-off") }},
-		{id: "policyall", slow: true, run: func(r *Runner) (*report.Table, error) { return r.PolicyStudyAll() }},
+		{id: "table8", run: func(r *Runner) (fmt.Stringer, error) { return r.Table8() }},
+		{id: "table9", slow: true, run: func(r *Runner) (fmt.Stringer, error) { return r.Table9("ddr3-off") }},
+		{id: "regression", slow: true, run: func(r *Runner) (fmt.Stringer, error) { return r.RegressionStudy("ddr3-off") }},
+		{id: "policyall", slow: true, run: func(r *Runner) (fmt.Stringer, error) { return r.PolicyStudyAll() }},
+		{id: "fig9", slow: true, run: func(r *Runner) (fmt.Stringer, error) { return r.Figure9(nil) }},
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"pdn3d/internal/bench3d"
-	"pdn3d/internal/memctrl"
 	"pdn3d/internal/report"
 )
 
@@ -22,16 +21,19 @@ func (r *Runner) PolicyStudyAll() (*report.Table, error) {
 		Header: []string{"benchmark", "channels", "limit (mV)",
 			"Std BW", "IR-FCFS BW", "IR-DistR BW", "Std maxIR", "DistR maxIR"},
 	}
-	names := []string{"ddr3-off", "ddr3-on", "wideio", "hmc"}
-	rows, err := sweep(r, len(names), func(i int) (*policyStudyResult, error) {
-		return r.policyStudyOne(names[i])
+	benches, err := bench3d.All()
+	if err != nil {
+		return nil, err
+	}
+	rows, err := sweep(r, len(benches), func(i int) (*Table6Result, error) {
+		return r.policyStudyOne(benches[i])
 	})
 	if err != nil {
 		return nil, err
 	}
-	for i, name := range names {
-		std, fcfs, distr := rows[i].std, rows[i].fcfs, rows[i].distr
-		t.AddRow(name, rows[i].channels, fmt.Sprintf("%.1f", rows[i].limit*1000),
+	for i, b := range benches {
+		std, fcfs, distr := rows[i].Standard, rows[i].IRFCFS, rows[i].IRDistR
+		t.AddRow(b.Name, b.Channels, fmt.Sprintf("%.1f", rows[i].EffLimitV*1000),
 			fmt.Sprintf("%.3f", std.Bandwidth),
 			fmt.Sprintf("%.3f (%s)", fcfs.Bandwidth, report.Pct(std.Bandwidth, fcfs.Bandwidth)),
 			fmt.Sprintf("%.3f (%s)", distr.Bandwidth, report.Pct(std.Bandwidth, distr.Bandwidth)),
@@ -44,18 +46,9 @@ func (r *Runner) PolicyStudyAll() (*report.Table, error) {
 	return t, nil
 }
 
-// policyStudyOne runs the three-policy comparison for one benchmark.
-type policyStudyResult struct {
-	channels         int
-	limit            float64
-	std, fcfs, distr *memctrl.Result
-}
-
-func (r *Runner) policyStudyOne(name string) (*policyStudyResult, error) {
-	b, err := bench3d.ByName(name)
-	if err != nil {
-		return nil, err
-	}
+// policyStudyOne runs the three-policy comparison for benchmark b at 80 %
+// of its worst single-die interleaving state.
+func (r *Runner) policyStudyOne(b *bench3d.Benchmark) (*Table6Result, error) {
 	b.Spec = r.prepare(b.Spec)
 	table, err := r.lutFor(b, b.Spec)
 	if err != nil {
@@ -67,31 +60,5 @@ func (r *Runner) policyStudyOne(name string) (*policyStudyResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	limit := 0.8 * ref
-	// Keep the constraint feasible: a lone single-bank activation must
-	// fit, or no request can ever issue.
-	single := make([]int, b.Spec.NumDRAM)
-	single[len(single)-1] = 1
-	floor, err := table.MaxIR(single, 1.0)
-	if err != nil {
-		return nil, err
-	}
-	if limit < floor*1.02 {
-		limit = floor * 1.02
-	}
-
-	std, err := r.policyRun(b, table, memctrl.PolicyStandard, memctrl.FCFS, 0)
-	if err != nil {
-		return nil, err
-	}
-	fcfs, err := r.policyRun(b, table, memctrl.PolicyIRAware, memctrl.FCFS, limit)
-	if err != nil {
-		return nil, err
-	}
-	distr, err := r.policyRun(b, table, memctrl.PolicyIRAware, memctrl.DistR, limit)
-	if err != nil {
-		return nil, err
-	}
-	return &policyStudyResult{channels: b.Channels, limit: limit,
-		std: std, fcfs: fcfs, distr: distr}, nil
+	return r.comparePolicies(b, table, 0.8*ref)
 }

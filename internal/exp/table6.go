@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"pdn3d/internal/bench3d"
+	"pdn3d/internal/lut"
 	"pdn3d/internal/memctrl"
 	"pdn3d/internal/report"
 )
@@ -12,11 +13,12 @@ import (
 // policies (24 mV).
 const Table6IRLimitV = 0.024
 
-// Table6Result carries the three policy runs behind Table 6.
+// Table6Result carries one three-policy comparison (comparePolicies):
+// Table 6's, or one benchmark's in PolicyStudyAll.
 type Table6Result struct {
 	Standard, IRFCFS, IRDistR *memctrl.Result
-	// EffLimitV is the constraint actually applied (24 mV, or the
-	// coarse-mesh feasibility floor when higher).
+	// EffLimitV is the constraint the IR-aware runs applied: the one
+	// asked for (Table 6's 24 mV), or the feasibility floor when higher.
 	EffLimitV float64
 }
 
@@ -36,37 +38,11 @@ func (r *Runner) Table6() (*report.Table, *Table6Result, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-
-	// The paper's 24 mV constraint, kept feasible when a coarsened mesh
-	// shifts the LUT upward: a lone single-bank activation must fit or no
-	// request can ever issue. At full fidelity the limit is exactly 24 mV.
-	limit := Table6IRLimitV
-	single := make([]int, b.Spec.NumDRAM)
-	single[len(single)-1] = 1
-	floor, err := table.MaxIR(single, 1.0)
+	res, err := r.comparePolicies(b, table, Table6IRLimitV)
 	if err != nil {
 		return nil, nil, err
 	}
-	if limit < floor*1.02 {
-		limit = floor * 1.02
-	}
-
-	runs := []struct {
-		policy memctrl.IRPolicy
-		sched  memctrl.Scheduler
-		limit  float64
-	}{
-		{memctrl.PolicyStandard, memctrl.FCFS, 0},
-		{memctrl.PolicyIRAware, memctrl.FCFS, limit},
-		{memctrl.PolicyIRAware, memctrl.DistR, limit},
-	}
-	results, err := sweep(r, len(runs), func(i int) (*memctrl.Result, error) {
-		return r.policyRun(b, table, runs[i].policy, runs[i].sched, runs[i].limit)
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	std, fcfs, distr := results[0], results[1], results[2]
+	std, fcfs, distr, limit := res.Standard, res.IRFCFS, res.IRDistR, res.EffLimitV
 
 	t := &report.Table{
 		Title:  "Table 6: impact of architectural policy in stacked DDR3 (off-chip, F2B)",
@@ -89,5 +65,44 @@ func (r *Runner) Table6() (*report.Table, *Table6Result, error) {
 		"paper: runtime 109.3 / 84.68 (-22.6%) / 75.85 (-30.6%) us",
 		"paper: bandwidth 0.114 / 0.148 (+29.2%) / 0.165 (+44.2%) read/clk",
 		"paper: max IR 30.03 / 23.98 (-20.2%) / 23.98 (-20.2%) mV")
-	return t, &Table6Result{Standard: std, IRFCFS: fcfs, IRDistR: distr, EffLimitV: limit}, nil
+	return t, res, nil
+}
+
+// comparePolicies runs Table 6's three read policies on benchmark b's
+// stack over its look-up table: the JEDEC standard policy, and the
+// IR-aware policy under FCFS and under DistR at limitV. A limit under the
+// feasibility floor, 1.02 × loneIR, is raised to it: a coarsened mesh
+// shifts the table upward, and a lone single-bank activation must fit or
+// no request can ever issue. At full fidelity Table 6's 24 mV stands.
+func (r *Runner) comparePolicies(b *bench3d.Benchmark, table *lut.Table, limitV float64) (*Table6Result, error) {
+	lone, err := loneIR(table)
+	if err != nil {
+		return nil, err
+	}
+	limit := max(limitV, lone*1.02)
+	runs := []struct {
+		policy memctrl.IRPolicy
+		sched  memctrl.Scheduler
+		limit  float64
+	}{
+		{memctrl.PolicyStandard, memctrl.FCFS, 0},
+		{memctrl.PolicyIRAware, memctrl.FCFS, limit},
+		{memctrl.PolicyIRAware, memctrl.DistR, limit},
+	}
+	results, err := sweep(r, len(runs), func(i int) (*memctrl.Result, error) {
+		return r.policyRun(b, table, runs[i].policy, runs[i].sched, runs[i].limit)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &Table6Result{Standard: results[0], IRFCFS: results[1], IRDistR: results[2], EffLimitV: limit}, nil
+}
+
+// loneIR returns the IR drop of a lone single-bank activation on the top
+// die with the whole bus: the least an IR constraint must allow for the
+// workload to run at all.
+func loneIR(table *lut.Table) (float64, error) {
+	counts := make([]int, table.Dies)
+	counts[len(counts)-1] = 1
+	return table.MaxIR(counts, 1.0)
 }

@@ -71,8 +71,7 @@ type Table struct {
 	IOLevels []float64
 
 	// ir holds the max IR drop in volts of every grid point, state-major:
-	// state s (its count vector read as a base-(MaxPerDie+1) number, die 0
-	// most significant, which is its position in
+	// state s (memstate.StateIndex of its count vector, its position in
 	// memstate.EnumerateCounts) at level l sits at ir[s*len(IOLevels)+l].
 	// NaN marks an absent point.
 	ir      []float64
@@ -248,11 +247,7 @@ func checkGrid(maxPerDie int, ioLevels []float64) ([]float64, error) {
 
 // newTable returns a table of the given grid with every point absent.
 func newTable(dies, maxPerDie int, levels []float64) *Table {
-	size := len(levels)
-	for d := 0; d < dies; d++ {
-		size *= maxPerDie + 1
-	}
-	ir := make([]float64, size)
+	ir := make([]float64, memstate.StateCount(dies, maxPerDie)*len(levels))
 	for i := range ir {
 		ir[i] = math.NaN()
 	}
@@ -278,7 +273,7 @@ func FromPoints(dies, maxPerDie int, ioLevels []float64, pts []Point) (*Table, e
 		if len(p.Counts) != dies {
 			return nil, fmt.Errorf("lut: point %v has %d dies, table covers %d", p.Counts, len(p.Counts), dies)
 		}
-		s, bad := t.state(p.Counts)
+		s, bad := memstate.StateIndex(p.Counts, maxPerDie)
 		if bad >= 0 {
 			return nil, fmt.Errorf("lut: point %v@%g: count %d on die %d outside [0,%d]",
 				p.Counts, p.IO, p.Counts[bad], bad+1, maxPerDie)
@@ -302,19 +297,6 @@ func FromPoints(dies, maxPerDie int, ioLevels []float64, pts []Point) (*Table, e
 // Entries returns the number of stored (state, io) points.
 func (t *Table) Entries() int { return t.entries }
 
-// state returns the grid index of a count vector of t.Dies entries, or
-// the first die whose count lies outside [0, MaxPerDie] as bad (-1 when
-// none does).
-func (t *Table) state(counts []int) (s, bad int) {
-	for d, c := range counts {
-		if c < 0 || c > t.MaxPerDie {
-			return 0, d
-		}
-		s = s*(t.MaxPerDie+1) + c
-	}
-	return s, -1
-}
-
 // MaxIR returns the maximum IR drop in volts for the given per-die counts
 // at per-die I/O activity io. The io is rounded UP to the nearest covered
 // level (conservative for constraint checks). A point outside the built
@@ -326,7 +308,7 @@ func (t *Table) MaxIR(counts []int, io float64) (float64, error) {
 	if len(counts) != t.Dies {
 		return 0, notCovered(counts, io, "%d dies, table covers %d", len(counts), t.Dies)
 	}
-	s, bad := t.state(counts)
+	s, bad := memstate.StateIndex(counts, t.MaxPerDie)
 	if bad >= 0 {
 		return 0, notCovered(counts, io, "count %d on die %d outside [0,%d]", counts[bad], bad+1, t.MaxPerDie)
 	}

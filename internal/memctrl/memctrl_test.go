@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 
 	"pdn3d/internal/lut"
+	"pdn3d/internal/memstate"
 )
 
 // tinyLUT builds a table via FromPoints covering per-die counts up to
@@ -195,7 +196,7 @@ func TestSimulateStandardCompletes(t *testing.T) {
 	if res.Bandwidth <= 0 || res.Bandwidth > 0.25 {
 		t.Errorf("bandwidth %.3f outside (0, bus limit 0.25]", res.Bandwidth)
 	}
-	if res.MaxOpenBanks > cfg.Dies*cfg.MaxBanksPerDie {
+	if res.MaxOpenBanks > cfg.Dies*memstate.MaxInterleavedBanks {
 		t.Errorf("open banks %d exceed interleave cap", res.MaxOpenBanks)
 	}
 	t.Logf("standard: %.1f us, BW %.3f, ACTs %d, open<=%d, blocked %d",
@@ -301,6 +302,34 @@ func TestSimulateValidation(t *testing.T) {
 	irCfg := DefaultConfig(PolicyIRAware, DistR, nil, 0.024)
 	if _, err := Simulate(irCfg, []Request{{}}); err == nil {
 		t.Error("IR-aware without LUT: want error")
+	}
+}
+
+// Only the two policies and the two schedulers defined here run: any
+// other value is an error from Validate and Simulate, not a panic or a
+// third scheduling order. A LUT must cover the stack's dies under either
+// policy.
+func TestSimulateRejectsUndefinedConfig(t *testing.T) {
+	reqs := []Request{{ID: 0, Arrival: 0, Die: 0, Bank: 0, Row: 1}}
+	table := tinyLUT(t, 2, 0.010)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"policy", DefaultConfig(IRPolicy(2), FCFS, nil, 0), "unknown IR policy 2"},
+		{"policy-with-lut", DefaultConfig(IRPolicy(2), FCFS, syntheticLUT(t, 4, 2), 0.024), "unknown IR policy 2"},
+		{"scheduler", DefaultConfig(PolicyStandard, Scheduler(2), nil, 0), "unknown scheduler 2"},
+		{"lut-dies", DefaultConfig(PolicyStandard, FCFS, table, 0), "LUT covers 2 dies, stack has 4"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.cfg.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("Validate error %v, want one naming %q", err, tc.want)
+			}
+			if _, err := Simulate(tc.cfg, slices.Clone(reqs)); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("Simulate error %v, want one naming %q", err, tc.want)
+			}
+		})
 	}
 }
 

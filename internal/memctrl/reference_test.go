@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -17,9 +16,10 @@ import (
 // queue, the channel table and the IR outcome cache replaced: a stable
 // sort of the whole queue every cycle, a channel look-up per candidate and
 // two LUT look-ups per IR-aware activation attempt. They are kept verbatim
-// apart from their names (refLookahead was Config.lookahead) as the
-// reference every simulation must match bit for bit: every Result field
-// and every Request.Done.
+// apart from their names (refLookahead was Config.lookahead) and the
+// interleave cap, read from memstate.MaxInterleavedBanks, as the reference
+// every simulation must match bit for bit: every Result field and every
+// Request.Done.
 func refSimulate(cfg Config, reqs []Request) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -330,7 +330,7 @@ func (s *refSim) tryIssue(req *Request, ch int) bool {
 
 // mayActivate applies the activation-limiting policy.
 func (s *refSim) mayActivate(die int) bool {
-	if s.openPerDie[die] >= s.cfg.MaxBanksPerDie {
+	if s.openPerDie[die] >= memstate.MaxInterleavedBanks {
 		return false // interleave cap (charge pump protection)
 	}
 	switch s.cfg.Policy {
@@ -342,7 +342,7 @@ func (s *refSim) mayActivate(die int) bool {
 		for _, n := range s.openPerDie {
 			total += n
 		}
-		if total >= s.cfg.MaxBanksPerDie {
+		if total >= memstate.MaxInterleavedBanks {
 			s.res.Blocked++
 			return false
 		}
@@ -510,7 +510,6 @@ func TestSimulateMatchesReference(t *testing.T) {
 		banks, chans   int
 		channelOf      func(die, bank int) int
 		dies, lutBanks int // the LUT's dies and banks per die
-		maxBanks       int // MaxBanksPerDie; 0 keeps the default 2
 		limit          float64
 		requests       int
 		seeds          []int64 // unsorted streams; nil runs Generate's own
@@ -524,13 +523,10 @@ func TestSimulateMatchesReference(t *testing.T) {
 			dies: 4, lutBanks: 2, limit: 0.016, requests: 3000},
 		// A LUT up to one open bank per die misses every state with two.
 		{name: "undersized", banks: 8, chans: 1, dies: 4, lutBanks: 1, limit: 0.016, requests: 3000},
-		// 3^12 open-bank vectors are too many to cache: every look-up is
-		// asked afresh.
+		// A 12-die stack, once too large to cache: its outcomes are cached
+		// over the LUT's 2^12 vectors, and every vector with two open
+		// banks on a die shares the miss slot.
 		{name: "uncached", banks: 8, chans: 2, dies: 12, lutBanks: 1, limit: 0.040, requests: 3000},
-		// No interleave cap: (MaxBanksPerDie+1)^4 overflows, and DistR
-		// buckets up to every bank of a die.
-		{name: "uncapped", banks: 8, chans: 1, dies: 4, lutBanks: 1, maxBanks: math.MaxInt,
-			limit: 0.040, requests: 3000},
 		{name: "ddr3-unsorted", banks: 8, chans: 1, dies: 4, lutBanks: 2, limit: 0.016, requests: 3000,
 			seeds: []int64{1, 2, 3}},
 		{name: "hmc-unsorted", banks: 32, chans: 16, channelOf: func(_, bank int) int { return bank / 2 },
@@ -556,9 +552,6 @@ func TestSimulateMatchesReference(t *testing.T) {
 			cfg := run.cfg
 			cfg.Dies, cfg.BanksPerDie = st.dies, st.banks
 			cfg.Channels, cfg.ChannelOf = st.chans, st.channelOf
-			if st.maxBanks > 0 {
-				cfg.MaxBanksPerDie = st.maxBanks
-			}
 			for i, stream := range streams {
 				t.Run(fmt.Sprintf("%s/%s/%d", st.name, run.name, i), func(t *testing.T) {
 					res := simulateBoth(t, cfg, stream)

@@ -1,6 +1,10 @@
 package memctrl
 
-import "slices"
+import (
+	"slices"
+
+	"pdn3d/internal/memstate"
+)
 
 // schedule is the per-cycle scheduling pass: for each channel, the
 // controller walks the priority queue and issues the first command
@@ -33,19 +37,14 @@ func (s *sim) schedule() {
 // priorityOrder returns the requests this cycle searches, in scheduling
 // priority, in the sim's scratch: a copy, since issuing a read removes it
 // from the queue. FCFS takes the queue's own arrival order and searches
-// its first fcfsLookahead (any other Scheduler than FCFS and DistR
-// searches all of it). DistR puts requests whose target die has the
+// its first fcfsLookahead. DistR puts requests whose target die has the
 // fewest open banks first, ties by arrival: it buckets the queue by its
 // dies' open banks, each bucket in queue order, and searches the whole
 // queue.
 func (s *sim) priorityOrder() []*Request {
 	s.cands = s.cands[:0]
-	if s.cfg.Sched != DistR {
-		n := len(s.queue)
-		if s.cfg.Sched == FCFS {
-			n = min(n, fcfsLookahead)
-		}
-		s.cands = append(s.cands, s.queue[:n]...)
+	if s.cfg.Sched == FCFS {
+		s.cands = append(s.cands, s.queue[:min(len(s.queue), fcfsLookahead)]...)
 		return s.cands
 	}
 	top := slices.Max(s.openPerDie)
@@ -118,39 +117,10 @@ func (s *sim) tryIssue(req *Request, ch int) bool {
 
 // mayActivate applies the activation-limiting policy.
 func (s *sim) mayActivate(die int) bool {
-	if s.openPerDie[die] >= s.cfg.MaxBanksPerDie {
+	if s.openPerDie[die] >= memstate.MaxInterleavedBanks {
 		return false // interleave cap (charge pump protection)
 	}
-	switch s.cfg.Policy {
-	case PolicyStandard:
-		// The standard policy is blind to 3D stacking (§5.2): the whole
-		// stack presents as one DDR3 device, so the interleave limit
-		// applies stack-wide, not per die.
-		total := 0
-		for _, n := range s.openPerDie {
-			total += n
-		}
-		if total >= s.cfg.MaxBanksPerDie {
-			s.res.Blocked++
-			return false
-		}
-		t := &s.cfg.Timing
-		if s.now-s.lastACT < int64(t.TRRD) {
-			s.res.Blocked++
-			return false
-		}
-		// tFAW: at most 4 activates in any tFAW window.
-		window := s.now - int64(t.TFAW)
-		n := 0
-		for i := len(s.actTimes) - 1; i >= 0 && s.actTimes[i] > window; i-- {
-			n++
-		}
-		if n >= 4 {
-			s.res.Blocked++
-			return false
-		}
-		return true
-	default: // PolicyIRAware
+	if s.cfg.Policy == PolicyIRAware {
 		switch s.irVerdict(die) {
 		case pass:
 			return true
@@ -160,16 +130,39 @@ func (s *sim) mayActivate(die int) bool {
 		s.res.Blocked++
 		return false
 	}
+	// The standard policy is blind to 3D stacking (§5.2): the whole stack
+	// presents as one DDR3 device, so the interleave limit applies
+	// stack-wide, not per die.
+	total := 0
+	for _, n := range s.openPerDie {
+		total += n
+	}
+	if total >= memstate.MaxInterleavedBanks {
+		s.res.Blocked++
+		return false
+	}
+	t := &s.cfg.Timing
+	if s.now-s.lastACT < int64(t.TRRD) {
+		s.res.Blocked++
+		return false
+	}
+	// tFAW: at most 4 activates in any tFAW window.
+	window := s.now - int64(t.TFAW)
+	n := 0
+	for i := len(s.actTimes) - 1; i >= 0 && s.actTimes[i] > window; i-- {
+		n++
+	}
+	if n >= 4 {
+		s.res.Blocked++
+		return false
+	}
+	return true
 }
 
 // irVerdict returns the IR check's outcome for activating a bank on die,
 // looking it up only the first time this open-bank vector asks it.
 func (s *sim) irVerdict(die int) outcome {
-	i := s.stateIndex()
-	if i < 0 {
-		return s.lookupVerdict(die)
-	}
-	i = i*s.cfg.Dies + die
+	i := s.state()*s.cfg.Dies + die
 	if s.verdicts[i] == unknown {
 		s.verdicts[i] = s.lookupVerdict(die)
 	}

@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"pdn3d/internal/lut"
+	"pdn3d/internal/memstate"
 )
 
 // IRPolicy selects how the controller limits parallel activations.
@@ -68,12 +69,10 @@ type Config struct {
 	Sched Scheduler
 	// IRLimit is the IR-drop constraint in volts for PolicyIRAware.
 	IRLimit float64
-	// LUT is the IR-drop look-up table; required for PolicyIRAware and
-	// used in any mode to report the worst memory-state IR encountered.
+	// LUT is the IR-drop look-up table over the stack's Dies; required
+	// for PolicyIRAware and used in any mode to report the worst
+	// memory-state IR encountered.
 	LUT *lut.Table
-	// MaxBanksPerDie caps simultaneously open banks per die
-	// (2: interleave limit protecting the charge pumps, §2.3).
-	MaxBanksPerDie int
 }
 
 const (
@@ -84,30 +83,26 @@ const (
 	// an issuable command each cycle, keeping near-arrival order. DistR
 	// searches the whole queue in its own order.
 	fcfsLookahead = 16
-	// maxCachedStates bounds the open-bank vectors whose IR outcomes a run
-	// caches (3^4 = 81 for the paper's stack); a larger stack looks every
-	// state up afresh.
-	maxCachedStates = 1 << 16
 )
 
 // DefaultConfig returns the paper's controller setup for a 4-die, 8-bank
 // stacked DDR3 with the given policy and scheduler.
 func DefaultConfig(policy IRPolicy, sched Scheduler, table *lut.Table, irLimitV float64) Config {
 	return Config{
-		Timing:         DDR3_1600(),
-		Dies:           4,
-		BanksPerDie:    8,
-		Channels:       1,
-		QueueDepth:     32,
-		Policy:         policy,
-		Sched:          sched,
-		IRLimit:        irLimitV,
-		LUT:            table,
-		MaxBanksPerDie: 2,
+		Timing:      DDR3_1600(),
+		Dies:        4,
+		BanksPerDie: 8,
+		Channels:    1,
+		QueueDepth:  32,
+		Policy:      policy,
+		Sched:       sched,
+		IRLimit:     irLimitV,
+		LUT:         table,
 	}
 }
 
-// Validate checks the configuration, including that ChannelOf puts every
+// Validate checks the configuration: the policy and scheduler are ones
+// defined here, a LUT covers the stack's dies, and ChannelOf puts every
 // (die, bank) on a channel in [0, Channels).
 func (c *Config) Validate() error {
 	_, err := c.validate()
@@ -129,8 +124,11 @@ func (c *Config) validate() ([]int, error) {
 	if c.QueueDepth <= 0 {
 		return nil, fmt.Errorf("memctrl: queue depth %d must be positive", c.QueueDepth)
 	}
-	if c.MaxBanksPerDie <= 0 {
-		return nil, fmt.Errorf("memctrl: max banks per die %d must be positive", c.MaxBanksPerDie)
+	if c.Policy != PolicyStandard && c.Policy != PolicyIRAware {
+		return nil, fmt.Errorf("memctrl: unknown IR policy %d", c.Policy)
+	}
+	if c.Sched != FCFS && c.Sched != DistR {
+		return nil, fmt.Errorf("memctrl: unknown scheduler %d", c.Sched)
 	}
 	if c.Policy == PolicyIRAware {
 		if c.LUT == nil {
@@ -139,9 +137,9 @@ func (c *Config) validate() ([]int, error) {
 		if c.IRLimit <= 0 {
 			return nil, fmt.Errorf("memctrl: IR-aware policy needs a positive IR limit")
 		}
-		if c.LUT.Dies != c.Dies {
-			return nil, fmt.Errorf("memctrl: LUT covers %d dies, stack has %d", c.LUT.Dies, c.Dies)
-		}
+	}
+	if c.LUT != nil && c.LUT.Dies != c.Dies {
+		return nil, fmt.Errorf("memctrl: LUT covers %d dies, stack has %d", c.LUT.Dies, c.Dies)
 	}
 	channel := make([]int, c.Dies*c.BanksPerDie)
 	for d := 0; d < c.Dies; d++ {
@@ -241,10 +239,9 @@ type sim struct {
 	res        Result
 	latSum     int64
 
-	// IR look-up outcomes cached per open-bank vector (see stateIndex):
-	// observed for observeIR, verdicts[state*Dies+die] for an IR-aware
-	// activation on die. Nil without a LUT or when the stack has more
-	// than maxCachedStates vectors.
+	// IR look-up outcomes cached per open-bank vector over the LUT's
+	// grid (see state): observed for observeIR, verdicts[state*Dies+die]
+	// for an IR-aware activation on die. Nil without a LUT.
 	observed, verdicts []outcome
 
 	// Per-cycle scratch, reused so a cycle allocates nothing: the count
@@ -279,24 +276,18 @@ func newSim(cfg Config, reqs []Request, channel []int) *sim {
 	s.openPerDie = make([]int, cfg.Dies)
 	s.lastACT = -int64(cfg.Timing.TRRD)
 	s.queue = make([]*Request, 0, min(cfg.QueueDepth, len(reqs)))
-	if states, ok := stateCount(cfg.Dies, cfg.MaxBanksPerDie); ok && cfg.LUT != nil {
-		s.observed = make([]outcome, states)
-		s.verdicts = make([]outcome, states*cfg.Dies)
+	if t := cfg.LUT; t != nil {
+		// One slot past the LUT's grid stands for every vector outside
+		// it, where each look-up misses.
+		states := memstate.StateCount(t.Dies, t.MaxPerDie)
+		s.observed = make([]outcome, states+1)
+		s.verdicts = make([]outcome, (states+1)*cfg.Dies)
+		s.observed[states] = miss
+		for d := range cfg.Dies {
+			s.verdicts[states*cfg.Dies+d] = miss
+		}
 	}
 	return s
-}
-
-// stateCount returns the number of open-bank vectors of a stack,
-// (maxPerDie+1)^dies, and whether it is small enough to cache.
-func stateCount(dies, maxPerDie int) (int, bool) {
-	n := 1
-	for range dies {
-		if n > maxCachedStates/(maxPerDie+1) {
-			return 0, false
-		}
-		n *= maxPerDie + 1
-	}
-	return n, true
 }
 
 func (s *sim) run() (*Result, error) {
@@ -383,17 +374,13 @@ func (s *sim) admitArrivals() {
 	}
 }
 
-// stateIndex reads the open-bank vector as a base-(MaxBanksPerDie+1)
-// number, die 0 first: the index of its cached IR outcomes. It returns -1
-// when the run keeps no cache. The interleave cap keeps every count within
-// one digit.
-func (s *sim) stateIndex() int {
-	if s.observed == nil {
-		return -1
-	}
-	i := 0
-	for _, n := range s.openPerDie {
-		i = i*(s.cfg.MaxBanksPerDie+1) + n
+// state returns the index of the open-bank vector's cached IR outcomes:
+// its memstate.StateIndex in the LUT's grid, or the miss slot past the
+// grid when a die has more open banks than the LUT covers.
+func (s *sim) state() int {
+	i, bad := memstate.StateIndex(s.openPerDie, s.cfg.LUT.MaxPerDie)
+	if bad >= 0 {
+		return len(s.observed) - 1
 	}
 	return i
 }
@@ -406,18 +393,11 @@ func (s *sim) observeIR() {
 	if s.cfg.LUT == nil {
 		return
 	}
-	i := s.stateIndex()
-	o := unknown
-	if i >= 0 {
-		o = s.observed[i]
+	i := s.state()
+	if s.observed[i] == unknown {
+		s.observed[i] = s.lookupIR()
 	}
-	if o == unknown {
-		o = s.lookupIR()
-		if i >= 0 {
-			s.observed[i] = o
-		}
-	}
-	if o == miss {
+	if s.observed[i] == miss {
 		s.res.LUTMisses++
 	}
 }

@@ -176,18 +176,40 @@ func ParseCountsFor(s string, dies, banksPerDie int) ([]int, error) {
 	return out, nil
 }
 
+// StateCount returns the number of per-die count vectors of dies entries
+// in [0, maxPerDie]: (maxPerDie+1)^dies, the length of EnumerateCounts.
+func StateCount(dies, maxPerDie int) int {
+	n := 1
+	for range dies {
+		n *= maxPerDie + 1
+	}
+	return n
+}
+
+// StateIndex returns the position of counts in
+// EnumerateCounts(len(counts), maxPerDie) — the vector read as a
+// base-(maxPerDie+1) number, die 0 most significant — or, as bad, the
+// first die whose count lies outside [0, maxPerDie] (-1 when none does).
+// It is the state axis of the IR-drop look-up table and of the memory
+// controller's caches over it.
+func StateIndex(counts []int, maxPerDie int) (s, bad int) {
+	for d, c := range counts {
+		if c < 0 || c > maxPerDie {
+			return 0, d
+		}
+		s = s*(maxPerDie+1) + c
+	}
+	return s, -1
+}
+
 // EnumerateCounts yields every per-die count vector with entries in
-// [0, maxPerDie] for the given die count, in lexicographic order. This is
-// the LUT's state axis.
+// [0, maxPerDie] for the given die count, in lexicographic order: vector
+// i has StateIndex i. This is the LUT's state axis.
 func EnumerateCounts(dies, maxPerDie int) [][]int {
 	if dies <= 0 {
 		return nil
 	}
-	total := 1
-	for i := 0; i < dies; i++ {
-		total *= maxPerDie + 1
-	}
-	out := make([][]int, 0, total)
+	out := make([][]int, 0, StateCount(dies, maxPerDie))
 	cur := make([]int, dies)
 	for {
 		out = append(out, append([]int(nil), cur...))

@@ -148,6 +148,38 @@ func TestEnumerateCounts(t *testing.T) {
 	}
 }
 
+// The grid is one decision: EnumerateCounts lists the vectors in
+// StateIndex order, StateCount of them, and an out-of-range count reports
+// its die.
+func TestStateIndexMatchesEnumeration(t *testing.T) {
+	for dies := 1; dies <= 4; dies++ {
+		for maxPerDie := 1; maxPerDie <= 3; maxPerDie++ {
+			all := EnumerateCounts(dies, maxPerDie)
+			if len(all) != StateCount(dies, maxPerDie) {
+				t.Fatalf("EnumerateCounts(%d,%d) has %d vectors, StateCount says %d",
+					dies, maxPerDie, len(all), StateCount(dies, maxPerDie))
+			}
+			for i, c := range all {
+				if s, bad := StateIndex(c, maxPerDie); s != i || bad != -1 {
+					t.Fatalf("StateIndex(%v, %d) = %d, %d; want %d, -1", c, maxPerDie, s, bad, i)
+				}
+			}
+		}
+	}
+	for _, tc := range []struct {
+		counts []int
+		bad    int
+	}{
+		{[]int{3, 0, 0, 0}, 0},
+		{[]int{0, 0, 2, 5}, 3},
+		{[]int{0, -1, 9, 0}, 1},
+	} {
+		if _, bad := StateIndex(tc.counts, 2); bad != tc.bad {
+			t.Errorf("StateIndex(%v, 2): bad die %d, want %d", tc.counts, bad, tc.bad)
+		}
+	}
+}
+
 func TestPairBanksDistinctAndValid(t *testing.T) {
 	seen := map[int]PairCase{}
 	for _, c := range []PairCase{PairA, PairB, PairC, PairD} {

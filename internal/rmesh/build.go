@@ -208,7 +208,7 @@ func layout(spec *pdn.Spec, reg *obs.Registry) (*Model, error) {
 	m.solvers.Misses = reg.Counter("rmesh.solver_cache.misses")
 	pitch := spec.EffMeshPitch()
 
-	addLayer := func(key string, die int, name string, outline geom.Rect, dir tech.Direction, rEff float64, isLoad bool) (*Layer, error) {
+	addLayer := func(key string, die int, name string, outline geom.Rect, dir tech.Direction, isLoad bool) (*Layer, error) {
 		nx, ny := geom.Dims(outline, pitch)
 		if nodes := float64(m.n) + nx*ny; nodes > MaxNodes {
 			return nil, &SizeError{Pitch: pitch, Nodes: nodes}
@@ -219,7 +219,10 @@ func layout(spec *pdn.Spec, reg *obs.Registry) (*Model, error) {
 		}
 		l := &Layer{
 			Key: key, Die: die, Name: name, Grid: grid,
-			Offset: m.n, Dir: dir, REff: rEff, IsLoad: isLoad,
+			Offset: m.n, Dir: dir, IsLoad: isLoad,
+		}
+		if err := m.applyREff(l); err != nil {
+			return nil, err
 		}
 		m.n += grid.N()
 		m.Layers = append(m.Layers, l)
@@ -238,7 +241,7 @@ func layout(spec *pdn.Spec, reg *obs.Registry) (*Model, error) {
 			if err != nil {
 				return nil, err
 			}
-			l, err := addLayer("logic/"+name, DieLogic, name, spec.Logic.Outline, ml.Dir, ml.SheetR/u, i == 0)
+			l, err := addLayer("logic/"+name, DieLogic, name, spec.Logic.Outline, ml.Dir, i == 0)
 			if err != nil {
 				return nil, err
 			}
@@ -254,7 +257,7 @@ func layout(spec *pdn.Spec, reg *obs.Registry) (*Model, error) {
 	// --- Interface RDL ---
 	if spec.RDL == pdn.RDLInterface {
 		rdl := spec.DRAMTech.RDL
-		if _, err := addLayer("rdl/if", DieInterfaceRDL, rdl.Name, spec.DRAM.Outline, rdl.Dir, rdl.SheetR/rdl.MaxUsage, false); err != nil {
+		if _, err := addLayer("rdl/if", DieInterfaceRDL, rdl.Name, spec.DRAM.Outline, rdl.Dir, false); err != nil {
 			return nil, err
 		}
 	}
@@ -272,7 +275,7 @@ func layout(spec *pdn.Spec, reg *obs.Registry) (*Model, error) {
 				return nil, err
 			}
 			key := fmt.Sprintf("dram%d/%s", d, name)
-			l, err := addLayer(key, d, name, spec.DRAM.Outline, ml.Dir, ml.SheetR/u, i == 0)
+			l, err := addLayer(key, d, name, spec.DRAM.Outline, ml.Dir, i == 0)
 			if err != nil {
 				return nil, err
 			}
@@ -286,7 +289,7 @@ func layout(spec *pdn.Spec, reg *obs.Registry) (*Model, error) {
 		if spec.RDL == pdn.RDLAll {
 			rdl := spec.DRAMTech.RDL
 			key := fmt.Sprintf("dram%d/RDL", d)
-			if _, err := addLayer(key, d, rdl.Name, spec.DRAM.Outline, rdl.Dir, rdl.SheetR/rdl.MaxUsage, false); err != nil {
+			if _, err := addLayer(key, d, rdl.Name, spec.DRAM.Outline, rdl.Dir, false); err != nil {
 				return nil, err
 			}
 		}

@@ -33,7 +33,7 @@ type Topology struct {
 	pattern *sparse.Pattern
 	n       int
 	// layers holds the canonical layer set (geometry only; the REff each
-	// model carries is recomputed from its own spec).
+	// model carries is set from its own spec by applyREff).
 	layers    []*Layer
 	dramLoad  []int // layer index of each DRAM die's load layer
 	logicLoad int   // layer index of the logic load layer, -1 off-chip
@@ -124,10 +124,10 @@ func (m *Model) restamp(t *Topology) error {
 	return nil
 }
 
-// applyREff recomputes a layer's effective per-square resistance from the
-// model's spec, using the same expressions the full build evaluates so
-// conductances stamped over a topology are bit-identical to freshly built
-// ones.
+// applyREff sets a layer's effective per-square resistance from the
+// model's spec. It is the one REff rule: the full build's layout and
+// NewModel both call it, so conductances stamped over a topology are
+// bit-identical to freshly built ones by construction.
 func (m *Model) applyREff(l *Layer) error {
 	spec := m.Spec
 	switch {

@@ -156,11 +156,12 @@ type cgState struct {
 // preconditioner has one, the four-column apply walk the matrix or the
 // factor once for up to four live columns.
 type lockstep struct {
-	a    *sparse.CSR
-	pre  Preconditioner
-	wide wideApplier // pre's four-column apply, nil when it has none
-	cols []Column
-	st   []cgState
+	a     *sparse.CSR
+	pre   Preconditioner
+	wide  wideApplier // pre's four-column apply, nil when it has none
+	apply *obs.Timer  // times each preconditioner sweep; nil untimed
+	cols  []Column
+	st    []cgState
 	// zero fills the spare lanes of a two- or three-column pass; every
 	// kernel maps zero to zero, so it stays zero.
 	zero []float64
@@ -173,9 +174,11 @@ type lockstep struct {
 // passes, commits its span annotation and recorder story at once, and
 // never delays or changes another. The residual norm for the convergence
 // check is accumulated in the same pass that updates the residual
-// (axpyNormSq) rather than recomputed with a separate sweep.
-func pcg(a *sparse.CSR, pre Preconditioner, cols []Column) {
-	l := &lockstep{a: a, pre: pre, cols: cols, st: make([]cgState, len(cols))}
+// (axpyNormSq) rather than recomputed with a separate sweep. Each
+// preconditioner sweep over live columns is one observation of apply
+// (nil: untimed).
+func pcg(a *sparse.CSR, pre Preconditioner, apply *obs.Timer, cols []Column) {
+	l := &lockstep{a: a, pre: pre, apply: apply, cols: cols, st: make([]cgState, len(cols))}
 	l.wide, _ = pre.(wideApplier)
 	live := 0
 	for j := range cols {
@@ -232,6 +235,9 @@ func pcg(a *sparse.CSR, pre Preconditioner, cols []Column) {
 				l.freeze(j, obs.TermConverged, nil)
 				live--
 			}
+		}
+		if live == 0 {
+			break
 		}
 		l.sweep(false) // z = M⁻¹·r
 		for j := range l.st {
@@ -304,8 +310,12 @@ func (l *lockstep) freeze(j int, term string, err error) {
 // preconditioner with a four-column apply take the live columns four to
 // a pass, in column order; a pass of one column runs the one-column
 // kernel, and a pass of two or three fills its spare lanes with the zero
-// vector. Any other preconditioner applies column by column.
+// vector. Any other preconditioner applies column by column. A
+// preconditioner sweep is timed as a whole under l.apply.
 func (l *lockstep) sweep(spmv bool) {
+	if !spmv {
+		defer l.apply.Start()()
+	}
 	wide := spmv || l.wide != nil
 	var out, in [LockstepWidth][]float64
 	k := 0

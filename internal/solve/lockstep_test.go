@@ -112,7 +112,7 @@ func scalarPCG(a *sparse.CSR, pre Preconditioner, b []float64, opt CGOptions) ([
 // solveOne runs the lockstep core on one column, as Solver.Solve does.
 func solveOne(a *sparse.CSR, pre Preconditioner, b []float64, opt CGOptions) ([]float64, CGStats, error) {
 	cols := []Column{{B: slices.Clone(b), Opt: opt}}
-	pcg(a, pre, cols)
+	pcg(a, pre, nil, cols)
 	return cols[0].X, cols[0].Stats, cols[0].Err
 }
 
@@ -198,8 +198,8 @@ func checkColumn(t *testing.T, name string, got Column, gotRec obs.SolveRecord, 
 // for bit, for every k from 1 to 9 and every mix of a converging column,
 // a zero right-hand side, a column cancelled at iteration 3 and one that
 // runs out of iterations at 5: on the IC(0) path with and without
-// instrumentation (whose timer must forward the four-column apply) and on
-// the AMG path, which applies its columns one at a time.
+// instrumentation (which times each preconditioner sweep) and on the AMG
+// path, which applies its columns one at a time.
 func TestLockstepMatchesScalar(t *testing.T) {
 	a := grid2D(20, 20)
 	for _, tc := range []struct {
@@ -369,9 +369,41 @@ func TestWideKernelsMatch(t *testing.T) {
 	}
 }
 
+// An instrumented solve times each preconditioner sweep over its live
+// columns once, however many columns share the sweep and whether the
+// preconditioner applies them four at a time (IC(0)) or one at a time
+// (AMG): one sweep to start and one per iteration but the last.
+func TestPrecondTimerCountsSweeps(t *testing.T) {
+	a := grid2D(20, 20)
+	for _, method := range []string{MethodCGIC0, MethodCGAMG} {
+		for _, k := range []int{1, 6} {
+			reg := obs.NewRegistry()
+			s, err := New(a, Options{Method: method, Obs: reg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cols := make([]Column, k)
+			for j := range cols {
+				cols[j].B, cols[j].Opt = roleColumn(a.N, j, roleConverge)
+			}
+			s.SolveCols(cols)
+			most := 0
+			for _, c := range cols {
+				if c.Err != nil {
+					t.Fatalf("%s k=%d: %v", method, k, c.Err)
+				}
+				most = max(most, c.Stats.Iterations)
+			}
+			if got := reg.Timer("solve." + method + ".precond_apply").Count(); got != int64(most) {
+				t.Errorf("%s k=%d: %d preconditioner sweeps timed, want %d", method, k, got, most)
+			}
+		}
+	}
+}
+
 // Concurrent k-column solves on one shared, instrumented solver each get
 // their own one-column answers; run under -race this also checks that
-// the lockstep loop and the timed four-column apply share no state.
+// concurrent lockstep loops share nothing but the solver's metrics.
 func TestLockstepConcurrent(t *testing.T) {
 	a := grid2D(24, 24)
 	s, err := New(a, Options{Method: MethodCGIC0, Obs: obs.NewRegistry()})

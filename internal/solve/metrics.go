@@ -52,35 +52,3 @@ func (m solverMetrics) record(st CGStats, err error) {
 		m.errors.Add(1)
 	}
 }
-
-// timedPre times every preconditioner application. Factories only wrap
-// when a registry is present, so uninstrumented solves skip the layer.
-type timedPre struct {
-	pre Preconditioner
-	t   *obs.Timer
-}
-
-func (p timedPre) Apply(z, r []float64) {
-	stop := p.t.Start()
-	p.pre.Apply(z, r)
-	stop()
-}
-
-// timedWidePre is timedPre over a preconditioner with a four-column
-// apply, which it forwards, timed: without it an instrumented solver
-// would apply its columns one at a time.
-type timedWidePre struct{ timedPre }
-
-func (p timedWidePre) Apply4(z, r [LockstepWidth][]float64) {
-	stop := p.t.Start()
-	p.pre.(wideApplier).Apply4(z, r)
-	stop()
-}
-
-// timed wraps pre so that every application is timed under t.
-func timed(pre Preconditioner, t *obs.Timer) Preconditioner {
-	if _, ok := pre.(wideApplier); ok {
-		return timedWidePre{timedPre{pre: pre, t: t}}
-	}
-	return timedPre{pre: pre, t: t}
-}

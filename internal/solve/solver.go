@@ -143,9 +143,6 @@ func cgFactory(method, precond string, setup func(*sparse.CSR) (Preconditioner, 
 		if err != nil {
 			return nil, err
 		}
-		if opt.Obs != nil {
-			pre = timed(pre, m.apply)
-		}
 		return &cgSolver{method: method, a: a, pre: pre, m: m, precond: precond}, nil
 	}
 }
@@ -176,7 +173,7 @@ func (s *cgSolver) SolveCols(cols []Column) {
 		cols[j].Opt.Rec.SetSolver(s.method, s.precond)
 	}
 	stop := s.m.solveTime.Start()
-	pcg(s.a, s.pre, cols)
+	pcg(s.a, s.pre, s.m.apply, cols)
 	stop()
 	for j := range cols {
 		if cols[j].Opt.Span != nil {

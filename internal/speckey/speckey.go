@@ -123,7 +123,8 @@ func Values(s *pdn.Spec, withLogic bool) string {
 // read, canonically: distinct designs cannot collide, identical designs
 // always hit the cache. It is the framed concatenation of the Topology
 // and Values keys, so the full key splits cleanly into "which mesh shape"
-// and "which conductance values" — the serving layer's two cache tiers.
+// (the key an rmesh.Topology is frozen under) and "which conductance
+// values".
 func Spec(s *pdn.Spec, withLogic bool) string {
 	var k Builder
 	k.Str(Topology(s))

@@ -103,9 +103,8 @@ func TestSupportOrderAndZeroes(t *testing.T) {
 	}
 }
 
-// The full key is the framed concatenation of the two sub-keys, so the
-// two-tier cache can never see designs that agree on Spec but disagree on
-// Topology or Values.
+// The full key is the framed concatenation of the two sub-keys, so no
+// two designs can agree on Spec but disagree on Topology or Values.
 func TestSpecIsFramedSplit(t *testing.T) {
 	bench, err := bench3d.StackedDDR3Off()
 	if err != nil {

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI regression gate for the committed BENCH_solver.json: re-runs the
-# solver-side benchmark suite and the memory-controller runs once and
-# compares every fresh line against the committed snapshot.
+# solver-side benchmark suite and the memory-controller runs once (the
+# rows scripts/solver_bench.sh lists) and compares every fresh line
+# against the committed snapshot.
 #
 #   - iters_per_solve: deterministic integers (the CG kernels are serial
 #     and sum their reductions in a fixed block order), compared exactly. Any drift — a regression or an improvement —
@@ -22,16 +23,15 @@
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
+source scripts/solver_bench.sh
 
 SNAPSHOT="${1:-BENCH_solver.json}"
 NSOP_BAND="${NSOP_BAND:-4.0}"
 [ -f "$SNAPSHOT" ] || { echo "bench_check: no snapshot at $SNAPSHOT" >&2; exit 1; }
 
-# Same packages and pattern as bench_snapshot.sh, so every committed
-# line gets a fresh counterpart.
-out="$(go test ./internal/solve ./internal/rmesh ./internal/memctrl -run '^$' \
-  -bench 'BenchmarkCG_IC0|BenchmarkCG_AMG|BenchmarkAMGSetup|BenchmarkValueSweep|BenchmarkRestamp$|BenchmarkBuildTopology|BenchmarkSimulate$' \
-  -benchtime 1x)"
+# The packages and pattern bench_snapshot.sh records (solver_bench.sh),
+# so every committed line gets a fresh counterpart.
+out="$(go test $SOLVER_BENCH_PKGS -run '^$' -bench "$SOLVER_BENCH_PATTERN" -benchtime 1x)"
 echo "$out"
 
 # lookup NAME KEY: extract one numeric field of the named benchmark from

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Runs the solver-side benchmark suite (with the memory-controller runs)
-# and the serving-side suite and writes the machine-readable perf
-# snapshots BENCH_solver.json and BENCH_serve.json at the repo root.
+# Runs the solver-side benchmark suite (with the memory-controller runs,
+# listed in scripts/solver_bench.sh) and the serving-side suite and
+# writes the machine-readable perf snapshots BENCH_solver.json and
+# BENCH_serve.json at the repo root.
 # These are the tracked baselines a perf-sensitive PR refreshes (and CI
 # uploads as artifacts); compare against the committed copies before
 # accepting a regression.
@@ -11,6 +12,7 @@
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
+source scripts/solver_bench.sh
 
 BENCHTIME="${1:-10x}"
 
@@ -56,9 +58,7 @@ bench_json() {
   echo "wrote $out"
 }
 
-bench_json "./internal/solve ./internal/rmesh ./internal/memctrl" \
-  'BenchmarkCG_IC0|BenchmarkCG_AMG|BenchmarkAMGSetup|BenchmarkValueSweep|BenchmarkRestamp$|BenchmarkBuildTopology|BenchmarkSimulate$' \
-  BENCH_solver.json
+bench_json "$SOLVER_BENCH_PKGS" "$SOLVER_BENCH_PATTERN" BENCH_solver.json
 
 bench_json "./internal/serve" 'BenchmarkAnalyze' BENCH_serve.json
 
