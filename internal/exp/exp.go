@@ -153,17 +153,40 @@ func (r *Runner) analyzer(b *bench3d.Benchmark, spec *pdn.Spec) (*irdrop.Analyze
 }
 
 // analyze answers one design point: spec, a prepared design of benchmark
-// b, in memory state st at per-die I/O activity io. Each point is solved
-// exactly once per runner, even under concurrent misses; experiments that
-// revisit a point (a baseline shared by several tables) share its answer.
+// b, in memory state st at per-die I/O activity io. It is analyzeAll's
+// one-point case.
 func (r *Runner) analyze(b *bench3d.Benchmark, spec *pdn.Spec, st memstate.State, io float64) (*irdrop.Result, error) {
-	key := speckey.Point(speckey.Spec(spec, b.LogicFor(spec) != nil), st.Key(), io)
-	return r.results.Do(context.TODO(), key, nil, func() (*irdrop.Result, error) {
+	res, err := r.analyzeAll(b, spec, []memstate.State{st}, []float64{io})
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
+}
+
+// analyzeAll answers the design points of one design: spec, a prepared
+// design of benchmark b, in memory state states[j] at I/O activity
+// ios[j]. Each point is solved exactly once per runner, even under
+// concurrent misses, and experiments that revisit a point (a baseline
+// shared by several tables) share its answer. The points this call
+// solves run as one lockstep group (irdrop.Analyzer.AnalyzeAllCtx), each
+// answer bit-identical to a solve of its own.
+func (r *Runner) analyzeAll(b *bench3d.Benchmark, spec *pdn.Spec, states []memstate.State, ios []float64) ([]*irdrop.Result, error) {
+	design := speckey.Spec(spec, b.LogicFor(spec) != nil)
+	keys := make([]string, len(states))
+	for j, st := range states {
+		keys[j] = speckey.Point(design, st.Key(), ios[j])
+	}
+	return r.results.DoAll(context.TODO(), keys, nil, func(lead []int) ([]*irdrop.Result, error) {
 		a, err := r.analyzer(b, spec)
 		if err != nil {
 			return nil, err
 		}
-		return a.Analyze(st, io)
+		sts := make([]memstate.State, len(lead))
+		lios := make([]float64, len(lead))
+		for k, j := range lead {
+			sts[k], lios[k] = states[j], ios[j]
+		}
+		return a.AnalyzeAllCtx(context.TODO(), sts, lios)
 	})
 }
 

@@ -6,8 +6,10 @@ import (
 
 	"pdn3d/internal/bench3d"
 	"pdn3d/internal/irdrop"
+	"pdn3d/internal/memstate"
 	"pdn3d/internal/obs"
 	"pdn3d/internal/pdn"
+	"pdn3d/internal/report"
 	"pdn3d/internal/speckey"
 )
 
@@ -149,5 +151,79 @@ func TestRunnerConcurrentExactlyOnce(t *testing.T) {
 	if misses, solves := counters["exp.result_cache.misses"], counters["rmesh.solves"]; misses != int64(len(specs)) || solves != int64(len(specs)) {
 		t.Errorf("exp.result_cache.misses %d, rmesh.solves %d: want one per distinct point (%d)",
 			misses, solves, len(specs))
+	}
+}
+
+// TestRunnerGroupedPointsExactlyOnce runs Table 4 and Table 5 twice each,
+// concurrently with single-point analyze calls, on one runner. The
+// tables solve each bonding's states as one group, and both tables list
+// the overlapping 0-0-2-2 state at 50 % I/O on both bondings, which the
+// analyze calls revisit with the default state that opens Table 5: every
+// distinct point must still be solved exactly once, one cache miss each,
+// and the tables must read as on a runner of their own.
+func TestRunnerGroupedPointsExactlyOnce(t *testing.T) {
+	b, err := bench3d.StackedDDR3Off()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{MeshPitch: 0.6, Requests: 1000, Workers: 4}
+	tables := []func(*Runner) (*report.Table, error){(*Runner).Table4, (*Runner).Table5}
+	want := make([]string, len(tables))
+	for i, table := range tables {
+		tab, err := table(NewRunner(cfg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = tab.String()
+	}
+
+	reg := obs.NewRegistry()
+	cfg.Obs = reg
+	r := NewRunner(cfg)
+	f2b := r.prepare(b.Spec)
+	f2f := f2b.Clone()
+	f2f.Bonding = pdn.F2F
+	overlap := memstate.MustPairState("", "", memstate.PairA, memstate.PairA)
+	if counts, err := memstate.FromCounts([]int{0, 0, 2, 2}, memstate.WorstCaseEdge(b.Spec.DRAM.NumBanks)); err != nil || counts.Key() != overlap.Key() {
+		t.Fatalf("Table 5's 0-0-2-2 state is not Table 4's 0-0-2a-2a (%v)", err)
+	}
+	var wg sync.WaitGroup
+	for round := 0; round < 2; round++ {
+		for i, table := range tables {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				tab, err := table(r)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got := tab.String(); got != want[i] {
+					t.Errorf("on a shared runner:\n%s\nwant:\n%s", got, want[i])
+				}
+			}()
+		}
+		for _, spec := range []*pdn.Spec{f2b, f2f} {
+			for _, p := range []struct {
+				st memstate.State
+				io float64
+			}{{overlap, 0.5}, {defaultState(b), b.DefaultIO}} {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if _, err := r.analyze(b, spec, p.st, p.io); err != nil {
+						t.Error(err)
+					}
+				}()
+			}
+		}
+	}
+	wg.Wait()
+	// Table 4: 7 states x 2 bondings; Table 5: 6 rows x 2 bondings; the
+	// overlapping state is in both on each bonding.
+	const distinct = 7*2 + 6*2 - 2
+	counters := reg.Snapshot().Counters
+	if solves, misses := counters["rmesh.solves"], counters["exp.result_cache.misses"]; solves != distinct || misses != distinct {
+		t.Errorf("rmesh.solves %d, exp.result_cache.misses %d: want one per distinct point (%d)", solves, misses, distinct)
 	}
 }

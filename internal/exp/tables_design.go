@@ -247,27 +247,24 @@ func (r *Runner) Table4() (*report.Table, error) {
 		Title:  "Table 4: intra-pair overlapping under F2F (stacked DDR3, two-bank interleaving)",
 		Header: []string{"memory state", "overlap", "F2B (mV)", "F2F+B2B (mV)", "delta", "paper F2B/F2F"},
 	}
-	type pair struct{ b, f *irdrop.Result }
-	results, err := sweep(r, len(cases), func(i int) (pair, error) {
-		c := cases[i]
+	states := make([]memstate.State, len(cases))
+	ios := make([]float64, len(cases))
+	for i, c := range cases {
 		if got := memstate.IntraPairOverlap(c.state); got != (c.overlap == "yes") {
-			return pair{}, fmt.Errorf("exp: case %s overlap classification mismatch", c.name)
+			return nil, fmt.Errorf("exp: case %s overlap classification mismatch", c.name)
 		}
-		rB, err := r.analyze(b, f2b, c.state, 0.5)
-		if err != nil {
-			return pair{}, err
-		}
-		rF, err := r.analyze(b, f2f, c.state, 0.5)
-		if err != nil {
-			return pair{}, err
-		}
-		return pair{b: rB, f: rF}, nil
+		states[i], ios[i] = c.state, 0.5
+	}
+	// One sweep item per bonding, its states one lockstep group.
+	bondings := []*pdn.Spec{f2b, f2f}
+	results, err := sweep(r, len(bondings), func(k int) ([]*irdrop.Result, error) {
+		return r.analyzeAll(b, bondings[k], states, ios)
 	})
 	if err != nil {
 		return nil, err
 	}
 	for i, c := range cases {
-		rB, rF := results[i].b, results[i].f
+		rB, rF := results[0][i], results[1][i]
 		t.AddRow(c.name, c.overlap, rB.MaxIRmV(), rF.MaxIRmV(),
 			report.Pct(rB.MaxIR, rF.MaxIR),
 			fmt.Sprintf("%.2f/%.2f", c.paper[0], c.paper[1]))
@@ -304,34 +301,28 @@ func (r *Runner) Table5() (*report.Table, error) {
 		Title:  "Table 5: memory state and I/O activity (off-chip stacked DDR3)",
 		Header: []string{"state", "IO/die", "active die (mW)", "total (mW)", "F2B (mV)", "F2F+B2B (mV)", "paper F2B/F2F"},
 	}
-	type pair struct {
-		st     memstate.State
-		rB, rF *irdrop.Result
-	}
-	results, err := sweep(r, len(rows), func(i int) (pair, error) {
-		row := rows[i]
+	states := make([]memstate.State, len(rows))
+	ios := make([]float64, len(rows))
+	for i, row := range rows {
 		st, err := memstate.FromCounts(row.counts, memstate.WorstCaseEdge(b.Spec.DRAM.NumBanks))
 		if err != nil {
-			return pair{}, err
+			return nil, err
 		}
-		rB, err := r.analyze(b, f2b, st, row.io)
-		if err != nil {
-			return pair{}, err
-		}
-		rF, err := r.analyze(b, f2f, st, row.io)
-		if err != nil {
-			return pair{}, err
-		}
-		return pair{st: st, rB: rB, rF: rF}, nil
+		states[i], ios[i] = st, row.io
+	}
+	// One sweep item per bonding, its states one lockstep group.
+	bondings := []*pdn.Spec{f2b, f2f}
+	results, err := sweep(r, len(bondings), func(k int) ([]*irdrop.Result, error) {
+		return r.analyzeAll(b, bondings[k], states, ios)
 	})
 	if err != nil {
 		return nil, err
 	}
 	for i, row := range rows {
-		res := results[i]
-		t.AddRow(res.st.String(), fmt.Sprintf("%.0f%%", row.io*100),
-			fmt.Sprintf("%.1f", res.rB.ActiveDiePower), fmt.Sprintf("%.1f", res.rB.TotalPower),
-			res.rB.MaxIRmV(), res.rF.MaxIRmV(),
+		rB, rF := results[0][i], results[1][i]
+		t.AddRow(states[i].String(), fmt.Sprintf("%.0f%%", row.io*100),
+			fmt.Sprintf("%.1f", rB.ActiveDiePower), fmt.Sprintf("%.1f", rB.TotalPower),
+			rB.MaxIRmV(), rF.MaxIRmV(),
 			fmt.Sprintf("%.2f/%.2f", row.paper[0], row.paper[1]))
 	}
 	return t, nil

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -220,5 +222,194 @@ func TestCachePanicReleasesWaiters(t *testing.T) {
 	v, err := c.Do(context.Background(), "k", nil, func() (int, error) { return 3, nil })
 	if err != nil || v != 3 {
 		t.Fatalf("Do after the panic = %d, %v, want fn to run again", v, err)
+	}
+}
+
+// TestCacheDoAllOverlappingKeySets hammers DoAll from many goroutines
+// whose key sets overlap (one of them lists a key twice), all released
+// at once: every key must be led by exactly one fn call and counted as
+// one miss, every other listing of it as one hit, and every caller must
+// get every key's value in its own key order.
+func TestCacheDoAllOverlappingKeySets(t *testing.T) {
+	const callers, pool, width = 24, 10, 4
+	reg := obs.NewRegistry()
+	c := NewCache[string](0)
+	c.Hits, c.Misses = reg.Counter("hits"), reg.Counter("misses")
+	var mu sync.Mutex
+	led := map[string]int{}
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	total := 0
+	for g := 0; g < callers; g++ {
+		keys := make([]string, width)
+		for k := range keys {
+			keys[k] = fmt.Sprint("k", (g*3+k*(1+g%2))%pool)
+		}
+		if g == 0 {
+			keys = append(keys, keys[0])
+		}
+		total += len(keys)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			vals, err := c.DoAll(context.Background(), keys, nil, func(lead []int) ([]string, error) {
+				out := make([]string, len(lead))
+				mu.Lock()
+				defer mu.Unlock()
+				for n, i := range lead {
+					if n > 0 && lead[n-1] >= i {
+						t.Errorf("lead %v not ascending", lead)
+					}
+					led[keys[i]]++
+					out[n] = "v" + keys[i]
+				}
+				return out, nil
+			})
+			if err != nil {
+				t.Errorf("DoAll(%v): %v", keys, err)
+				return
+			}
+			for i, k := range keys {
+				if vals[i] != "v"+k {
+					t.Errorf("DoAll(%v)[%d] = %q, want %q", keys, i, vals[i], "v"+k)
+				}
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if len(led) != pool {
+		t.Fatalf("%d keys led, want all %d", len(led), pool)
+	}
+	for k, n := range led {
+		if n != 1 {
+			t.Errorf("key %s led by %d fn calls, want 1", k, n)
+		}
+	}
+	if h, m := c.Hits.Value(), c.Misses.Value(); m != pool || h != int64(total-pool) {
+		t.Errorf("hits/misses = %d/%d, want %d/%d (one miss per key, a hit per other listing)", h, m, total-pool, pool)
+	}
+}
+
+// TestCacheDoAllLeadsOnlyMissingKeys: a kept key is a hit and is not
+// passed to fn, a failed group keeps none of its keys, and a later call
+// leads them again.
+func TestCacheDoAllLeadsOnlyMissingKeys(t *testing.T) {
+	var c Cache[int]
+	ctx := context.Background()
+	var leads [][]int
+	fn := func(fail bool) func([]int) ([]int, error) {
+		return func(lead []int) ([]int, error) {
+			leads = append(leads, slices.Clone(lead))
+			if fail {
+				return nil, errors.New("group failed")
+			}
+			out := make([]int, len(lead))
+			for n, i := range lead {
+				out[n] = 10 * i
+			}
+			return out, nil
+		}
+	}
+	if _, err := c.DoAll(ctx, []string{"a"}, nil, fn(false)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.DoAll(ctx, []string{"b", "a", "c"}, nil, fn(true)); err == nil || err.Error() != "group failed" {
+		t.Fatalf("failed group err = %v", err)
+	}
+	vals, err := c.DoAll(ctx, []string{"c", "a", "b"}, nil, fn(false))
+	if err != nil || !slices.Equal(vals, []int{0, 0, 20}) {
+		t.Fatalf("after the failure = %v, %v; want [0 0 20] (c and b re-run, a kept from its first run)", vals, err)
+	}
+	if want := [][]int{{0}, {0, 2}, {0, 2}}; !reflect.DeepEqual(leads, want) {
+		t.Fatalf("fn leads = %v, want %v", leads, want)
+	}
+	if _, err := c.DoAll(ctx, []string{"x"}, nil, func([]int) ([]int, error) { return nil, nil }); err == nil {
+		t.Fatal("fn returning no value for its key must fail")
+	}
+}
+
+// TestCacheDoAllPanicReachesEveryCaller: a group's panic is the
+// *PanicError of its leader and of every waiter on any of its keys,
+// including a waiter that led other keys of its own; nothing of the
+// group is kept, while the waiter's own keys are.
+func TestCacheDoAllPanicReachesEveryCaller(t *testing.T) {
+	var c Cache[int]
+	ctx := context.Background()
+	var joined sync.WaitGroup
+	joined.Add(2)
+	started := make(chan struct{})
+	errs := make(chan error, 3)
+	go func() {
+		_, err := c.DoAll(ctx, []string{"a", "b"}, nil, func([]int) ([]int, error) {
+			close(started)
+			joined.Wait()
+			panic("boom")
+		})
+		errs <- err
+	}()
+	<-started
+	go func() {
+		_, err := c.Do(ctx, "a", joined.Done, func() (int, error) { return 0, errors.New("waiter ran a") })
+		errs <- err
+	}()
+	go func() {
+		_, err := c.DoAll(ctx, []string{"c", "b"}, joined.Done, func(lead []int) ([]int, error) {
+			if !slices.Equal(lead, []int{0}) {
+				t.Errorf("waiter led %v, want only c", lead)
+			}
+			return []int{7}, nil
+		})
+		errs <- err
+	}()
+	for i := 0; i < 3; i++ {
+		wantPanicError(t, <-errs, "boom")
+	}
+	vals, err := c.DoAll(ctx, []string{"a", "b", "c"}, nil, func(lead []int) ([]int, error) {
+		if !slices.Equal(lead, []int{0, 1}) {
+			t.Errorf("after the panic led %v, want a and b again", lead)
+		}
+		return []int{1, 2}, nil
+	})
+	if err != nil || !slices.Equal(vals, []int{1, 2, 7}) {
+		t.Fatalf("after the panic = %v, %v", vals, err)
+	}
+}
+
+// TestCacheDoAllWaiterOwnContext: a caller that led some keys and waits
+// on another ends with its own ctx.Err() when its context ends; its own
+// keys and the flight it waited on are kept.
+func TestCacheDoAllWaiterOwnContext(t *testing.T) {
+	var c Cache[int]
+	release := make(chan struct{})
+	started := make(chan struct{})
+	leader := make(chan error, 1)
+	go func() {
+		_, err := c.DoAll(context.Background(), []string{"a", "b"}, nil, func([]int) ([]int, error) {
+			close(started)
+			<-release
+			return []int{1, 2}, nil
+		})
+		leader <- err
+	}()
+	<-started
+	ctx, cancel := context.WithCancel(context.Background())
+	_, err := c.DoAll(ctx, []string{"b", "c"}, nil, func(lead []int) ([]int, error) {
+		cancel()
+		return []int{3}, nil
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("waiter err = %v, want its own context.Canceled", err)
+	}
+	close(release)
+	if err := <-leader; err != nil {
+		t.Fatalf("leader err = %v", err)
+	}
+	vals, err := c.DoAll(context.Background(), []string{"a", "b", "c"}, nil, func([]int) ([]int, error) {
+		return nil, errors.New("re-ran a kept key")
+	})
+	if err != nil || !slices.Equal(vals, []int{1, 2, 3}) {
+		t.Fatalf("after the flights = %v, %v; every value must be kept", vals, err)
 	}
 }

@@ -95,57 +95,128 @@ func newICShifted(a *sparse.CSR, shift float64) (*ICPreconditioner, error) {
 	return p, nil
 }
 
-// Apply computes z = M⁻¹ r via forward then backward substitution.
-func (p *ICPreconditioner) Apply(z, r []float64) {
-	// Forward: L·y = r.
-	for i := 0; i < p.n; i++ {
-		s := r[i]
-		for q := p.rowPtr[i]; q < p.rowPtr[i+1]; q++ {
-			s -= p.val[q] * z[p.col[q]]
-		}
-		z[i] = s / p.diag[i]
+// lowerRow returns row i of the strictly-lower factor as column and
+// value slices taken once, so the sweeps pay no per-nonzero row-pointer
+// reload or value bounds check. When the row's last column is i−1 it
+// splits that entry off (prev true, value vl): the sweeps apply it from
+// the register that holds row i−1's value, after the rest of the row,
+// which is where column order puts it.
+func (p *ICPreconditioner) lowerRow(i int) (cs []int32, vs []float64, vl float64, prev bool) {
+	lo, hi := p.rowPtr[i], p.rowPtr[i+1]
+	cs = p.col[lo:hi]
+	vs = p.val[lo:hi][:len(cs)]
+	if k := len(cs) - 1; k >= 0 && int(cs[k]) == i-1 {
+		return cs[:k], vs[:k], vs[k], true
 	}
-	// Backward: Lᵀ·z = y (in place, traversing rows in reverse and
-	// scattering into earlier entries).
-	for i := p.n - 1; i >= 0; i-- {
-		z[i] /= p.diag[i]
-		zi := z[i]
-		for q := p.rowPtr[i]; q < p.rowPtr[i+1]; q++ {
-			z[p.col[q]] -= p.val[q] * zi
+	return cs, vs, 0, false
+}
+
+// Apply computes z = M⁻¹ r via forward then backward substitution.
+//
+// Both sweeps keep the value a row has just computed in a register for
+// its neighbour row instead of storing and reloading it: the triangular
+// solves are a serial chain, so that reload sits on the critical path.
+// The floating-point operations and their order are those of a plain
+// row-by-row substitution (CSR rows are column-sorted without
+// duplicates), so the answer is bit-identical to it.
+func (p *ICPreconditioner) Apply(z, r []float64) {
+	n := p.n
+	z, r = z[:n], r[:n]
+	diag := p.diag[:n]
+	// Forward: L·y = r. zp is z[i-1]; a row whose last column is i-1
+	// subtracts that term, its last, from the register.
+	var zp float64
+	for i := range z {
+		cs, vs, vl, prev := p.lowerRow(i)
+		s := r[i]
+		for q, c := range cs {
+			s -= vs[q] * z[c]
 		}
+		if prev {
+			s -= vl * zp
+		}
+		zp = s / diag[i]
+		z[i] = zp
+	}
+	// Backward: Lᵀ·z = y, in place, traversing rows in reverse and
+	// scattering into earlier entries. Row i's scatter into z[i-1] is the
+	// last term z[i-1] receives, so it is formed in the register zn and
+	// divided at the next row.
+	var zn float64
+	next := false // zn holds z[i]'s final value
+	for i := n - 1; i >= 0; i-- {
+		zi := zn
+		if !next {
+			zi = z[i]
+		}
+		zi /= diag[i]
+		z[i] = zi
+		cs, vs, vl, prev := p.lowerRow(i)
+		for q, c := range cs {
+			z[c] -= vs[q] * zi
+		}
+		if prev {
+			zn = z[i-1] - vl*zi
+		}
+		next = prev
 	}
 }
 
 // Apply4 computes z[j] = M⁻¹·r[j] for four columns in one forward and one
 // backward pass over the factor. Each lane does Apply's operations in
-// Apply's order, so it is bit-identical to an Apply of its own. A lane
-// may pass one vector as both z and r only when it is zero.
+// Apply's order, with Apply's register forwarding, so it is bit-identical
+// to an Apply of its own. A lane may pass one vector as both z and r
+// only when it is zero.
 func (p *ICPreconditioner) Apply4(z, r [LockstepWidth][]float64) {
 	n := p.n
 	z0, z1, z2, z3 := z[0][:n], z[1][:n], z[2][:n], z[3][:n]
 	r0, r1, r2, r3 := r[0][:n], r[1][:n], r[2][:n], r[3][:n]
+	diag := p.diag[:n]
+	var p0, p1, p2, p3 float64 // row i-1's values
 	for i := 0; i < n; i++ {
+		cs, vs, vl, prev := p.lowerRow(i)
 		s0, s1, s2, s3 := r0[i], r1[i], r2[i], r3[i]
-		for q := p.rowPtr[i]; q < p.rowPtr[i+1]; q++ {
-			c, v := p.col[q], p.val[q]
+		for q, c := range cs {
+			v := vs[q]
 			s0 -= v * z0[c]
 			s1 -= v * z1[c]
 			s2 -= v * z2[c]
 			s3 -= v * z3[c]
 		}
-		d := p.diag[i]
-		z0[i], z1[i], z2[i], z3[i] = s0/d, s1/d, s2/d, s3/d
+		if prev {
+			s0 -= vl * p0
+			s1 -= vl * p1
+			s2 -= vl * p2
+			s3 -= vl * p3
+		}
+		d := diag[i]
+		p0, p1, p2, p3 = s0/d, s1/d, s2/d, s3/d
+		z0[i], z1[i], z2[i], z3[i] = p0, p1, p2, p3
 	}
+	var n0, n1, n2, n3 float64 // row i's final values, formed at row i+1
+	next := false
 	for i := n - 1; i >= 0; i-- {
-		d := p.diag[i]
-		zi0, zi1, zi2, zi3 := z0[i]/d, z1[i]/d, z2[i]/d, z3[i]/d
+		zi0, zi1, zi2, zi3 := n0, n1, n2, n3
+		if !next {
+			zi0, zi1, zi2, zi3 = z0[i], z1[i], z2[i], z3[i]
+		}
+		d := diag[i]
+		zi0, zi1, zi2, zi3 = zi0/d, zi1/d, zi2/d, zi3/d
 		z0[i], z1[i], z2[i], z3[i] = zi0, zi1, zi2, zi3
-		for q := p.rowPtr[i]; q < p.rowPtr[i+1]; q++ {
-			c, v := p.col[q], p.val[q]
+		cs, vs, vl, prev := p.lowerRow(i)
+		for q, c := range cs {
+			v := vs[q]
 			z0[c] -= v * zi0
 			z1[c] -= v * zi1
 			z2[c] -= v * zi2
 			z3[c] -= v * zi3
 		}
+		if prev {
+			n0 = z0[i-1] - vl*zi0
+			n1 = z1[i-1] - vl*zi1
+			n2 = z2[i-1] - vl*zi2
+			n3 = z3[i-1] - vl*zi3
+		}
+		next = prev
 	}
 }

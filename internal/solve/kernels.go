@@ -86,17 +86,21 @@ func xpby(p []float64, beta float64, z []float64) {
 	}
 }
 
-// mulVec4 computes y[j] = A·x[j] for four columns in one pass over A.
-// Each lane sums its rows in MulVec's order, so it is bit-identical to a
-// MulVec of its own.
+// mulVec4 computes y[j] = A·x[j] for four columns in one pass over A,
+// walking each row through slices as MulVec does. Each lane sums its rows
+// in MulVec's order, so it is bit-identical to a MulVec of its own.
 func mulVec4(a *sparse.CSR, y, x [LockstepWidth][]float64) {
 	n := a.N
 	y0, y1, y2, y3 := y[0][:n], y[1][:n], y[2][:n], y[3][:n]
 	x0, x1, x2, x3 := x[0][:n], x[1][:n], x[2][:n], x[3][:n]
+	rp := a.RowPtr[:n+1]
 	for i := 0; i < n; i++ {
+		lo, hi := rp[i], rp[i+1]
+		cs := a.Col[lo:hi]
+		vs := a.Val[lo:hi][:len(cs)]
 		var s0, s1, s2, s3 float64
-		for q := a.RowPtr[i]; q < a.RowPtr[i+1]; q++ {
-			c, v := a.Col[q], a.Val[q]
+		for q, c := range cs {
+			v := vs[q]
 			s0 += v * x0[c]
 			s1 += v * x1[c]
 			s2 += v * x2[c]

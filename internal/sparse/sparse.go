@@ -276,10 +276,17 @@ func (m *CSR) MulVec(y, x []float64) {
 	if len(x) != m.N || len(y) != m.N {
 		panic(fmt.Sprintf("sparse: MulVec dimension mismatch: n=%d len(x)=%d len(y)=%d", m.N, len(x), len(y)))
 	}
+	// Each row is walked through slices taken once per row, so a nonzero
+	// costs one bounds check (its column's x entry) and no row-pointer
+	// reload; the sum runs in column order.
+	rp := m.RowPtr[:len(y)+1]
 	for i := range y {
+		lo, hi := rp[i], rp[i+1]
+		cs := m.Col[lo:hi]
+		vs := m.Val[lo:hi][:len(cs)]
 		var s float64
-		for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
-			s += m.Val[p] * x[m.Col[p]]
+		for q, c := range cs {
+			s += vs[q] * x[c]
 		}
 		y[i] = s
 	}
